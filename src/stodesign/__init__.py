@@ -6,7 +6,7 @@ perturbations, plus tools to test effective-tensor bounds and laminate
 optimality of converged designs.
 """
 
-from .cg import SolveReport, SparseSpdMatrix, cg_solve
+from .cg import SolveReport, cg_solve
 from .fem import (
     CellVectorField,
     DensityField,
@@ -31,7 +31,6 @@ from .objective import (
     GradientDensity,
     Objective,
     cost,
-    expected_decomposition_check,
     gradient_density,
     penalized_cost,
 )
@@ -55,6 +54,6 @@ from .scenarios import (
     save_scenario_file,
     validate,
 )
-from .solve import ScenarioSolution, solve_adjoint, solve_state
+from .solve import ScenarioSolution, solve_state
 
 __version__ = "0.1.0"

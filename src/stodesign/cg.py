@@ -1,4 +1,4 @@
-"""Sparse SPD storage and a Jacobi-preconditioned conjugate gradient solver."""
+"""Jacobi-preconditioned conjugate gradient solver for sparse SPD systems."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -19,64 +19,8 @@ class SolveReport:
     preconditioned_norms: list[float] | None = None
 
 
-class SparseSpdMatrix:
-    """Symmetric positive-definite matrix in CSR form.
-
-    Construction enforces a square shape, sorted per-row column indices and
-    exact (bit-level) symmetry of the stored values.
-    """
-
-    def __init__(self, matrix: sparse.csr_matrix):
-        m = sparse.csr_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        m.sum_duplicates()
-        m.sort_indices()
-        asym = abs(m - m.T)
-        if asym.nnz and asym.max() > 0.0:
-            raise ValueError("matrix is not symmetric")
-        self._m = m
-
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, values) -> "SparseSpdMatrix":
-        """Build from triplets; duplicate entries are summed."""
-        coo = sparse.coo_matrix((values, (rows, cols)), shape=(n, n))
-        return cls(coo.tocsr())
-
-    @property
-    def n(self) -> int:
-        return self._m.shape[0]
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._m.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._m.indices
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._m.data
-
-    def diagonal(self) -> np.ndarray:
-        return self._m.diagonal()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._m @ x
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._m @ x
-
-    def toarray(self) -> np.ndarray:
-        return self._m.toarray()
-
-    def __add__(self, other: "SparseSpdMatrix") -> "SparseSpdMatrix":
-        return SparseSpdMatrix(self._m + other._m)
-
-
 def cg_solve(
-    K: SparseSpdMatrix,
+    K: sparse.csr_matrix,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
@@ -99,7 +43,7 @@ def cg_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = K.n
+    n = K.shape[0]
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")

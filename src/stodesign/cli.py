@@ -233,7 +233,10 @@ def read_density_csv(path: Path) -> np.ndarray:
         for line in path.read_text().splitlines()
         if line.strip()
     ]
-    return np.array(rows)
+    values = np.array(rows)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path} holds non-finite density values")
+    return values
 
 
 def density_to_pixels(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -433,7 +436,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run_command(_resolve_config(args))
         return compare_command(args.dir_a, args.dir_b)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-from .cg import SparseSpdMatrix
+from scipy import sparse
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 # reference-square corner signs, order SW SE NE NW
@@ -203,28 +202,49 @@ def reference_stiffness(hx: float, hy: float) -> np.ndarray:
     return K
 
 
-def assemble_stiffness(a: DensityField) -> SparseSpdMatrix:
+@lru_cache(maxsize=64)
+def _stiffness_pattern(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR structure of the interior stiffness matrix, built once per grid.
+
+    Returns (keep, slot, indices, indptr): the flat (cell, 4x4 entry) positions
+    coupling two interior nodes, the CSR nonzero each one adds into, and the
+    CSR column indices and row pointers. Raises if the pattern is not
+    symmetric.
+    """
+    cells = cell_node_ids(grid)
+    imap = _interior_index_map(grid)
+    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    rows = imap[cells[:, li.ravel()]].ravel()
+    cols = imap[cells[:, lj.ravel()]].ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+
+    n = grid.n_interior
+    nonzeros, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    indices = nonzeros % n
+    indptr = np.searchsorted(nonzeros // n, np.arange(n + 1))
+    if not np.array_equal(np.sort(indices * n + nonzeros // n), nonzeros):
+        raise ValueError("stiffness pattern is not symmetric")
+    for arr in (keep, slot, indices, indptr):
+        arr.flags.writeable = False
+    return keep, slot, indices, indptr
+
+
+def assemble_stiffness(a: DensityField) -> sparse.csr_matrix:
     """Assemble the interior-node stiffness matrix of -div(a grad u).
 
     The coefficient is held constant per cell; boundary rows and columns are
-    eliminated (homogeneous Dirichlet).
+    eliminated (homogeneous Dirichlet). Duplicate element entries are summed
+    in cell order into the per-grid CSR pattern.
     """
     if np.any(a.values <= 0.0):
         raise ValueError("coefficient values must be strictly positive")
     grid = a.grid
-    cells = cell_node_ids(grid)
+    keep, slot, indices, indptr = _stiffness_pattern(grid)
     kref = reference_stiffness(grid.hx, grid.hy)
-    imap = _interior_index_map(grid)
-
-    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-    rows = imap[cells[:, li.ravel()]]
-    cols = imap[cells[:, lj.ravel()]]
-    vals = a.values[:, None] * kref.ravel()[None, :]
-
-    keep = (rows >= 0) & (cols >= 0)
-    return SparseSpdMatrix.from_coo(
-        grid.n_interior, rows[keep], cols[keep], vals[keep]
-    )
+    vals = (a.values[:, None] * kref.ravel()).ravel()[keep]
+    data = np.bincount(slot, weights=vals, minlength=len(indices))
+    n = grid.n_interior
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:

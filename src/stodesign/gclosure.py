@@ -5,6 +5,9 @@ effective tensors are the symmetric matrices whose eigenvalues lie between
 the harmonic and arithmetic means of the phases and satisfy two trace
 bounds. Rank-one laminates realize the extreme points: eigenvalue equal to
 the harmonic mean across the layers, arithmetic mean along them.
+
+The fraction, mean, eigen and laminate formulas take scalars or per-cell
+arrays alike, so the optimality residual evaluates them once for all cells.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ class PhasePair:
 
 @dataclass(frozen=True)
 class SymmetricTensor2:
-    """2x2 symmetric matrix stored as (a11, a22, a12)."""
+    """2x2 symmetric matrix stored as (a11, a22, a12), scalars or per-cell arrays."""
 
     a11: float
     a22: float
@@ -49,22 +52,40 @@ class SymmetricTensor2:
     def eigenvalues(self) -> tuple[float, float]:
         """Closed-form eigenvalues, ascending."""
         mid = 0.5 * (self.a11 + self.a22)
-        rad = float(np.hypot(0.5 * (self.a11 - self.a22), self.a12))
+        rad = np.hypot(0.5 * (self.a11 - self.a22), self.a12)
         return mid - rad, mid + rad
 
+    def principal_direction(self) -> np.ndarray:
+        """Unit eigenvector of the larger eigenvalue, shape (..., 2).
+
+        Of the two closed forms, each orthogonal to one row of M - lam I, the
+        longer is used; a zero matrix gets (1, 0).
+        """
+        lam = self.eigenvalues()[1]
+        v1 = np.stack([self.a12, lam - self.a11], axis=-1)
+        v2 = np.stack([lam - self.a22, self.a12], axis=-1)
+        n1 = np.hypot(v1[..., 0], v1[..., 1])
+        n2 = np.hypot(v2[..., 0], v2[..., 1])
+        v = np.where((n1 >= n2)[..., None], v1, v2)
+        norm = np.maximum(n1, n2)[..., None]
+        unit = v / np.where(norm > 0.0, norm, 1.0)
+        return np.where(norm > 0.0, unit, [1.0, 0.0])
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.a11 * v[0] + self.a12 * v[1], self.a12 * v[0] + self.a22 * v[1]]
-        )
+        """M v for v of shape (..., 2)."""
+        v = np.asarray(v, dtype=float)
+        x, y = v[..., 0], v[..., 1]
+        return np.stack([self.a11 * x + self.a12 * y, self.a12 * x + self.a22 * y], axis=-1)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
-def _check_theta(theta: float) -> float:
-    if not 0.0 <= theta <= 1.0:
+def _check_theta(theta):
+    t = np.asarray(theta, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError(f"volume fraction must lie in [0, 1], got {theta}")
-    return float(theta)
+    return t if t.ndim else float(t)
 
 
 def harmonic_mean(theta: float, phases: PhasePair) -> float:
@@ -130,57 +151,45 @@ def rank_one_laminate(
 ) -> SymmetricTensor2:
     """Effective tensor of a single-direction layering.
 
-    `normal` must be a unit vector (within 1e-12); the tensor has the harmonic
-    mean along it and the arithmetic mean across it.
+    `normal` must be a unit vector (within 1e-12), or an array of them with
+    shape (..., 2) matching theta; the tensor has the harmonic mean along it
+    and the arithmetic mean across it.
     """
     theta = _check_theta(theta)
     n = np.asarray(normal, dtype=float)
-    if n.shape != (2,):
+    if n.shape[-1:] != (2,):
         raise ValueError("lamination normal must be a 2-vector")
-    norm = float(np.hypot(n[0], n[1]))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"lamination normal must be a unit vector, got |n|={norm!r}")
+    n0, n1 = n[..., 0], n[..., 1]
+    norm = np.hypot(n0, n1)
+    if not np.all(np.abs(norm - 1.0) <= 1e-12):
+        raise ValueError(f"lamination normal must be a unit vector, got |n|={norm}")
     lam_minus = harmonic_mean(theta, phases)
     lam_plus = arithmetic_mean(theta, phases)
     # lam_minus n nT + lam_plus (I - n nT)
     d = lam_minus - lam_plus
     return SymmetricTensor2(
-        a11=lam_plus + d * n[0] * n[0],
-        a22=lam_plus + d * n[1] * n[1],
-        a12=d * n[0] * n[1],
+        a11=lam_plus + d * n0 * n0,
+        a22=lam_plus + d * n1 * n1,
+        a12=d * n0 * n1,
     )
 
 
-def volume_fraction(a: float, kind: Objective, phases: PhasePair) -> float:
-    """Fraction theta whose optimal mean equals the scalar coefficient a.
+def volume_fraction(a, kind: Objective, phases: PhasePair):
+    """Fraction theta whose optimal mean equals the coefficient a (scalar or array).
 
     Inverts the arithmetic mean for compliance and the harmonic mean for
     energy, the mean each cost kind realizes at optimality.
     """
-    if not phases.alpha <= a <= phases.beta:
-        raise ValueError(f"coefficient {a} outside [{phases.alpha}, {phases.beta}]")
+    inside = (phases.alpha <= a) & (a <= phases.beta)
+    if not np.all(inside):
+        bad = np.extract(np.logical_not(inside), a)[0]
+        raise ValueError(f"coefficient {bad} outside [{phases.alpha}, {phases.beta}]")
     span = phases.beta - phases.alpha
     if span == 0.0:
-        return 0.0
+        return 0.0 * a
     if kind is Objective.COMPLIANCE:
         return (phases.beta - a) / span
     return (phases.alpha / a) * (phases.beta - a) / span
-
-
-def _principal_direction(g_outer: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the dominant eigenvalue of a 2x2 PSD matrix."""
-    g11, g22, g12 = g_outer[0, 0], g_outer[1, 1], g_outer[0, 1]
-    mid = 0.5 * (g11 + g22)
-    rad = float(np.hypot(0.5 * (g11 - g22), g12))
-    lam_max = mid + rad
-    # pick the better-conditioned eigenvector formula
-    v1 = np.array([g12, lam_max - g11])
-    v2 = np.array([lam_max - g22, g12])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.array([1.0, 0.0])
-    return v / norm
 
 
 def optimality_residual(
@@ -203,30 +212,22 @@ def optimality_residual(
     particular for a single deterministic scenario. With several scenarios it
     quantifies how far the per-cell gradients are from sharing a direction.
     """
-    grid = a_final.grid
-    n_cells = grid.n_cells
-    weights = [s.weight for s in sols]
-    grads = [s.grad_u.values for s in sols]
-
-    residual = np.zeros(n_cells)
-    for c in range(n_cells):
-        outer = np.zeros((2, 2))
-        norm_sum = 0.0
-        for w, gv in zip(weights, grads):
-            v = gv[c]
-            outer += w * np.outer(v, v)
-            norm_sum += w * float(np.hypot(v[0], v[1]))
-        dominant = _principal_direction(outer)
-        if kind is Objective.COMPLIANCE:
-            normal = np.array([-dominant[1], dominant[0]])
-        else:
-            normal = dominant
-        theta = volume_fraction(float(a_final.values[c]), kind, phases)
-        M = rank_one_laminate(theta, phases, normal / float(np.hypot(*normal)))
-        num = 0.0
-        for w, gv in zip(weights, grads):
-            v = gv[c]
-            err = M.matvec(v) - a_final.values[c] * v
-            num += w * float(np.hypot(err[0], err[1]))
-        residual[c] = num / (norm_sum + floor)
-    return residual
+    a = a_final.values
+    s11 = s22 = s12 = norm_sum = 0.0
+    for sol in sols:
+        gx, gy = sol.grad_u.values[:, 0], sol.grad_u.values[:, 1]
+        s11 += sol.weight * (gx * gx)
+        s22 += sol.weight * (gy * gy)
+        s12 += sol.weight * (gx * gy)
+        norm_sum += sol.weight * np.hypot(gx, gy)
+    dominant = SymmetricTensor2(s11, s22, s12).principal_direction()
+    if kind is Objective.COMPLIANCE:
+        normal = np.stack([-dominant[:, 1], dominant[:, 0]], axis=1)
+    else:
+        normal = dominant
+    M = rank_one_laminate(volume_fraction(a, kind, phases), phases, normal)
+    num = 0.0
+    for sol in sols:
+        err = M.matvec(sol.grad_u.values) - a[:, None] * sol.grad_u.values
+        num += sol.weight * np.hypot(err[:, 0], err[:, 1])
+    return num / (norm_sum + floor)

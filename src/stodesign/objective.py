@@ -10,19 +10,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cg import cg_solve
 from .fem import (
     DensityField,
     GridSpec,
-    NodalField,
-    assemble_load,
-    assemble_stiffness,
     cell_averages,
     cell_grad_dot,
     integrate_cells,
     stiffness_energy,
 )
-from .scenarios import ScenarioSet, validate
 
 if TYPE_CHECKING:
     from .solve import ScenarioSolution
@@ -94,8 +89,8 @@ def penalized_cost(
     return cost(a, sols, kind) + gamma_pen * integrate_cells(a.grid, a.values)
 
 
-def gradient_density(sols: list["ScenarioSolution"]) -> GradientDensity:
-    """Cell-wise expected grad(u).grad(p).
+def gradient_density(sols: list["ScenarioSolution"], kind: Objective) -> GradientDensity:
+    """Cell-wise expected grad(u).grad(p), with the adjoint p = kind.sign * u.
 
     Uses the same 2x2 Gauss quadrature as the stiffness assembly (per-cell
     mean of the product), so that the directional derivative of the discrete
@@ -106,43 +101,5 @@ def gradient_density(sols: list["ScenarioSolution"]) -> GradientDensity:
     grid = sols[0].u.grid
     g = np.zeros(grid.n_cells)
     for sol in sols:
-        if sol.p is None:
-            raise ValueError("adjoint part missing; solve the adjoint first")
-        g += sol.weight * cell_grad_dot(sol.u, sol.p)
-    return GradientDensity(grid, g)
-
-
-def expected_decomposition_check(
-    a: DensityField,
-    sset: ScenarioSet,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Linearity identity used as a test oracle.
-
-    Returns (lhs, rhs) where lhs is the expected compliance of f + xi and
-    rhs = compliance(f) + sum_k w_k * integral xi_k u(xi_k), with u(xi_k)
-    solving the state equation under the perturbation alone. With zero-mean
-    perturbations the cross terms cancel and both sides agree up to solver
-    error.
-    """
-    problems = validate(sset)
-    if problems:
-        raise ValueError("invalid scenario set: " + "; ".join(problems))
-    grid = a.grid
-    K = assemble_stiffness(a)
-    area = grid.cell_area
-
-    def compliance_of(load: np.ndarray) -> float:
-        b = assemble_load(grid, load)
-        x, report = cg_solve(K, b, tol=tol)
-        if not report.converged:
-            raise RuntimeError("CG did not converge in decomposition check")
-        u = NodalField.from_interior(grid, x)
-        return float(load @ cell_averages(u)) * area
-
-    lhs = sum(s.weight * compliance_of(sset.f + s.xi) for s in sset.scenarios)
-    rhs = compliance_of(sset.f) + sum(
-        s.weight * compliance_of(s.xi) if np.any(s.xi != 0.0) else 0.0
-        for s in sset.scenarios
-    )
-    return lhs, rhs
+        g += sol.weight * cell_grad_dot(sol.u, sol.u)
+    return GradientDensity(grid, kind.sign * g)

@@ -19,7 +19,7 @@ import numpy as np
 from .fem import DensityField, GridSpec, integrate_cells
 from .objective import GradientDensity, Objective, cost, gradient_density
 from .scenarios import ScenarioSet
-from .solve import ScenarioSolution, solve_adjoint, solve_state
+from .solve import ScenarioSolution, solve_state
 
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10
@@ -222,7 +222,7 @@ def run(
             return c, c
         return c, c + cfg.gamma_pen * field.mass()
 
-    sols = solve_adjoint(a, sset, kind, tol=solve_tol)
+    sols = solve_state(a, sset, tol=solve_tol)
     cost_now, merit_now = measure(a, sols)
     merit_scale = abs(merit_now)
 
@@ -230,7 +230,7 @@ def run(
     stop_reason = "max_iters"
 
     def snapshot(it: int, field, sols_k, cost_k, merit_k, step_eps: float):
-        g_k = gradient_density(sols_k)
+        g_k = gradient_density(sols_k, kind)
         eta_b = barrier_eta(field, cfg.eps, cfg.alpha, cfg.beta)
         if cfg.constrained:
             try:
@@ -268,8 +268,7 @@ def run(
         last_trial: dict = {}
 
         def evaluate(trial: DensityField) -> float:
-            states = solve_state(trial, sset, tol=solve_tol, warm_starts=warm)
-            tsols = solve_adjoint(trial, sset, kind, states=states)
+            tsols = solve_state(trial, sset, tol=solve_tol, warm_starts=warm)
             c, val = measure(trial, tsols)
             last_trial["sols"] = tsols
             last_trial["cost"] = c

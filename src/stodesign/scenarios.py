@@ -101,7 +101,7 @@ def validate(
     weight_tol: float = WEIGHT_SUM_TOL,
     mean_tol: float = ZERO_MEAN_TOL,
 ) -> list[str]:
-    """Check the probability-sum and zero-mean invariants.
+    """Check finiteness and the probability-sum and zero-mean invariants.
 
     Returns a list of violation messages; an empty list means the set is valid.
     Violations are data, not exceptions.
@@ -110,6 +110,11 @@ def validate(
     if not sset.scenarios:
         violations.append("scenario set is empty")
         return violations
+    if not np.all(np.isfinite(sset.f)):
+        violations.append("f holds non-finite values")
+    for k, s in enumerate(sset.scenarios):
+        if not np.all(np.isfinite(s.xi)):
+            violations.append(f"scenario {k} holds non-finite values")
     wsum = float(sum(s.weight for s in sset.scenarios))
     if abs(wsum - 1.0) > weight_tol:
         violations.append(f"weights sum to {wsum!r}, expected 1 within {weight_tol}")

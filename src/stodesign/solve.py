@@ -1,9 +1,10 @@
-"""State and adjoint solves per scenario.
+"""State solves per scenario.
 
 The stiffness matrix depends only on the coefficient field, so it is
 assembled once and reused across scenarios. For the two supported cost
-kinds the adjoint solution is a signed copy of the state (p = u for
-compliance, p = -u for energy), never a second linear solve.
+kinds the adjoint is the state itself up to sign (p = u for compliance,
+p = -u for energy); `gradient_density` applies the sign, so no adjoint is
+stored or solved.
 """
 from __future__ import annotations
 
@@ -20,13 +21,12 @@ from .fem import (
     assemble_stiffness,
     cell_gradients,
 )
-from .objective import Objective
 from .scenarios import ScenarioSet, validate
 
 
 @dataclass
 class ScenarioSolution:
-    """State/adjoint pair and gradients for one scenario.
+    """State solution and its cell gradients for one scenario.
 
     `load` is the per-cell right-hand side f + xi_k, kept so cost evaluation
     does not need the scenario set again. `u_interior` is the raw solver
@@ -40,8 +40,6 @@ class ScenarioSolution:
     u_interior: np.ndarray
     solve_tol: float
     report: SolveReport
-    p: NodalField | None = None
-    grad_p: CellVectorField | None = None
 
 
 def solve_state(
@@ -88,31 +86,3 @@ def solve_state(
             )
         )
     return solutions
-
-
-def attach_adjoint(solutions: list[ScenarioSolution], kind: Objective) -> list[ScenarioSolution]:
-    """Fill the adjoint parts by sign-reuse of the state solution."""
-    sign = 1.0 if kind is Objective.COMPLIANCE else -1.0
-    for sol in solutions:
-        grid = sol.u.grid
-        sol.p = NodalField(grid, sign * sol.u.values)
-        sol.grad_p = CellVectorField(grid, sign * sol.grad_u.values)
-    return solutions
-
-
-def solve_adjoint(
-    a: DensityField,
-    sset: ScenarioSet,
-    kind: Objective,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    states: list[ScenarioSolution] | None = None,
-) -> list[ScenarioSolution]:
-    """State plus adjoint bundles for every scenario.
-
-    Pass precomputed `states` to avoid re-solving; otherwise one state solve
-    per scenario is performed and the adjoint is attached by sign.
-    """
-    if states is None:
-        states = solve_state(a, sset, tol=tol, max_iter=max_iter)
-    return attach_adjoint(states, kind)

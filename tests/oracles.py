@@ -1,0 +1,113 @@
+"""Test-only oracles: slow, direct forms of quantities the library computes.
+
+`expected_decomposition_check` re-solves the state equation under the mean
+load and each perturbation alone; `loop_optimality_residual` is the per-cell
+reference form of `stodesign.gclosure.optimality_residual`.
+"""
+import numpy as np
+
+from stodesign.cg import cg_solve
+from stodesign.fem import (
+    DensityField,
+    NodalField,
+    assemble_load,
+    assemble_stiffness,
+    cell_averages,
+)
+from stodesign.gclosure import (
+    RESIDUAL_FLOOR,
+    PhasePair,
+    rank_one_laminate,
+    volume_fraction,
+)
+from stodesign.objective import Objective
+from stodesign.scenarios import ScenarioSet, validate
+
+
+def expected_decomposition_check(
+    a: DensityField,
+    sset: ScenarioSet,
+    tol: float = 1e-10,
+) -> tuple[float, float]:
+    """Linearity identity of the expected compliance.
+
+    Returns (lhs, rhs) where lhs is the expected compliance of f + xi and
+    rhs = compliance(f) + sum_k w_k * integral xi_k u(xi_k), with u(xi_k)
+    solving the state equation under the perturbation alone. With zero-mean
+    perturbations the cross terms cancel and both sides agree up to solver
+    error.
+    """
+    problems = validate(sset)
+    if problems:
+        raise ValueError("invalid scenario set: " + "; ".join(problems))
+    grid = a.grid
+    K = assemble_stiffness(a)
+    area = grid.cell_area
+
+    def compliance_of(load: np.ndarray) -> float:
+        b = assemble_load(grid, load)
+        x, report = cg_solve(K, b, tol=tol)
+        if not report.converged:
+            raise RuntimeError("CG did not converge in decomposition check")
+        u = NodalField.from_interior(grid, x)
+        return float(load @ cell_averages(u)) * area
+
+    lhs = sum(s.weight * compliance_of(sset.f + s.xi) for s in sset.scenarios)
+    rhs = compliance_of(sset.f) + sum(
+        s.weight * compliance_of(s.xi) if np.any(s.xi != 0.0) else 0.0
+        for s in sset.scenarios
+    )
+    return lhs, rhs
+
+
+def _principal_direction(g_outer: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the dominant eigenvalue of a 2x2 PSD matrix."""
+    g11, g22, g12 = g_outer[0, 0], g_outer[1, 1], g_outer[0, 1]
+    mid = 0.5 * (g11 + g22)
+    rad = float(np.hypot(0.5 * (g11 - g22), g12))
+    lam_max = mid + rad
+    # pick the better-conditioned eigenvector formula
+    v1 = np.array([g12, lam_max - g11])
+    v2 = np.array([lam_max - g22, g12])
+    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.array([1.0, 0.0])
+    return v / norm
+
+
+def loop_optimality_residual(
+    a_final: DensityField,
+    sols,
+    kind: Objective,
+    phases: PhasePair,
+    floor: float = RESIDUAL_FLOOR,
+) -> np.ndarray:
+    """Cell-by-cell alignment residual, one 2x2 eigenproblem per cell."""
+    grid = a_final.grid
+    n_cells = grid.n_cells
+    weights = [s.weight for s in sols]
+    grads = [s.grad_u.values for s in sols]
+
+    residual = np.zeros(n_cells)
+    for c in range(n_cells):
+        outer = np.zeros((2, 2))
+        norm_sum = 0.0
+        for w, gv in zip(weights, grads):
+            v = gv[c]
+            outer += w * np.outer(v, v)
+            norm_sum += w * float(np.hypot(v[0], v[1]))
+        dominant = _principal_direction(outer)
+        if kind is Objective.COMPLIANCE:
+            normal = np.array([-dominant[1], dominant[0]])
+        else:
+            normal = dominant
+        theta = volume_fraction(float(a_final.values[c]), kind, phases)
+        M = rank_one_laminate(theta, phases, normal / float(np.hypot(*normal)))
+        num = 0.0
+        for w, gv in zip(weights, grads):
+            v = gv[c]
+            err = M.matvec(v) - a_final.values[c] * v
+            num += w * float(np.hypot(err[0], err[1]))
+        residual[c] = num / (norm_sum + floor)
+    return residual

@@ -23,13 +23,13 @@ from stodesign.gclosure import (
     arithmetic_mean,
     harmonic_mean,
     in_gclosure,
+    optimality_residual,
     rank_one_laminate,
     volume_fraction,
 )
 from stodesign.objective import (
     Objective,
     cost,
-    expected_decomposition_check,
     gradient_density,
 )
 from stodesign.optimizer import OptimizerConfig, run
@@ -39,7 +39,9 @@ from stodesign.scenarios import (
     make_deterministic,
     validate,
 )
-from stodesign.solve import solve_adjoint, solve_state
+from stodesign.solve import solve_state
+
+from oracles import expected_decomposition_check, loop_optimality_residual
 
 PHASES = PhasePair(1.0, 2.0)
 MASS = 1.5
@@ -108,7 +110,7 @@ def test_criterion_03_adjoint_gradient():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a0 = DensityField.constant(g, 1.5)
     tol = 1e-12
-    grad = gradient_density(solve_adjoint(a0, sset, Objective.COMPLIANCE, tol=tol)).values
+    grad = gradient_density(solve_state(a0, sset, tol=tol), Objective.COMPLIANCE).values
 
     def compliance(a):
         return cost(a, solve_state(a, sset, tol=tol), Objective.COMPLIANCE)
@@ -267,3 +269,13 @@ def test_criterion_10_stationarity_decrease(reference_runs):
     ratio = first / final
     assert ratio >= 1e3
     _report(10, f"stationarity {first:.3e} -> {final:.3e}, reduction {ratio:.1e} >= 1e3")
+
+
+def test_residual_matches_loop_oracle_on_reference_designs(reference_runs):
+    _, results = reference_runs
+    worst = 0.0
+    for (kind, _), (result, _) in results.items():
+        res = optimality_residual(result.density, result.solutions, kind, PHASES)
+        ref = loop_optimality_residual(result.density, result.solutions, kind, PHASES)
+        worst = max(worst, float(np.max(np.abs(res - ref))))
+    assert worst <= 1e-14

@@ -129,6 +129,28 @@ def test_compare_grid_mismatch(tmp_path):
     assert run_cli(["compare", str(a), str(b)]) == 1
 
 
+def test_compare_rejects_non_finite_density(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["run", *FAST, "--out", str(a)]) == 0
+    b.mkdir()
+    text = (a / "density.csv").read_text()
+    (b / "density.csv").write_text("nan" + text[text.index(","):])
+    with pytest.raises(ValueError, match="non-finite"):
+        read_density_csv(b / "density.csv")
+    assert run_cli(["compare", str(a), str(b)]) == 1
+
+
+def test_cost_cross_check_failure_exits_one(tmp_path, monkeypatch, capsys):
+    import stodesign.optimizer
+
+    def broken_cost(*args, **kwargs):
+        raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
+
+    monkeypatch.setattr(stodesign.optimizer, "cost", broken_cost)
+    assert run_cli(["run", *FAST, "--out", str(tmp_path / "x")]) == 1
+    assert "error: load-pairing" in capsys.readouterr().err
+
+
 def test_region_masks_partition():
     g = GridSpec(16, 16)
     masks = region_masks(g)

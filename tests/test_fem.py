@@ -11,8 +11,11 @@ from stodesign.fem import (
     cell_centers,
     cell_gradients,
     cell_grad_dot,
+    cell_node_ids,
     integrate_cells,
+    interior_node_ids,
     l2_error,
+    reference_stiffness,
     sample_cells,
     sample_nodes,
     stiffness_energy,
@@ -39,7 +42,7 @@ def test_stiffness_single_interior_node():
     # 2x2 unit-coefficient grid: one interior node, hand-assembled value 8/3
     g = GridSpec(2, 2)
     K = assemble_stiffness(DensityField.constant(g, 1.0))
-    assert K.n == 1
+    assert K.shape[0] == 1
     assert K.toarray()[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-14)
 
 
@@ -74,13 +77,34 @@ def test_stiffness_exact_symmetry():
     assert np.max(np.abs(K - K.T)) == 0.0
 
 
+def test_stiffness_bitwise_symmetric_and_matches_dense_assembly():
+    rng = np.random.default_rng(17)
+    for nx, ny in ((9, 7), (16, 16), (5, 12)):
+        g = GridSpec(nx, ny)
+        K = assemble_stiffness(DensityField(g, rng.uniform(0.5, 3.0, g.n_cells)))
+        assert np.array_equal(K.indptr, K.T.tocsr().indptr)
+        assert np.array_equal(K.indices, K.T.tocsr().indices)
+        assert np.array_equal(K.data, K.T.tocsr().data)
+
+    # dense reference: add each cell's 4x4 block, then drop boundary nodes
+    g = GridSpec(5, 4)
+    a = rng.uniform(0.5, 3.0, g.n_cells)
+    kref = reference_stiffness(g.hx, g.hy)
+    dense = np.zeros((g.n_nodes, g.n_nodes))
+    for c, ids in enumerate(cell_node_ids(g)):
+        dense[np.ix_(ids, ids)] += a[c] * kref
+    inner = interior_node_ids(g)
+    K = assemble_stiffness(DensityField(g, a)).toarray()
+    assert np.max(np.abs(K - dense[np.ix_(inner, inner)])) <= 1e-15
+
+
 def test_stiffness_positive_definite():
     g = GridSpec(6, 5)
     rng = np.random.default_rng(7)
     a = DensityField(g, rng.uniform(0.2, 4.0, g.n_cells))
     K = assemble_stiffness(a)
     for _ in range(100):
-        x = rng.standard_normal(K.n)
+        x = rng.standard_normal(K.shape[0])
         assert x @ (K @ x) > 0.0
 
 

@@ -14,6 +14,8 @@ from stodesign.gclosure import (
 )
 from stodesign.objective import Objective
 
+from oracles import loop_optimality_residual
+
 PHASES = PhasePair(1.0, 2.0)
 
 
@@ -156,37 +158,58 @@ def test_volume_fraction_bounds():
 
 def test_residual_zero_for_deterministic_scenario():
     from stodesign.scenarios import make_deterministic
-    from stodesign.solve import solve_adjoint
+    from stodesign.solve import solve_state
 
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
-    sols = solve_adjoint(
-        a, make_deterministic(g, np.ones(g.n_cells)), Objective.COMPLIANCE
-    )
+    sols = solve_state(a, make_deterministic(g, np.ones(g.n_cells)))
     res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
     assert np.max(res) < 1e-10
 
 
 def test_residual_zero_gradient_cells():
     from stodesign.scenarios import make_deterministic
-    from stodesign.solve import solve_adjoint
+    from stodesign.solve import solve_state
 
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.5)
-    sols = solve_adjoint(
-        a, make_deterministic(g, np.zeros(g.n_cells)), Objective.COMPLIANCE
-    )
+    sols = solve_state(a, make_deterministic(g, np.zeros(g.n_cells)))
     res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
     assert np.all(res == 0.0)
 
 
 def test_residual_finite_for_two_scenarios():
     from stodesign.scenarios import make_case1
-    from stodesign.solve import solve_adjoint
+    from stodesign.solve import solve_state
 
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
-    sols = solve_adjoint(a, make_case1(g), Objective.COMPLIANCE)
+    sols = solve_state(a, make_case1(g))
     res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
     assert np.all(np.isfinite(res))
     assert np.all(res >= 0.0)
+
+
+def test_residual_matches_loop_oracle_four_scenarios():
+    from stodesign.scenarios import Scenario, ScenarioSet
+    from stodesign.solve import solve_state
+
+    g = GridSpec(16, 12)
+    rng = np.random.default_rng(21)
+    xi1, xi2 = rng.standard_normal((2, g.n_cells))
+    sset = ScenarioSet(
+        g,
+        np.ones(g.n_cells),
+        [Scenario(xi1, 0.3), Scenario(-xi1, 0.3), Scenario(xi2, 0.2), Scenario(-xi2, 0.2)],
+    )
+    a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
+    a.values[:3] = [1.0, 2.0, 1.0]  # pure-phase cells
+    sols = solve_state(a, sset)
+    zero = [0, 17, 100]
+    for sol in sols:
+        sol.grad_u.values[zero] = 0.0
+    for kind in Objective:
+        res = optimality_residual(a, sols, kind, PHASES)
+        ref = loop_optimality_residual(a, sols, kind, PHASES)
+        assert np.max(np.abs(res - ref)) <= 1e-14
+        assert np.all(res[zero] == 0.0)

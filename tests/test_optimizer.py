@@ -12,7 +12,7 @@ from stodesign.optimizer import (
     update,
 )
 from stodesign.scenarios import make_case1, make_deterministic
-from stodesign.solve import solve_adjoint
+from stodesign.solve import solve_state
 
 
 def _grid(n=8):
@@ -91,10 +91,10 @@ def test_penalized_descent_derivative_identity():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a = DensityField.constant(g, 1.5)
     kind = Objective.COMPLIANCE
-    sols = solve_adjoint(a, sset, kind, tol=1e-12)
+    sols = solve_state(a, sset, tol=1e-12)
     from stodesign.objective import gradient_density
 
-    gd = gradient_density(sols)
+    gd = gradient_density(sols, kind)
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
     gamma = multiplier_gamma(a, gd, eta, a.mass())
     direction = eta * (gd.values - gamma)
@@ -102,7 +102,7 @@ def test_penalized_descent_derivative_identity():
     assert expected_rate <= 0.0
 
     def penalized(field):
-        s = solve_adjoint(field, sset, kind, tol=1e-12)
+        s = solve_state(field, sset, tol=1e-12)
         return cost(field, s, kind) + gamma * field.mass()
 
     step = 1e-6

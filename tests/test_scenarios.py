@@ -90,6 +90,27 @@ def test_validate_reports_weight_violation():
     assert "weights" in problems[0]
 
 
+def test_validate_reports_non_finite_values():
+    g = GridSpec(4, 4)
+    f = np.ones(g.n_cells)
+    f[5] = np.nan
+    xi = np.zeros(g.n_cells)
+    xi[2] = np.inf
+    sset = ScenarioSet(g, f, [Scenario(np.zeros(g.n_cells), 0.5), Scenario(xi, 0.5)])
+    problems = validate(sset)
+    assert any("f holds non-finite" in p for p in problems)
+    assert any("scenario 1 holds non-finite" in p for p in problems)
+
+
+def test_file_rejects_non_finite_load(tmp_path):
+    sset = make_case1(GridSpec(4, 4))
+    sset.f[7] = np.nan
+    path = tmp_path / "nan.scn"
+    save_scenario_file(sset, path)
+    with pytest.raises(ValueError, match="non-finite"):
+        load_scenario_file(path)
+
+
 def test_scenario_weight_range_enforced():
     with pytest.raises(ValueError):
         Scenario(np.zeros(4), 0.0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from stodesign.fem import DensityField, GridSpec, sample_cells
-from stodesign.objective import Objective
+from stodesign.fem import cell_grad_dot
+from stodesign.objective import Objective, gradient_density
 from stodesign.scenarios import Scenario, ScenarioSet, make_case1, make_deterministic
-from stodesign.solve import solve_adjoint, solve_state
+from stodesign.solve import solve_state
 
 
 def _center_node(g: GridSpec) -> int:
@@ -57,29 +58,32 @@ def test_boundary_values_exactly_zero():
 
 
 def test_adjoint_compliance_is_state():
+    # compliance is self-adjoint: its gradient is built from p = u
     g = GridSpec(16, 16)
-    sols = solve_adjoint(DensityField.constant(g, 1.5), make_case1(g), Objective.COMPLIANCE)
+    sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
+    g_comp = gradient_density(sols, Objective.COMPLIANCE).values
+    expected = np.zeros(g.n_cells)
     for sol in sols:
-        assert np.max(np.abs(sol.p.values - sol.u.values)) == 0.0
-        assert np.max(np.abs(sol.grad_p.values - sol.grad_u.values)) == 0.0
+        expected += sol.weight * cell_grad_dot(sol.u, sol.u)
+    assert np.array_equal(g_comp, expected)
 
 
 def test_adjoint_energy_is_negated_state():
+    # the energy adjoint is p = -u, so its gradient is the exact negation
     g = GridSpec(16, 16)
-    sols = solve_adjoint(DensityField.constant(g, 1.5), make_case1(g), Objective.ENERGY)
-    for sol in sols:
-        assert np.max(np.abs(sol.p.values + sol.u.values)) == 0.0
+    sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
+    g_comp = gradient_density(sols, Objective.COMPLIANCE).values
+    g_en = gradient_density(sols, Objective.ENERGY).values
+    assert np.array_equal(g_en, -g_comp)
 
 
 def test_compliance_gradient_product_nonnegative():
     g = GridSpec(16, 16)
-    sols = solve_adjoint(
+    sols = solve_state(
         DensityField.constant(g, 1.0),
         make_deterministic(g, np.ones(g.n_cells)),
-        Objective.COMPLIANCE,
     )
-    prod = np.einsum("cd,cd->c", sols[0].grad_u.values, sols[0].grad_p.values)
-    assert np.all(prod >= 0.0)
+    assert np.all(gradient_density(sols, Objective.COMPLIANCE).values >= 0.0)
 
 
 def test_linearity_in_load():
@@ -125,6 +129,14 @@ def test_cg_failure_names_scenario():
     g = GridSpec(16, 16)
     with pytest.raises(RuntimeError, match="scenario 0"):
         solve_state(DensityField.constant(g, 1.0), make_case1(g), max_iter=1)
+
+
+def test_non_finite_load_rejected_before_cg():
+    g = GridSpec(8, 8)
+    sset = make_case1(g)
+    sset.scenarios[0].xi[3] = np.nan
+    with pytest.raises(ValueError, match="scenario 0 holds non-finite"):
+        solve_state(DensityField.constant(g, 1.0), sset)
 
 
 def test_invalid_set_rejected():
