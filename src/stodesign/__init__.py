@@ -8,7 +8,6 @@ optimality of converged designs.
 
 from .cg import SolveReport, cg_solve
 from .fem import (
-    CellVectorField,
     DensityField,
     GridSpec,
     NodalField,
@@ -27,19 +26,12 @@ from .gclosure import (
     rank_one_laminate,
     volume_fraction,
 )
-from .objective import (
-    GradientDensity,
-    Objective,
-    cost,
-    gradient_density,
-    penalized_cost,
-)
+from .objective import Objective, cost, gradient_density
 from .optimizer import (
     ConvergenceRecord,
     OptimizerConfig,
     RunResult,
     barrier_eta,
-    descent_direction,
     multiplier_gamma,
     run,
     update,

@@ -14,9 +14,6 @@ class SolveReport:
     iterations: int
     relative_residual: float
     converged: bool
-    # populated only when cg_solve(collect_residuals=True); one entry per iteration
-    residual_norms: list[float] | None = None
-    preconditioned_norms: list[float] | None = None
 
 
 def cg_solve(
@@ -25,7 +22,6 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
-    collect_residuals: bool = False,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve K x = b with Jacobi-preconditioned conjugate gradients.
 
@@ -35,7 +31,6 @@ def cg_solve(
         tol: relative tolerance on the true residual, ||Kx - b|| <= tol*||b||.
         max_iter: iteration cap, defaults to 20*n.
         x0: optional starting guess (zero if omitted).
-        collect_residuals: record per-iteration residual norms in the report.
 
     Returns:
         (x, SolveReport). A non-converged solve returns the last iterate with
@@ -65,12 +60,9 @@ def cg_solve(
     p = z.copy()
     rz = float(r @ z)
 
-    res_norms: list[float] | None = [] if collect_residuals else None
-    pre_norms: list[float] | None = [] if collect_residuals else None
-
     r_norm = float(np.linalg.norm(r))
     if r_norm <= tol * b_norm:
-        return x, SolveReport(0, r_norm / b_norm, True, res_norms, pre_norms)
+        return x, SolveReport(0, r_norm / b_norm, True)
 
     converged = False
     it = 0
@@ -82,13 +74,10 @@ def cg_solve(
         z = inv_diag * r
         rz_new = float(r @ z)
         r_norm = float(np.linalg.norm(r))
-        if collect_residuals:
-            res_norms.append(r_norm)
-            pre_norms.append(np.sqrt(max(rz_new, 0.0)))
         if r_norm <= tol * b_norm:
             converged = True
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    return x, SolveReport(it, r_norm / b_norm, converged, res_norms, pre_norms)
+    return x, SolveReport(it, r_norm / b_norm, converged)

@@ -19,7 +19,6 @@ from .objective import Objective
 from .optimizer import ConvergenceRecord, OptimizerConfig, RunResult, run
 from .scenarios import (
     ScenarioSet,
-    center_square_mask,
     load_scenario_file,
     make_case1,
     make_case2,
@@ -172,12 +171,7 @@ def region_masks(grid: GridSpec) -> dict[str, np.ndarray]:
     c = cell_centers(grid)
     x, y = c[:, 0], c[:, 1]
     wx, wy = grid.x1 - grid.x0, grid.y1 - grid.y0
-    d0 = center_square_mask(grid) if (grid.x0, grid.y0, grid.x1, grid.y1) == (
-        0.0,
-        0.0,
-        1.0,
-        1.0,
-    ) else (
+    d0 = (
         (x >= grid.x0 + 0.25 * wx)
         & (x <= grid.x1 - 0.25 * wx)
         & (y >= grid.y0 + 0.25 * wy)
@@ -189,8 +183,8 @@ def region_masks(grid: GridSpec) -> dict[str, np.ndarray]:
     mid_x = np.abs(x - 0.5 * (grid.x0 + grid.x1)) <= CROSS_BAND_HALFWIDTH * wx
     mid_y = np.abs(y - 0.5 * (grid.y0 + grid.y1)) <= CROSS_BAND_HALFWIDTH * wy
     return {
-        "d0": np.asarray(d0, dtype=bool),
-        "d1": ~np.asarray(d0, dtype=bool),
+        "d0": d0,
+        "d1": ~d0,
         "corners": corners,
         "cross": mid_x | mid_y,
     }
@@ -220,9 +214,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_density_csv(path: Path, a: DensityField) -> None:
-    grid = a.grid
-    rows = a.values.reshape(grid.ny, grid.nx)
+def write_cell_csv(path: Path, grid: GridSpec, values: np.ndarray) -> None:
+    """One line per cell row (bottom row first), comma separated, full precision."""
+    rows = values.reshape(grid.ny, grid.nx)
     lines = [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
@@ -291,18 +285,6 @@ def write_config_echo(path: Path, cfg: RunConfig) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_config_echo(path: Path) -> dict:
-    values = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in CONFIG_KEYS and val != "None":
-            values[key] = CONFIG_KEYS[key](val)
-    return values
-
-
 def _residual_summary(residual: np.ndarray) -> dict[str, float]:
     return {
         "mean": float(np.mean(residual)),
@@ -345,12 +327,6 @@ def write_diagnostics(
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_residual_csv(path: Path, grid: GridSpec, residual: np.ndarray) -> None:
-    rows = residual.reshape(grid.ny, grid.nx)
-    lines = [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -373,9 +349,9 @@ def run_command(cfg: RunConfig) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_density_csv(out / "density.csv", result.density)
+    write_cell_csv(out / "density.csv", result.density.grid, result.density.values)
     write_density_pgm(out / "density.pgm", result.density, cfg.alpha, cfg.beta)
-    write_residual_csv(out / "residual.csv", result.density.grid, residual)
+    write_cell_csv(out / "residual.csv", result.density.grid, residual)
     write_convergence_log(out / "convergence.log", result.history)
     write_diagnostics(out / "diagnostics.txt", cfg, result, residual)
     write_config_echo(out / "config.txt", cfg)

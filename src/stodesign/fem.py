@@ -111,19 +111,6 @@ class NodalField:
         return self.values[interior_node_ids(self.grid)]
 
 
-@dataclass
-class CellVectorField:
-    """One 2-vector per cell (gradient samples at cell centers)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_cells, 2):
-            raise ValueError("values must hold one 2-vector per cell")
-
-
 @lru_cache(maxsize=64)
 def cell_node_ids(grid: GridSpec) -> np.ndarray:
     """(n_cells, 4) node indices per cell, corners ordered SW, SE, NE, NW."""
@@ -236,8 +223,8 @@ def assemble_stiffness(a: DensityField) -> sparse.csr_matrix:
     eliminated (homogeneous Dirichlet). Duplicate element entries are summed
     in cell order into the per-grid CSR pattern.
     """
-    if np.any(a.values <= 0.0):
-        raise ValueError("coefficient values must be strictly positive")
+    if not np.all((a.values > 0.0) & (a.values < np.inf)):
+        raise ValueError("coefficient values must be finite and strictly positive")
     grid = a.grid
     keep, slot, indices, indptr = _stiffness_pattern(grid)
     kref = reference_stiffness(grid.hx, grid.hy)
@@ -262,8 +249,8 @@ def assemble_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
     return nodal[interior_node_ids(grid)]
 
 
-def cell_gradients(u: NodalField) -> CellVectorField:
-    """Gradient of the bilinear interpolant at each cell center."""
+def cell_gradients(u: NodalField) -> np.ndarray:
+    """(n_cells, 2) gradient of the bilinear interpolant at each cell center."""
     grid = u.grid
     corners = u.values[cell_node_ids(grid)]  # (n_cells, 4): SW SE NE NW
     gx = ((corners[:, 1] + corners[:, 2]) - (corners[:, 0] + corners[:, 3])) / (
@@ -272,7 +259,7 @@ def cell_gradients(u: NodalField) -> CellVectorField:
     gy = ((corners[:, 3] + corners[:, 2]) - (corners[:, 0] + corners[:, 1])) / (
         2.0 * grid.hy
     )
-    return CellVectorField(grid, np.stack([gx, gy], axis=1))
+    return np.stack([gx, gy], axis=1)
 
 
 def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
@@ -290,11 +277,6 @@ def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
     cu = u.values[cell_node_ids(grid)]
     cp = p.values[cell_node_ids(grid)]
     return np.einsum("ci,ij,cj->c", cu, kref, cp) / grid.cell_area
-
-
-def stiffness_energy(a: DensityField, u: NodalField) -> float:
-    """Discrete energy integral a*|grad u|^2 under assembly quadrature."""
-    return float(a.values @ cell_grad_dot(u, u)) * a.grid.cell_area
 
 
 def cell_averages(u: NodalField) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DensityField
+from .fem import DensityField, cell_gradients
 from .objective import Objective
 
 RESIDUAL_FLOOR = 1e-14
@@ -81,10 +81,20 @@ class SymmetricTensor2:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
+def _first_bad(values, ok) -> str:
+    """The first value failing `ok`, and how many fail when several do."""
+    bad = np.extract(np.logical_not(ok), values)
+    more = f" (first of {bad.size} bad values)" if bad.size > 1 else ""
+    return f"{float(bad[0])}{more}"
+
+
 def _check_theta(theta):
     t = np.asarray(theta, dtype=float)
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError(f"volume fraction must lie in [0, 1], got {theta}")
+    inside = (t >= 0.0) & (t <= 1.0)
+    if not np.all(inside):
+        raise ValueError(
+            f"volume fraction must lie in [0, 1], got {_first_bad(t, inside)}"
+        )
     return t if t.ndim else float(t)
 
 
@@ -161,8 +171,11 @@ def rank_one_laminate(
         raise ValueError("lamination normal must be a 2-vector")
     n0, n1 = n[..., 0], n[..., 1]
     norm = np.hypot(n0, n1)
-    if not np.all(np.abs(norm - 1.0) <= 1e-12):
-        raise ValueError(f"lamination normal must be a unit vector, got |n|={norm}")
+    unit = np.abs(norm - 1.0) <= 1e-12
+    if not np.all(unit):
+        raise ValueError(
+            f"lamination normal must be a unit vector, got |n|={_first_bad(norm, unit)}"
+        )
     lam_minus = harmonic_mean(theta, phases)
     lam_plus = arithmetic_mean(theta, phases)
     # lam_minus n nT + lam_plus (I - n nT)
@@ -182,8 +195,9 @@ def volume_fraction(a, kind: Objective, phases: PhasePair):
     """
     inside = (phases.alpha <= a) & (a <= phases.beta)
     if not np.all(inside):
-        bad = np.extract(np.logical_not(inside), a)[0]
-        raise ValueError(f"coefficient {bad} outside [{phases.alpha}, {phases.beta}]")
+        raise ValueError(
+            f"coefficient {_first_bad(a, inside)} outside [{phases.alpha}, {phases.beta}]"
+        )
     span = phases.beta - phases.alpha
     if span == 0.0:
         return 0.0 * a
@@ -213,9 +227,10 @@ def optimality_residual(
     quantifies how far the per-cell gradients are from sharing a direction.
     """
     a = a_final.values
+    grads = [cell_gradients(sol.u) for sol in sols]
     s11 = s22 = s12 = norm_sum = 0.0
-    for sol in sols:
-        gx, gy = sol.grad_u.values[:, 0], sol.grad_u.values[:, 1]
+    for sol, grad in zip(sols, grads):
+        gx, gy = grad[:, 0], grad[:, 1]
         s11 += sol.weight * (gx * gx)
         s22 += sol.weight * (gy * gy)
         s12 += sol.weight * (gx * gy)
@@ -227,7 +242,7 @@ def optimality_residual(
         normal = dominant
     M = rank_one_laminate(volume_fraction(a, kind, phases), phases, normal)
     num = 0.0
-    for sol in sols:
-        err = M.matvec(sol.grad_u.values) - a[:, None] * sol.grad_u.values
+    for sol, grad in zip(sols, grads):
+        err = M.matvec(grad) - a[:, None] * grad
         num += sol.weight * np.hypot(err[:, 0], err[:, 1])
     return num / (norm_sum + floor)

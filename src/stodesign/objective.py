@@ -1,23 +1,15 @@
-"""Expected cost, penalized cost and the descent gradient density.
+"""Expected cost and the descent gradient density.
 
 The expectation over scenarios is an exact weighted sum; nothing is sampled.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fem import (
-    DensityField,
-    GridSpec,
-    cell_averages,
-    cell_grad_dot,
-    integrate_cells,
-    stiffness_energy,
-)
+from .fem import DensityField, cell_averages
 
 if TYPE_CHECKING:
     from .solve import ScenarioSolution
@@ -43,20 +35,6 @@ class Objective(enum.Enum):
         return 1.0 if self is Objective.COMPLIANCE else -1.0
 
 
-@dataclass
-class GradientDensity:
-    """Cell-wise expected grad(u).grad(p), the driver of the descent step."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-
-def _pairing(sol: "ScenarioSolution") -> float:
-    """Integral of (f + xi) * u over the domain for one scenario."""
-    area = sol.u.grid.cell_area
-    return float(sol.load @ cell_averages(sol.u)) * area
-
-
 def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> float:
     """Expected cost over scenarios.
 
@@ -65,8 +43,11 @@ def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> fl
     sum_k w_k * integral a |grad u_k|^2, which must agree within 10x the solver
     tolerance; a larger gap indicates an assembly or bookkeeping bug.
     """
-    pairing = sum(sol.weight * _pairing(sol) for sol in sols)
-    energy = sum(sol.weight * stiffness_energy(a, sol.u) for sol in sols)
+    area = a.grid.cell_area
+    pairing = sum(
+        sol.weight * (float(sol.load @ cell_averages(sol.u)) * area) for sol in sols
+    )
+    energy = sum(sol.weight * (float(a.values @ sol.energy) * area) for sol in sols)
     tol = 10.0 * max(sol.solve_tol for sol in sols)
     gap = abs(pairing - energy)
     if gap > tol * max(abs(pairing), abs(energy)) + 1e-14:
@@ -77,19 +58,7 @@ def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> fl
     return kind.sign * pairing
 
 
-def penalized_cost(
-    a: DensityField,
-    sols: list["ScenarioSolution"],
-    kind: Objective,
-    gamma_pen: float,
-) -> float:
-    """Cost plus gamma_pen times the design mass."""
-    if gamma_pen < 0.0:
-        raise ValueError("gamma_pen must be nonnegative")
-    return cost(a, sols, kind) + gamma_pen * integrate_cells(a.grid, a.values)
-
-
-def gradient_density(sols: list["ScenarioSolution"], kind: Objective) -> GradientDensity:
+def gradient_density(sols: list["ScenarioSolution"], kind: Objective) -> np.ndarray:
     """Cell-wise expected grad(u).grad(p), with the adjoint p = kind.sign * u.
 
     Uses the same 2x2 Gauss quadrature as the stiffness assembly (per-cell
@@ -98,8 +67,7 @@ def gradient_density(sols: list["ScenarioSolution"], kind: Objective) -> Gradien
     """
     if not sols:
         raise ValueError("no scenario solutions given")
-    grid = sols[0].u.grid
-    g = np.zeros(grid.n_cells)
+    g = np.zeros(sols[0].u.grid.n_cells)
     for sol in sols:
-        g += sol.weight * cell_grad_dot(sol.u, sol.u)
-    return GradientDensity(grid, kind.sign * g)
+        g += sol.weight * sol.energy
+    return kind.sign * g

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .fem import DensityField, GridSpec, integrate_cells
-from .objective import GradientDensity, Objective, cost, gradient_density
+from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
 from .solve import ScenarioSolution, solve_state
 
@@ -45,6 +45,9 @@ class OptimizerConfig:
     max_iters: int = 500
 
     def __post_init__(self):
+        given = (self.alpha, self.beta, self.eps, self.eps1, self.mass, self.gamma_pen)
+        if not all(np.isfinite(v) for v in given if v is not None):
+            raise ValueError("alpha, beta, eps, eps1, mass and gamma_pen must be finite")
         if not 0.0 < self.alpha <= self.beta:
             raise ValueError("phase bounds must satisfy 0 < alpha <= beta")
         if (self.mass is None) == (self.gamma_pen is None):
@@ -102,9 +105,7 @@ def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.nd
     return eps * (a.values - alpha) * (beta - a.values)
 
 
-def multiplier_gamma(
-    a: DensityField, g: GradientDensity, eta: np.ndarray, m: float
-) -> float:
+def multiplier_gamma(a: DensityField, g: np.ndarray, eta: np.ndarray, m: float) -> float:
     """Multiplier making the barrier-weighted update mass-neutral.
 
     gamma = [ (mass(a) - m) + integral eta*g ] / integral eta. Raises when the
@@ -116,12 +117,7 @@ def multiplier_gamma(
             "degenerate design: barrier weight vanishes everywhere, "
             "all cells are pinned at the phase bounds"
         )
-    return ((a.mass() - m) + integrate_cells(a.grid, eta * g.values)) / total
-
-
-def descent_direction(g: GradientDensity, gamma: float) -> np.ndarray:
-    """Cell-wise g - gamma; the merit decreases along eta times this field."""
-    return g.values - gamma
+    return ((a.mass() - m) + integrate_cells(a.grid, eta * g)) / total
 
 
 def _repair_mass(
@@ -149,7 +145,7 @@ def _repair_mass(
 
 def update(
     a: DensityField,
-    g: GradientDensity,
+    g: np.ndarray,
     cfg: OptimizerConfig,
     evaluate: Callable[[DensityField], float],
     current_value: float,
@@ -171,9 +167,7 @@ def update(
                 gamma = multiplier_gamma(a, g, eta, cfg.mass)
             except ValueError:
                 break  # barrier numerically gone at this scale
-        trial = np.clip(
-            a.values + eta * (g.values - gamma), cfg.alpha, cfg.beta
-        )
+        trial = np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta)
         if cfg.constrained:
             repaired = _repair_mass(
                 trial, cfg.alpha, cfg.beta, cfg.mass, a.grid.cell_area
@@ -212,7 +206,7 @@ def run(
         else:
             a = DensityField.constant(grid, 0.5 * (cfg.alpha + cfg.beta))
     else:
-        if np.any(a0.values < cfg.alpha) or np.any(a0.values > cfg.beta):
+        if not np.all((a0.values >= cfg.alpha) & (a0.values <= cfg.beta)):
             raise ValueError("initial density violates the phase bounds")
         a = a0.copy()
 
@@ -239,7 +233,7 @@ def run(
                 gam = 0.0
         else:
             gam = cfg.gamma_pen
-        stat = integrate_cells(grid, eta_b * (g_k.values - gam) ** 2)
+        stat = integrate_cells(grid, eta_b * (g_k - gam) ** 2)
         history.append(
             ConvergenceRecord(
                 iter=it,
@@ -264,7 +258,7 @@ def run(
             stop_reason = "converged"
             break
 
-        warm = [s.u_interior for s in sols]
+        warm = [s.u.interior() for s in sols]
         last_trial: dict = {}
 
         def evaluate(trial: DensityField) -> float:

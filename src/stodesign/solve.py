@@ -3,8 +3,9 @@
 The stiffness matrix depends only on the coefficient field, so it is
 assembled once and reused across scenarios. For the two supported cost
 kinds the adjoint is the state itself up to sign (p = u for compliance,
-p = -u for energy); `gradient_density` applies the sign, so no adjoint is
-stored or solved.
+p = -u for energy), so both the energy form of the cost and the gradient
+density are weighted sums of one per-cell field, grad(u).grad(u), which each
+state carries.
 """
 from __future__ import annotations
 
@@ -12,41 +13,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cg import SolveReport, cg_solve
+from .cg import cg_solve
 from .fem import (
-    CellVectorField,
     DensityField,
     NodalField,
     assemble_load,
     assemble_stiffness,
-    cell_gradients,
+    cell_grad_dot,
 )
 from .scenarios import ScenarioSet, validate
 
 
 @dataclass
 class ScenarioSolution:
-    """State solution and its cell gradients for one scenario.
+    """State solution of one scenario and its per-cell energy density.
 
     `load` is the per-cell right-hand side f + xi_k, kept so cost evaluation
-    does not need the scenario set again. `u_interior` is the raw solver
-    vector, useful as a warm start for nearby coefficient fields.
+    does not need the scenario set again. `energy` is the per-cell mean of
+    grad(u).grad(u) under the assembly quadrature.
     """
 
     u: NodalField
-    grad_u: CellVectorField
     weight: float
     load: np.ndarray
-    u_interior: np.ndarray
     solve_tol: float
-    report: SolveReport
+    energy: np.ndarray
 
 
 def solve_state(
     a: DensityField,
     sset: ScenarioSet,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     warm_starts: list[np.ndarray] | None = None,
 ) -> list[ScenarioSolution]:
     """Solve the state equation for every scenario of the set.
@@ -66,7 +63,7 @@ def solve_state(
         load = sset.f + scenario.xi
         b = assemble_load(grid, load)
         x0 = warm_starts[k] if warm_starts is not None else None
-        x, report = cg_solve(K, b, tol=tol, max_iter=max_iter, x0=x0)
+        x, report = cg_solve(K, b, tol=tol, x0=x0)
         if not report.converged:
             raise RuntimeError(
                 f"CG did not converge for scenario {k} "
@@ -77,12 +74,10 @@ def solve_state(
         solutions.append(
             ScenarioSolution(
                 u=u,
-                grad_u=cell_gradients(u),
                 weight=scenario.weight,
                 load=load,
-                u_interior=x,
                 solve_tol=tol,
-                report=report,
+                energy=cell_grad_dot(u, u),
             )
         )
     return solutions

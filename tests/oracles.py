@@ -13,6 +13,7 @@ from stodesign.fem import (
     assemble_load,
     assemble_stiffness,
     cell_averages,
+    cell_gradients,
 )
 from stodesign.gclosure import (
     RESIDUAL_FLOOR,
@@ -87,7 +88,7 @@ def loop_optimality_residual(
     grid = a_final.grid
     n_cells = grid.n_cells
     weights = [s.weight for s in sols]
-    grads = [s.grad_u.values for s in sols]
+    grads = [cell_gradients(s.u) for s in sols]
 
     residual = np.zeros(n_cells)
     for c in range(n_cells):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from stodesign.cli import compare_runs, region_masks, write_density_csv
+from stodesign.cli import compare_runs, region_masks, write_cell_csv
 from stodesign.fem import (
     DensityField,
     GridSpec,
@@ -110,7 +110,7 @@ def test_criterion_03_adjoint_gradient():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a0 = DensityField.constant(g, 1.5)
     tol = 1e-12
-    grad = gradient_density(solve_state(a0, sset, tol=tol), Objective.COMPLIANCE).values
+    grad = gradient_density(solve_state(a0, sset, tol=tol), Objective.COMPLIANCE)
 
     def compliance(a):
         return cost(a, solve_state(a, sset, tol=tol), Objective.COMPLIANCE)
@@ -250,7 +250,7 @@ def test_criterion_09_qualitative_reproduction(reference_runs, tmp_path):
     for name, result in (("det", det_c), ("case2", case2_c)):
         d = tmp_path / name
         d.mkdir()
-        write_density_csv(d / "density.csv", result.density)
+        write_cell_csv(d / "density.csv", result.density.grid, result.density.values)
     report = compare_runs(tmp_path / "det", tmp_path / "case2")
     assert report["mass_d1_delta"] > 0.0
     assert report["l1_distance"] > 0.0

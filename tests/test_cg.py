@@ -54,17 +54,6 @@ def test_nonconvergence_reported_not_raised():
     assert report.relative_residual > 0.0
 
 
-def test_preconditioned_residual_monotone():
-    g = GridSpec(16, 16)
-    rng = np.random.default_rng(5)
-    a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
-    K = assemble_stiffness(a)
-    b = assemble_load(g, np.ones(g.n_cells))
-    _, report = cg_solve(K, b, collect_residuals=True)
-    norms = np.array(report.preconditioned_norms)
-    assert np.all(np.diff(norms) <= 1e-14)
-
-
 def test_coefficient_scaling_inverse():
     # K(c*a) x = b has solution (1/c) * solution of K(a) x = b
     g = GridSpec(12, 12)

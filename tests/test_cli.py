@@ -151,6 +151,21 @@ def test_cost_cross_check_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "error: load-pairing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps", "nan"), ("--eps", "inf"), ("--eps1", "nan"), ("--penalty", "nan"), ("--beta", "inf")],
+)
+def test_non_finite_flag_exits_one_before_any_solve(tmp_path, monkeypatch, capsys, flag, value):
+    import stodesign.optimizer
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a state solve ran")
+
+    monkeypatch.setattr(stodesign.optimizer, "solve_state", no_solve)
+    assert run_cli(["run", *FAST, flag, value, "--out", str(tmp_path / "x")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_region_masks_partition():
     g = GridSpec(16, 16)
     masks = region_masks(g)

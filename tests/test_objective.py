@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from stodesign.fem import DensityField, GridSpec, sample_cells
-from stodesign.objective import (
-    Objective,
-    cost,
-    gradient_density,
-    penalized_cost,
-)
+from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import make_case1, make_case2, make_deterministic
 from stodesign.solve import solve_state
 
@@ -54,23 +49,6 @@ def test_energy_is_negated_compliance():
     assert cost(a, sols, Objective.ENERGY) == -cost(a, sols, Objective.COMPLIANCE)
 
 
-def test_penalized_cost_arithmetic():
-    g = GridSpec(8, 8)
-    a = DensityField.constant(g, 1.5)
-    sset = make_deterministic(g, np.ones(g.n_cells))
-    sols = solve_state(a, sset)
-    base = cost(a, sols, Objective.COMPLIANCE)
-    assert penalized_cost(a, sols, Objective.COMPLIANCE, 0.0) == base
-    assert penalized_cost(a, sols, Objective.COMPLIANCE, 2.0) == pytest.approx(
-        base + 3.0, abs=1e-13
-    )
-    assert penalized_cost(a, sols, Objective.COMPLIANCE, 3.0) > penalized_cost(
-        a, sols, Objective.COMPLIANCE, 1.0
-    )
-    with pytest.raises(ValueError):
-        penalized_cost(a, sols, Objective.COMPLIANCE, -1.0)
-
-
 def test_cross_check_catches_corrupted_solution():
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.5)
@@ -95,8 +73,8 @@ def test_gradient_density_signs():
     a = DensityField.constant(g, 1.5)
     sset = make_case1(g)
     sols = solve_state(a, sset)
-    g_comp = gradient_density(sols, Objective.COMPLIANCE).values
-    g_en = gradient_density(sols, Objective.ENERGY).values
+    g_comp = gradient_density(sols, Objective.COMPLIANCE)
+    g_en = gradient_density(sols, Objective.ENERGY)
     assert np.all(g_comp >= 0.0)
     assert np.all(g_en <= 0.0)
     assert np.array_equal(g_en, -g_comp)
@@ -108,7 +86,7 @@ def test_gradient_zero_for_zero_load():
         DensityField.constant(g, 1.0),
         make_deterministic(g, np.zeros(g.n_cells)),
     )
-    assert np.all(gradient_density(sols, Objective.COMPLIANCE).values == 0.0)
+    assert np.all(gradient_density(sols, Objective.COMPLIANCE) == 0.0)
 
 
 def test_adjoint_gradient_matches_finite_differences():
@@ -117,7 +95,7 @@ def test_adjoint_gradient_matches_finite_differences():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a0 = DensityField.constant(g, 1.5)
     sols = solve_state(a0, sset, tol=1e-12)
-    grad = gradient_density(sols, Objective.COMPLIANCE).values
+    grad = gradient_density(sols, Objective.COMPLIANCE)
     delta = 1e-5
     rng = np.random.default_rng(42)
     for c in rng.choice(g.n_cells, 5, replace=False):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stodesign.fem import DensityField, GridSpec, integrate_cells
-from stodesign.objective import GradientDensity, Objective, cost
+from stodesign.objective import Objective, cost
 from stodesign.optimizer import (
     OptimizerConfig,
     barrier_eta,
-    descent_direction,
     multiplier_gamma,
     run,
     update,
@@ -50,9 +49,9 @@ def test_multiplier_trivial_cases():
     g = _grid()
     a = DensityField.constant(g, 1.5)  # mass 1.5 on the unit square
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
-    zero_g = GradientDensity(g, np.zeros(g.n_cells))
+    zero_g = np.zeros(g.n_cells)
     assert multiplier_gamma(a, zero_g, eta, 1.5) == pytest.approx(0.0, abs=1e-14)
-    ones_g = GradientDensity(g, np.ones(g.n_cells))
+    ones_g = np.ones(g.n_cells)
     assert multiplier_gamma(a, ones_g, eta, 1.5) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -61,14 +60,7 @@ def test_multiplier_degenerate_design():
     a = DensityField.constant(g, 1.0)  # pinned at alpha, eta vanishes
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
     with pytest.raises(ValueError, match="degenerate"):
-        multiplier_gamma(a, GradientDensity(g, np.ones(g.n_cells)), eta, 1.5)
-
-
-def test_descent_direction_stationary():
-    g = _grid()
-    gd = GradientDensity(g, np.full(g.n_cells, 0.7))
-    assert np.all(descent_direction(gd, 0.7) == 0.0)
-    assert np.array_equal(descent_direction(gd, 0.0), gd.values)
+        multiplier_gamma(a, np.ones(g.n_cells), eta, 1.5)
 
 
 def test_preclamp_mass_identity():
@@ -77,10 +69,10 @@ def test_preclamp_mass_identity():
     rng = np.random.default_rng(17)
     a = DensityField(g, rng.uniform(1.05, 1.95, g.n_cells))
     m = a.mass()
-    gd = GradientDensity(g, rng.standard_normal(g.n_cells))
+    gd = rng.standard_normal(g.n_cells)
     eta = barrier_eta(a, 0.2, 1.0, 2.0)
     gamma = multiplier_gamma(a, gd, eta, m)
-    updated = a.values + eta * (gd.values - gamma)
+    updated = a.values + eta * (gd - gamma)
     assert integrate_cells(g, updated) == pytest.approx(m, abs=1e-13)
 
 
@@ -97,8 +89,8 @@ def test_penalized_descent_derivative_identity():
     gd = gradient_density(sols, kind)
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
     gamma = multiplier_gamma(a, gd, eta, a.mass())
-    direction = eta * (gd.values - gamma)
-    expected_rate = -integrate_cells(g, eta * (gd.values - gamma) ** 2)
+    direction = eta * (gd - gamma)
+    expected_rate = -integrate_cells(g, eta * (gd - gamma) ** 2)
     assert expected_rate <= 0.0
 
     def penalized(field):
@@ -115,7 +107,7 @@ def test_penalized_descent_derivative_identity():
 def test_update_fixed_point_stagnates():
     g = _grid()
     a = DensityField.constant(g, 1.5)
-    gd = GradientDensity(g, np.full(g.n_cells, 0.3))
+    gd = np.full(g.n_cells, 0.3)
     cfg = OptimizerConfig(eps=1.0)
     calls = []
 
@@ -135,7 +127,7 @@ def test_update_moves_only_unpinned_cell():
     values[5] = 1.5
     a = DensityField(g, values)
     m = a.mass()
-    gd = GradientDensity(g, np.linspace(0.0, 1.0, g.n_cells))
+    gd = np.linspace(0.0, 1.0, g.n_cells)
     cfg = OptimizerConfig(eps=0.5, mass=m)
     a_new, gamma, eps_acc = update(a, gd, cfg, lambda f: -1.0, 0.0)
     assert eps_acc == cfg.eps
@@ -148,7 +140,7 @@ def test_update_conserves_mass_under_clamping():
     rng = np.random.default_rng(23)
     a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
     m = a.mass()
-    gd = GradientDensity(g, 5.0 * rng.standard_normal(g.n_cells))
+    gd = 5.0 * rng.standard_normal(g.n_cells)
     cfg = OptimizerConfig(eps=10.0, mass=m)  # aggressive step forces saturation
     a_new, _, eps_acc = update(a, gd, cfg, lambda f: -1.0, 0.0)
     assert eps_acc > 0.0
@@ -181,6 +173,15 @@ def test_run_invalid_a0_rejected():
     g = _grid()
     sset = make_deterministic(g, np.ones(g.n_cells))
     bad = DensityField.constant(g, 2.5)
+    with pytest.raises(ValueError, match="bounds"):
+        run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=bad)
+
+
+def test_run_nan_a0_rejected_before_any_solve():
+    g = _grid()
+    sset = make_deterministic(g, np.ones(g.n_cells))
+    bad = DensityField.constant(g, 1.5)
+    bad.values[3] = np.nan
     with pytest.raises(ValueError, match="bounds"):
         run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=bad)
 

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stodesign.fem import GridSpec, cell_centers, integrate_cells
 from stodesign.scenarios import (
@@ -167,3 +173,73 @@ def test_loads_are_f_plus_xi():
     assert np.array_equal(loads[0], sset.f + sset.scenarios[0].xi)
     assert np.array_equal(loads[1], sset.f + sset.scenarios[1].xi)
     assert integrate_cells(g, loads[0] + loads[1]) == pytest.approx(2.0)
+
+
+@st.composite
+def exact_scenario_sets(draw):
+    """Sets whose weights sum to exactly 1.0 and whose perturbation mean is exactly 0.
+
+    Pair weights are dyadic (n_p / 2^m, summing to 1 in any order) and each
+    pair is (+xi, -xi), so the loader has nothing to renormalize or recenter.
+    """
+    g = GridSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    f = draw(arrays(float, g.n_cells, elements=finite))
+    total = 2 ** draw(st.integers(0, 5))
+    cuts = draw(st.sets(st.integers(1, total - 1), max_size=3)) if total > 1 else set()
+    bounds = [0, *sorted(cuts), total]
+    scenarios = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        xi = draw(arrays(float, g.n_cells, elements=finite))
+        w = (hi - lo) / total / 2
+        scenarios += [Scenario(xi, w), Scenario(-xi, w)]
+    return ScenarioSet(g, f, scenarios)
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_scenario_sets())
+def test_file_round_trip_bitwise_property(sset):
+    assert validate(sset) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.scn"
+        save_scenario_file(sset, path)
+        loaded = load_scenario_file(path)
+    assert loaded.grid == sset.grid
+    assert np.array_equal(loaded.f, sset.f)
+    assert [s.weight for s in loaded.scenarios] == [s.weight for s in sset.scenarios]
+    for orig, back in zip(sset.scenarios, loaded.scenarios):
+        assert np.array_equal(orig.xi, back.xi)
+
+
+_VALID_FILE = "grid 2 2 f 1 1 1 1 scenario 0.5 1 0 -1 2 scenario 0.5 -1 0 1 -2"
+_TOKENS = ["grid", "f", "scenario", "#", "\n", "2", "3", "-1", "0", "0.5", "1", "1.5",
+           "nan", "inf", "-inf", "1e400", "2.5", "x"]
+
+
+@st.composite
+def mutated_files(draw):
+    """The valid 2x2 file with a few tokens replaced, dropped or inserted."""
+    tokens = _VALID_FILE.split()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        op = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if op == "insert" or i == len(tokens):
+            tokens.insert(i, draw(st.sampled_from(_TOKENS)))
+        elif op == "replace":
+            tokens[i] = draw(st.sampled_from(_TOKENS))
+        else:
+            del tokens[i]
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKENS)).map(" ".join), mutated_files()))
+def test_loader_fuzz_raises_only_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scn"
+        path.write_text(text, encoding="utf-8")
+        try:
+            sset = load_scenario_file(path)
+        except ValueError:
+            return
+    assert validate(sset) == []

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stodesign.fem import DensityField, GridSpec, sample_cells
 from stodesign.fem import cell_grad_dot
-from stodesign.objective import Objective, gradient_density
+from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import Scenario, ScenarioSet, make_case1, make_deterministic
 from stodesign.solve import solve_state
 
@@ -61,7 +64,7 @@ def test_adjoint_compliance_is_state():
     # compliance is self-adjoint: its gradient is built from p = u
     g = GridSpec(16, 16)
     sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
-    g_comp = gradient_density(sols, Objective.COMPLIANCE).values
+    g_comp = gradient_density(sols, Objective.COMPLIANCE)
     expected = np.zeros(g.n_cells)
     for sol in sols:
         expected += sol.weight * cell_grad_dot(sol.u, sol.u)
@@ -72,8 +75,8 @@ def test_adjoint_energy_is_negated_state():
     # the energy adjoint is p = -u, so its gradient is the exact negation
     g = GridSpec(16, 16)
     sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
-    g_comp = gradient_density(sols, Objective.COMPLIANCE).values
-    g_en = gradient_density(sols, Objective.ENERGY).values
+    g_comp = gradient_density(sols, Objective.COMPLIANCE)
+    g_en = gradient_density(sols, Objective.ENERGY)
     assert np.array_equal(g_en, -g_comp)
 
 
@@ -83,7 +86,7 @@ def test_compliance_gradient_product_nonnegative():
         DensityField.constant(g, 1.0),
         make_deterministic(g, np.ones(g.n_cells)),
     )
-    assert np.all(gradient_density(sols, Objective.COMPLIANCE).values >= 0.0)
+    assert np.all(gradient_density(sols, Objective.COMPLIANCE) >= 0.0)
 
 
 def test_linearity_in_load():
@@ -125,10 +128,16 @@ def test_stiffness_shared_across_scenarios():
     assert sols[0].weight == sols[1].weight == 0.5
 
 
-def test_cg_failure_names_scenario():
+def test_cg_failure_names_scenario(monkeypatch):
+    from stodesign.cg import SolveReport
+
+    def stalled(K, b, tol, x0=None):
+        return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
     g = GridSpec(16, 16)
     with pytest.raises(RuntimeError, match="scenario 0"):
-        solve_state(DensityField.constant(g, 1.0), make_case1(g), max_iter=1)
+        solve_state(DensityField.constant(g, 1.0), make_case1(g))
 
 
 def test_non_finite_load_rejected_before_cg():
@@ -145,3 +154,23 @@ def test_invalid_set_rejected():
     bad = ScenarioSet(g, np.ones(g.n_cells), [Scenario(xi, 1.0)])
     with pytest.raises(ValueError, match="invalid scenario set"):
         solve_state(DensityField.constant(g, 1.0), bad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_energy_is_cell_grad_dot_of_state_property(data):
+    # random small grids, densities in [1, 2] and +-pair scenario sets
+    g = GridSpec(data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9)))
+    a = DensityField(g, data.draw(arrays(float, g.n_cells, elements=st.floats(1.0, 2.0))))
+    f = data.draw(arrays(float, g.n_cells, elements=st.floats(-2.0, 2.0)))
+    pairs = data.draw(st.integers(1, 3))
+    xis = data.draw(arrays(float, (pairs, g.n_cells), elements=st.floats(-2.0, 2.0)))
+    w = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=pairs, max_size=pairs)))
+    w /= w.sum()
+    scenarios = []
+    for wp, xi in zip(w, xis):
+        scenarios += [Scenario(xi, 0.5 * wp), Scenario(-xi, 0.5 * wp)]
+    sols = solve_state(a, ScenarioSet(g, f, scenarios))
+    for sol in sols:
+        assert np.array_equal(sol.energy, cell_grad_dot(sol.u, sol.u))
+    cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
