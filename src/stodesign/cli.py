@@ -222,11 +222,21 @@ def write_cell_csv(path: Path, grid: GridSpec, values: np.ndarray) -> None:
 
 
 def read_density_csv(path: Path) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{lineno}: {len(row)} values, but the first row has {len(rows[0])}"
+            )
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path} holds no density values")
     values = np.array(rows)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path} holds non-finite density values")
@@ -294,12 +304,7 @@ def _residual_summary(residual: np.ndarray) -> dict[str, float]:
     }
 
 
-def write_diagnostics(
-    path: Path,
-    cfg: RunConfig,
-    result: RunResult,
-    residual: np.ndarray,
-) -> None:
+def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> None:
     h = result.history
     masses = region_masses(result.density)
     rsum = _residual_summary(residual)
@@ -353,7 +358,7 @@ def run_command(cfg: RunConfig) -> int:
     write_density_pgm(out / "density.pgm", result.density, cfg.alpha, cfg.beta)
     write_cell_csv(out / "residual.csv", result.density.grid, residual)
     write_convergence_log(out / "convergence.log", result.history)
-    write_diagnostics(out / "diagnostics.txt", cfg, result, residual)
+    write_diagnostics(out / "diagnostics.txt", result, residual)
     write_config_echo(out / "config.txt", cfg)
 
     last = result.history[-1]

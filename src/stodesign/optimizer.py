@@ -24,6 +24,7 @@ from .solve import ScenarioSolution, solve_state
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10
 DEGENERATE_ETA = 1e-14
+SOLVE_TOL = 1e-10  # relative CG residual of every state solve
 
 
 @dataclass
@@ -64,6 +65,15 @@ class OptimizerConfig:
         return self.mass is not None
 
     def check_grid(self, grid: GridSpec) -> None:
+        # the barrier weight eps*(a-alpha)*(beta-a) and the mass-repair capacity
+        # (a-alpha)*(beta-a), summed over the cells, must stay finite; Python
+        # floats overflow to inf here without a warning
+        span = float(self.beta) - float(self.alpha)
+        if not np.isfinite(max(float(self.eps), 1.0) * span * span * grid.n_cells):
+            raise ValueError(
+                f"phase bounds [{self.alpha}, {self.beta}] are too wide: "
+                f"max(eps, 1)*(beta-alpha)^2 summed over {grid.n_cells} cells overflows"
+            )
         if self.constrained:
             lo, hi = self.alpha * grid.area, self.beta * grid.area
             if not lo < self.mass < hi:
@@ -153,7 +163,7 @@ def update(
     """One backtracked descent step.
 
     `evaluate` must return the merit value of a trial density (it is expected
-    to run the scenario solves). Halves the step scale up to MAX_HALVINGS
+    to run the scenario solves; an infinite value rejects the trial). Halves the step scale up to MAX_HALVINGS
     times until the merit strictly decreases. Returns (new density, multiplier
     used, accepted eps); accepted eps 0.0 signals stagnation, with the
     original density returned unchanged.
@@ -186,17 +196,17 @@ def run(
     sset: ScenarioSet,
     kind: Objective,
     a0: DensityField | None = None,
-    solve_tol: float = 1e-10,
 ) -> RunResult:
     """Full descent loop.
 
     Starts from a0 (default: the uniform density meeting the mass target) and
     iterates until the merit decrease falls below eps1 times the initial merit
     magnitude, until no decreasing step exists (stagnation), or until
-    max_iters. In constrained mode the merit is the plain cost: the mass term
-    of the penalized functional is constant on the mass manifold the iterates
-    stay on, so the recorded penalized cost equals the cost. In penalized mode
-    the merit is cost + gamma_pen * mass.
+    max_iters. A constrained design saturated at the phase bounds cannot move
+    and counts as converged. In constrained mode the merit is the plain cost:
+    the mass term of the penalized functional is constant on the mass manifold
+    the iterates stay on, so the recorded penalized cost equals the cost. In
+    penalized mode the merit is cost + gamma_pen * mass.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -210,83 +220,61 @@ def run(
             raise ValueError("initial density violates the phase bounds")
         a = a0.copy()
 
-    def measure(field: DensityField, sols: list[ScenarioSolution]) -> tuple[float, float]:
-        c = cost(field, sols, kind)
-        if cfg.constrained:
-            return c, c
-        return c, c + cfg.gamma_pen * field.mass()
+    def solve(
+        field: DensityField, warm: list[np.ndarray] | None = None
+    ) -> tuple[list[ScenarioSolution], float, float]:
+        """States, cost and merit of a density."""
+        s = solve_state(field, sset, tol=SOLVE_TOL, warm_starts=warm)
+        c = cost(field, s, kind)
+        return s, c, c if cfg.constrained else c + cfg.gamma_pen * field.mass()
 
-    sols = solve_state(a, sset, tol=solve_tol)
-    cost_now, merit_now = measure(a, sols)
+    def evaluate(field: DensityField) -> float:
+        """Merit of a trial density; keeps its solve in `trial` for acceptance."""
+        nonlocal trial
+        try:
+            trial = solve(field, warm)
+        except RuntimeError:
+            return np.inf  # CG failed on this trial: reject it, the step is halved
+        return trial[2]
+
+    sols, cost_now, merit_now = trial = solve(a)
     merit_scale = abs(merit_now)
-
     history: list[ConvergenceRecord] = []
-    stop_reason = "max_iters"
-
-    def snapshot(it: int, field, sols_k, cost_k, merit_k, step_eps: float):
-        g_k = gradient_density(sols_k, kind)
-        eta_b = barrier_eta(field, cfg.eps, cfg.alpha, cfg.beta)
+    converged = False
+    for k in range(cfg.max_iters + 1):
+        g = gradient_density(sols, kind)
+        eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
+        saturated = False
         if cfg.constrained:
             try:
-                gam = multiplier_gamma(field, g_k, eta_b, cfg.mass)
+                gamma = multiplier_gamma(a, g, eta, cfg.mass)
             except ValueError:
-                gam = 0.0
+                gamma, saturated = 0.0, True
         else:
-            gam = cfg.gamma_pen
-        stat = integrate_cells(grid, eta_b * (g_k - gam) ** 2)
+            gamma = cfg.gamma_pen
+        stationarity = integrate_cells(grid, eta * (g - gamma) ** 2)
+
+        step_eps, stop_reason = 0.0, None
+        if converged:
+            stop_reason = "converged"
+        elif k == cfg.max_iters:
+            stop_reason = "max_iters"
+        elif saturated:
+            stop_reason = "converged"  # every cell sits at a bound: nothing can move
+        else:
+            warm = [s.u.interior() for s in sols]
+            a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now)
+            if step_eps == 0.0:
+                stop_reason = "stagnated"
+            else:
+                gamma = gamma_step
         history.append(
-            ConvergenceRecord(
-                iter=it,
-                cost=cost_k,
-                penalized_cost=merit_k,
-                mass=field.mass(),
-                gamma=gam,
-                step_eps=step_eps,
-                stationarity=stat,
-            )
+            ConvergenceRecord(k, cost_now, merit_now, a.mass(), gamma, step_eps, stationarity)
         )
-        return g_k
-
-    k = 0
-    while k < cfg.max_iters:
-        g = snapshot(k, a, sols, cost_now, merit_now, step_eps=0.0)
-        rec = history[-1]
-
-        capacity = integrate_cells(grid, (a.values - cfg.alpha) * (cfg.beta - a.values))
-        if cfg.constrained and cfg.eps * capacity <= DEGENERATE_ETA:
-            # design fully saturated: nothing can move, treat as converged
-            stop_reason = "converged"
+        if stop_reason is not None:
             break
-
-        warm = [s.u.interior() for s in sols]
-        last_trial: dict = {}
-
-        def evaluate(trial: DensityField) -> float:
-            tsols = solve_state(trial, sset, tol=solve_tol, warm_starts=warm)
-            c, val = measure(trial, tsols)
-            last_trial["sols"] = tsols
-            last_trial["cost"] = c
-            last_trial["merit"] = val
-            return val
-
-        a_new, gamma_used, eps_acc = update(a, g, cfg, evaluate, merit_now)
-        rec.step_eps = eps_acc
-        rec.gamma = gamma_used if eps_acc > 0.0 else rec.gamma
-        if eps_acc == 0.0:
-            stop_reason = "stagnated"
-            break
-
-        a = a_new
-        sols = last_trial["sols"]
-        merit_prev = merit_now
-        cost_now, merit_now = last_trial["cost"], last_trial["merit"]
-        k += 1
-
-        if abs(merit_now - merit_prev) <= cfg.eps1 * merit_scale:
-            snapshot(k, a, sols, cost_now, merit_now, step_eps=0.0)
-            stop_reason = "converged"
-            break
-    else:
-        snapshot(cfg.max_iters, a, sols, cost_now, merit_now, step_eps=0.0)
+        a = a_next
+        converged = abs(trial[2] - merit_now) <= cfg.eps1 * merit_scale
+        sols, cost_now, merit_now = trial
 
     return RunResult(a, history, stop_reason, sols)

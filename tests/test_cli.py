@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,19 +153,50 @@ def test_cost_cross_check_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "error: load-pairing" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--eps", "nan"), ("--eps", "inf"), ("--eps1", "nan"), ("--penalty", "nan"), ("--beta", "inf")],
-)
-def test_non_finite_flag_exits_one_before_any_solve(tmp_path, monkeypatch, capsys, flag, value):
+@pytest.fixture
+def no_state_solve(monkeypatch):
     import stodesign.optimizer
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a state solve ran")
 
     monkeypatch.setattr(stodesign.optimizer, "solve_state", no_solve)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps", "nan"), ("--eps", "inf"), ("--eps1", "nan"), ("--penalty", "nan"), ("--beta", "inf")],
+)
+def test_non_finite_flag_exits_one_before_any_solve(tmp_path, no_state_solve, capsys, flag, value):
     assert run_cli(["run", *FAST, flag, value, "--out", str(tmp_path / "x")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_phase_bounds_exit_one_before_any_solve(tmp_path, no_state_solve, capsys):
+    wide = ["--alpha", "1e-300", "--beta", "1e300", "--mass", "1"]
+    assert run_cli(["run", "--nx", "8", "--ny", "8", *wide, "--out", str(tmp_path / "x")]) == 1
+    assert "error: phase bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2\n3\n", ":2: 1 values, but the first row has 2"),
+        ("1,2\n\n3,x\n", ":3: could not convert string to float"),
+        ("\n", " holds no density values"),
+    ],
+    ids=["ragged", "bad-token", "empty"],
+)
+def test_compare_names_file_and_line_of_bad_density(tmp_path, capsys, text, message):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "density.csv").write_text("1,2\n3,4\n")
+    (b / "density.csv").write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{b / 'density.csv'}{message}")):
+        read_density_csv(b / "density.csv")
+    assert run_cli(["compare", str(a), str(b)]) == 1
+    assert f"error: {b / 'density.csv'}{message}" in capsys.readouterr().err
 
 
 def test_region_masks_partition():

@@ -31,6 +31,16 @@ def test_config_validation():
     assert not cfg.constrained
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, mass, eps",
+    [(1e-300, 1e300, 1.0, 64.0), (1.0, 1e200, 1.5, 1e-300), (1.0, 2.0, 1.5, 1e308)],
+)
+def test_overflowing_barrier_rejected(alpha, beta, mass, eps):
+    cfg = OptimizerConfig(alpha=alpha, beta=beta, mass=mass, eps=eps)
+    with pytest.raises(ValueError, match="too wide"):
+        cfg.check_grid(_grid())
+
+
 def test_mass_target_inside_range():
     cfg = OptimizerConfig(mass=2.5)  # beta*|D| = 2 on the unit square
     with pytest.raises(ValueError, match="mass target"):
@@ -243,3 +253,64 @@ def test_history_step_eps_bookkeeping():
     for rec in h[:-1]:
         assert rec.step_eps > 0.0
         assert rec.step_eps <= cfg.eps
+
+
+def test_record_gamma_is_accepted_multiplier(monkeypatch):
+    import stodesign.optimizer
+
+    returned = []
+
+    def spy(*args):
+        result = update(*args)
+        returned.append(result[1])
+        return result
+
+    monkeypatch.setattr(stodesign.optimizer, "update", spy)
+    g = GridSpec(16, 16)
+    res, _ = _small_run(sset=make_case1(g))
+    h = res.history
+    assert res.stop_reason == "converged"
+    assert len(returned) == len(h) - 1
+    assert [r.gamma.hex() for r in h[:-1]] == [float(x).hex() for x in returned]
+
+
+def test_max_iters_records_every_iterate():
+    g = GridSpec(16, 16)
+    res = run(OptimizerConfig(max_iters=3), make_case1(g), Objective.COMPLIANCE)
+    assert res.stop_reason == "max_iters"
+    assert [r.iter for r in res.history] == [0, 1, 2, 3]
+    assert res.history[-1].step_eps == 0.0
+    assert all(r.step_eps > 0.0 for r in res.history[:-1])
+
+
+def test_trial_cg_failure_rejects_only_that_trial(monkeypatch):
+    from stodesign.cg import SolveReport, cg_solve
+
+    g = GridSpec(16, 16)
+    sset = make_case1(g)
+    starts = []
+
+    def first_trial_fails(K, b, tol, x0=None):
+        starts.append(x0)
+        if len(starts) == len(sset.scenarios) + 1:  # first solve of the first trial
+            return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
+        return cg_solve(K, b, tol=tol, x0=x0)
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", first_trial_fails)
+    cfg = OptimizerConfig(eps1=1e-5)
+    res = run(cfg, sset, Objective.COMPLIANCE)
+    assert starts[len(sset.scenarios)] is not None  # the failed solve was warm-started
+    assert res.stop_reason == "converged"
+    assert res.history[0].step_eps == cfg.eps / 2
+
+
+def test_initial_cg_failure_aborts_run(monkeypatch):
+    from stodesign.cg import SolveReport
+
+    def stalled(K, b, tol, x0=None):
+        return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
+    g = GridSpec(16, 16)
+    with pytest.raises(RuntimeError, match="scenario 0"):
+        run(OptimizerConfig(), make_case1(g), Objective.COMPLIANCE)
