@@ -16,6 +16,15 @@ class SolveReport:
     converged: bool
 
 
+def _require_finite(name: str, v: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(
+            f"{name} holds {bad.size} non-finite values, "
+            f"first {float(v[bad[0]])!r} at index {bad[0]}"
+        )
+
+
 def cg_solve(
     K: sparse.csr_matrix,
     b: np.ndarray,
@@ -34,7 +43,11 @@ def cg_solve(
 
     Returns:
         (x, SolveReport). A non-converged solve returns the last iterate with
-        converged=False; the caller decides how to proceed.
+        converged=False; the caller decides how to proceed. A residual norm
+        that is not finite ends the solve at once, not converged.
+
+    Raises ValueError for a non-positive tol, or a b or x0 that is not a
+    finite vector of length n.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -42,6 +55,12 @@ def cg_solve(
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
+    _require_finite("rhs", b)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
+        _require_finite("x0", x0)
     if max_iter is None:
         max_iter = 20 * n
 
@@ -61,10 +80,10 @@ def cg_solve(
     rz = float(r @ z)
 
     r_norm = float(np.linalg.norm(r))
-    if r_norm <= tol * b_norm:
-        return x, SolveReport(0, r_norm / b_norm, True)
+    converged = r_norm <= tol * b_norm
+    if converged or not np.isfinite(r_norm):
+        return x, SolveReport(0, r_norm / b_norm, converged)
 
-    converged = False
     it = 0
     for it in range(1, max_iter + 1):
         Kp = K @ p
@@ -76,6 +95,8 @@ def cg_solve(
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol * b_norm:
             converged = True
+            break
+        if not np.isfinite(r_norm):
             break
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -83,3 +83,41 @@ def test_rejects_bad_tol_and_shape():
         cg_solve(K, np.ones(4), tol=0.0)
     with pytest.raises(ValueError):
         cg_solve(K, np.ones(5))
+
+
+def test_rejects_non_finite_rhs_and_bad_x0():
+    K = _identity(4)
+    with pytest.raises(ValueError, match=r"rhs holds 1 non-finite values, first inf at index 2"):
+        cg_solve(K, np.array([1.0, 1.0, np.inf, 1.0]))
+    with pytest.raises(ValueError, match=r"x0 has shape \(5,\), expected \(4,\)"):
+        cg_solve(K, np.ones(4), x0=np.zeros(5))
+    with pytest.raises(ValueError, match=r"x0 holds 4 non-finite values, first nan at index 0"):
+        cg_solve(K, np.ones(4), x0=np.full(4, np.nan))
+
+
+class _NanAfter:
+    """Matrix stand-in whose products turn NaN from the `good + 1`-th on."""
+
+    def __init__(self, K, good: int):
+        self.K, self.good, self.calls = K, good, 0
+        self.shape = K.shape
+
+    def diagonal(self):
+        return self.K.diagonal()
+
+    def __matmul__(self, x):
+        self.calls += 1
+        y = self.K @ x
+        return y if self.calls <= self.good else np.full_like(y, np.nan)
+
+
+def test_non_finite_residual_stops_at_once():
+    # a NaN entry poisons the initial residual: no iteration is run
+    K = sparse.csr_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+    _, report = cg_solve(K, np.ones(2))
+    assert (report.iterations, report.converged) == (0, False)
+    # a residual that turns NaN mid-solve ends it there, not after 20*n steps
+    g = GridSpec(8, 8)
+    K = _NanAfter(assemble_stiffness(DensityField.constant(g, 1.0)), good=2)
+    _, report = cg_solve(K, assemble_load(g, np.ones(g.n_cells)))
+    assert (report.iterations, report.converged) == (2, False)

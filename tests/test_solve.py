@@ -1,13 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stodesign.fem import DensityField, GridSpec, sample_cells
-from stodesign.fem import cell_grad_dot
+import stodesign.solve as solve_module
+from stodesign.fem import DensityField, GridSpec, cell_centers, sample_cells
+from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot
 from stodesign.objective import Objective, cost, gradient_density
-from stodesign.scenarios import Scenario, ScenarioSet, make_case1, make_deterministic
+from stodesign.scenarios import (
+    Scenario,
+    ScenarioSet,
+    make_case1,
+    make_case2,
+    make_deterministic,
+)
 from stodesign.solve import solve_state
 
 
@@ -156,10 +165,178 @@ def test_invalid_set_rejected():
         solve_state(DensityField.constant(g, 1.0), bad)
 
 
+def test_warm_start_count_must_match_scenarios():
+    g = GridSpec(8, 8)
+    a = DensityField.constant(g, 1.0)
+    x = np.zeros((g.nx - 1) * (g.ny - 1))
+    with pytest.raises(ValueError, match="got 1 warm starts for 2 scenarios"):
+        solve_state(a, make_case1(g), warm_starts=[x])
+    with pytest.raises(ValueError, match="got 3 warm starts for 2 scenarios"):
+        solve_state(a, make_case1(g), warm_starts=[x, x, x])
+
+
+def _true_relative_residual(a: DensityField, sol) -> float:
+    K = assemble_stiffness(a)
+    b = assemble_load(a.grid, sol.load)
+    return float(np.linalg.norm(K @ sol.u.interior() - b) / np.linalg.norm(b))
+
+
+def _sine_modes(g: GridSpec, count: int) -> np.ndarray:
+    c = cell_centers(g)
+    mn = [(1, 2), (2, 1), (2, 2)][:count]
+    x, y = c[:, 0], c[:, 1]
+    return np.stack([np.sin(m * np.pi * x) * np.sin(n * np.pi * y) for m, n in mn])
+
+
+def _pm_pair_set(g: GridSpec, pairs: int, rank: int, seed: int) -> ScenarioSet:
+    # f = 1 plus +-pairs of random combinations of `rank` sine modes: load rank 1 + rank
+    rng = np.random.default_rng(seed)
+    xis = rng.standard_normal((pairs, rank)) @ _sine_modes(g, rank)
+    w = rng.uniform(0.5, 1.5, pairs)
+    w /= w.sum()
+    scenarios = []
+    for wp, xi in zip(w, xis):
+        scenarios += [Scenario(xi, 0.5 * wp), Scenario(-xi, 0.5 * wp)]
+    return ScenarioSet(g, np.ones(g.n_cells), scenarios)
+
+
+def _duplicated_set(g: GridSpec) -> ScenarioSet:
+    # scenario 1 repeats scenario 0
+    xi = _sine_modes(g, 1)[0]
+    return ScenarioSet(
+        g, np.ones(g.n_cells), [Scenario(xi, 0.25), Scenario(xi, 0.25), Scenario(-xi, 0.5)]
+    )
+
+
+def _scaled_copy_set(g: GridSpec) -> ScenarioSet:
+    # load 1 is exactly twice load 0: f + (f + 2 phi) = 2 (f + phi)
+    f = np.ones(g.n_cells)
+    phi = _sine_modes(g, 1)[0]
+    xis = [phi, f + 2.0 * phi, -f - 4.0 * phi]
+    weights = [0.5, 0.25, 0.25]
+    return ScenarioSet(g, f, [Scenario(xi, w) for xi, w in zip(xis, weights)])
+
+
+def _spy_cg(monkeypatch) -> list[tuple]:
+    """Record (x0, SolveReport) of every cg_solve call made by solve_state."""
+    calls = []
+    real = solve_module.cg_solve
+
+    def spy(K, b, tol, x0=None):
+        x, report = real(K, b, tol=tol, x0=x0)
+        calls.append((x0, report))
+        return x, report
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", spy)
+    return calls
+
+
+def _rel(x, ref) -> float:
+    return float(np.linalg.norm(np.asarray(x) - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize(
+    "make_set",
+    [
+        _duplicated_set,
+        _scaled_copy_set,
+        lambda g: _pm_pair_set(g, 3, 2, 1),
+        lambda g: _pm_pair_set(g, 6, 3, 2),
+    ],
+    ids=["duplicate", "scaled-copy", "pm-pairs-rank2", "pm-pairs-rank3"],
+)
+def test_dependent_loads_match_cold_solves(make_set):
+    g = GridSpec(16, 16)
+    rng = np.random.default_rng(7)
+    a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
+    sset = make_set(g)
+    tol = 1e-10
+    sols = solve_state(a, sset, tol=tol)
+    cold = [
+        replace(solve_state(a, make_deterministic(g, sol.load), tol=tol)[0], weight=sol.weight)
+        for sol in sols
+    ]
+    for sol, ref in zip(sols, cold):
+        assert _true_relative_residual(a, sol) <= tol
+        assert _rel(sol.energy, ref.energy) <= 1e-8
+    for kind in Objective:
+        c, c_ref = cost(a, sols, kind), cost(a, cold, kind)  # both cross-checks pass
+        assert abs(c - c_ref) <= 1e-8 * abs(c_ref)
+        assert _rel(gradient_density(sols, kind), gradient_density(cold, kind)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make_set", [lambda g: make_deterministic(g, np.ones(g.n_cells)), make_case1, make_case2]
+)
+def test_independent_loads_get_caller_warm_starts_bitwise(monkeypatch, make_set):
+    g = GridSpec(16, 16)
+    a = DensityField.constant(g, 1.5)
+    sset = make_set(g)
+    calls = _spy_cg(monkeypatch)
+    solve_state(a, sset)
+    assert [x0 for x0, _ in calls] == [None] * len(sset.scenarios)
+    rng = np.random.default_rng(0)
+    warm = [rng.standard_normal((g.nx - 1) * (g.ny - 1)) for _ in sset.scenarios]
+    calls.clear()
+    solve_state(a, sset, warm_starts=warm)
+    assert len(calls) == len(warm)
+    for (x0, _), w in zip(calls, warm):
+        assert x0.tobytes() == w.tobytes()
+
+
+def test_dependent_loads_cost_no_iterations_at_rank():
+    # 16 loads of rank 1 + 3: loads 0, 1, 2 and 4 span them; the rest start
+    # from the combination of those states and are certified at once
+    g = GridSpec(16, 16)
+    sset = _pm_pair_set(g, 8, 3, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_cg(mp)
+        solve_state(DensityField.constant(g, 1.5), sset)
+    independent = [k for k, (x0, _) in enumerate(calls) if x0 is None]
+    assert independent == [0, 1, 2, 4]
+    iters = [report.iterations for _, report in calls]
+    assert all(iters[k] > 20 for k in independent)
+    assert sum(it for k, it in enumerate(iters) if k not in independent) == 0
+
+    # on a non-uniform coefficient the combination can miss tol by a little;
+    # CG then runs a few iterations, never a full solve
+    a = DensityField(g, np.random.default_rng(0).uniform(1.0, 2.0, g.n_cells))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_cg(mp)
+        sols = solve_state(a, sset)
+    assert [k for k, (x0, _) in enumerate(calls) if x0 is None] == independent
+    assert max(r.iterations for k, (_, r) in enumerate(calls) if k not in independent) <= 5
+    assert all(_true_relative_residual(a, sol) <= 1e-10 for sol in sols)
+
+
+def test_load_near_the_span_is_solved_as_independent(monkeypatch):
+    # load 2 lies 1e-6 (relative) off the span of loads 0 and 1; load 3 is in
+    # the span of loads 0, 1 and 2
+    g = GridSpec(16, 16)
+    a = DensityField(g, np.random.default_rng(1).uniform(1.0, 2.0, g.n_cells))
+    phi, eta = _sine_modes(g, 2)
+    f = np.ones(g.n_cells)
+    eps = 1e-6 * np.linalg.norm(f + phi) / np.linalg.norm(eta)
+    xi2 = phi + eps * eta
+    sset = ScenarioSet(g, f, [Scenario(xi, 0.25) for xi in (phi, -phi, xi2, -xi2)])
+    b = [assemble_load(g, load) for load in sset.loads()]
+    q, _ = np.linalg.qr(np.stack(b[:2], axis=1))
+    off = np.linalg.norm(b[2] - q @ (q.T @ b[2])) / np.linalg.norm(b[2])
+    assert 1e-7 < off < 1e-5
+
+    calls = _spy_cg(monkeypatch)
+    sols = solve_state(a, sset)
+    assert [x0 is None for x0, _ in calls] == [True, True, True, False]
+    assert calls[2][1].converged and calls[2][1].iterations > 0
+    assert all(_true_relative_residual(a, sol) <= 1e-10 for sol in sols)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_energy_is_cell_grad_dot_of_state_property(data):
-    # random small grids, densities in [1, 2] and +-pair scenario sets
+    # random small grids, densities in [1, 2] and +-pair scenario sets, some
+    # scenarios duplicated (the weight split in two), so some loads are
+    # dependent and start from a combination of earlier states
     g = GridSpec(data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9)))
     a = DensityField(g, data.draw(arrays(float, g.n_cells, elements=st.floats(1.0, 2.0))))
     f = data.draw(arrays(float, g.n_cells, elements=st.floats(-2.0, 2.0)))
@@ -170,6 +347,10 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
     scenarios = []
     for wp, xi in zip(w, xis):
         scenarios += [Scenario(xi, 0.5 * wp), Scenario(-xi, 0.5 * wp)]
+    for k in data.draw(st.lists(st.integers(0, 2 * pairs - 1), max_size=3)):
+        s = scenarios[k]
+        scenarios[k] = Scenario(s.xi, 0.5 * s.weight)
+        scenarios.append(Scenario(s.xi.copy(), 0.5 * s.weight))
     sols = solve_state(a, ScenarioSet(g, f, scenarios))
     for sol in sols:
         assert np.array_equal(sol.energy, cell_grad_dot(sol.u, sol.u))
