@@ -32,7 +32,7 @@ from .optimizer import (
     OptimizerConfig,
     RunResult,
     barrier_eta,
-    multiplier_gamma,
+    project,
     run,
     update,
 )

@@ -271,25 +271,6 @@ def write_convergence_log(path: Path, history: list[ConvergenceRecord]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_convergence_log(path: Path) -> list[ConvergenceRecord]:
-    lines = path.read_text().splitlines()
-    records = []
-    for line in lines[1:]:
-        parts = line.split()
-        records.append(
-            ConvergenceRecord(
-                iter=int(parts[0]),
-                cost=float(parts[1]),
-                penalized_cost=float(parts[2]),
-                mass=float(parts[3]),
-                gamma=float(parts[4]),
-                step_eps=float(parts[5]),
-                stationarity=float(parts[6]),
-            )
-        )
-    return records
-
-
 def write_config_echo(path: Path, cfg: RunConfig) -> None:
     lines = [f"{key} = {getattr(cfg, key)}" for key in CONFIG_KEYS]
     path.write_text("\n".join(lines) + "\n")

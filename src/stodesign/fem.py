@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -144,25 +143,6 @@ def _interior_index_map(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def boundary_node_ids(grid: GridSpec) -> np.ndarray:
-    mask = np.ones(grid.n_nodes, dtype=bool)
-    mask[interior_node_ids(grid)] = False
-    ids = np.nonzero(mask)[0]
-    ids.flags.writeable = False
-    return ids
-
-
-@lru_cache(maxsize=64)
-def node_coords(grid: GridSpec) -> np.ndarray:
-    x = np.linspace(grid.x0, grid.x1, grid.nx + 1)
-    y = np.linspace(grid.y0, grid.y1, grid.ny + 1)
-    yy, xx = np.meshgrid(y, x, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    pts.flags.writeable = False
-    return pts
-
-
-@lru_cache(maxsize=64)
 def cell_centers(grid: GridSpec) -> np.ndarray:
     cx = grid.x0 + (np.arange(grid.nx) + 0.5) * grid.hx
     cy = grid.y0 + (np.arange(grid.ny) + 0.5) * grid.hy
@@ -291,37 +271,3 @@ def integrate_cells(grid: GridSpec, w: np.ndarray) -> float:
     if w.shape != (grid.n_cells,):
         raise ValueError("integrand must hold one real per cell")
     return float(np.sum(w)) * grid.cell_area
-
-
-def l2_error(u: NodalField, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """L2 norm of (interpolant of u) - fn over the domain, 2x2 Gauss per cell.
-
-    This is a function-space norm: it sees the in-cell interpolation error,
-    not just nodal mismatch, so it decays at the order of the element.
-    """
-    grid = u.grid
-    corners = u.values[cell_node_ids(grid)]
-    centers = cell_centers(grid)
-    total = 0.0
-    det_j = grid.cell_area / 4.0
-    for gx in (-_GAUSS, _GAUSS):
-        for gy in (-_GAUSS, _GAUSS):
-            shape = (1.0 + _XI * gx) * (1.0 + _ETA * gy) / 4.0
-            uh = corners @ shape
-            x = centers[:, 0] + gx * grid.hx / 2.0
-            y = centers[:, 1] + gy * grid.hy / 2.0
-            diff = uh - np.asarray(fn(x, y), dtype=float)
-            total += float(diff @ diff) * det_j
-    return float(np.sqrt(total))
-
-
-def sample_cells(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Sample a function of (x, y) at all cell centers."""
-    centers = cell_centers(grid)
-    return np.asarray(fn(centers[:, 0], centers[:, 1]), dtype=float)
-
-
-def sample_nodes(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> NodalField:
-    """Sample a function of (x, y) at all nodes."""
-    pts = node_coords(grid)
-    return NodalField(grid, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))

@@ -23,14 +23,20 @@ RESIDUAL_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class PhasePair:
-    """The two isotropic phase conductivities, 0 < alpha <= beta."""
+    """The two isotropic phase conductivities, 0 < alpha <= beta.
+
+    alpha must be a normal float: for a subnormal one, 1/alpha overflows.
+    """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= self.beta:
-            raise ValueError("phases must satisfy 0 < alpha <= beta")
+        if not np.finfo(float).tiny <= self.alpha <= self.beta:
+            raise ValueError(
+                f"phase bounds must satisfy {np.finfo(float).tiny} <= alpha <= beta, "
+                f"got alpha = {self.alpha}, beta = {self.beta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,6 @@ class SymmetricTensor2:
         v = np.asarray(v, dtype=float)
         x, y = v[..., 0], v[..., 1]
         return np.stack([self.a11 * x + self.a12 * y, self.a12 * x + self.a22 * y], axis=-1)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
 def _first_bad(values, ok) -> str:

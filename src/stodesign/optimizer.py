@@ -1,16 +1,15 @@
 """Projected gradient descent on the coefficient field.
 
-Each iteration solves all scenarios, forms the expected gradient density g,
-picks the multiplier that keeps the update mass-neutral, and moves
-
-    a_new = clamp(a + eta * (g - gamma)),   eta = eps * (a - alpha) * (beta - a).
-
-The barrier factor eta vanishes at the phase bounds, which keeps iterates in
-[alpha, beta]. The step scale eps is halved until the merit function
-decreases; clamping is followed by a mass repair pass in constrained mode.
+Each iteration solves all scenarios, forms the expected gradient density g
+and moves a_new = clip(a + eta * (g - gamma), alpha, beta) with the barrier
+factor eta = eps * (a - alpha) * (beta - a) / (beta - alpha), which vanishes
+at the phase bounds. In constrained mode gamma is the exact root of the mass
+equation (`project`), in penalized mode the penalty. The step scale eps is
+halved until the merit function decreases.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,8 +21,6 @@ from .scenarios import ScenarioSet
 from .solve import ScenarioSolution, solve_state
 
 MAX_HALVINGS = 30
-MASS_REL_TOL = 1e-10
-DEGENERATE_ETA = 1e-14
 SOLVE_TOL = 1e-10  # relative CG residual of every state solve
 
 
@@ -49,8 +46,12 @@ class OptimizerConfig:
         given = (self.alpha, self.beta, self.eps, self.eps1, self.mass, self.gamma_pen)
         if not all(np.isfinite(v) for v in given if v is not None):
             raise ValueError("alpha, beta, eps, eps1, mass and gamma_pen must be finite")
-        if not 0.0 < self.alpha <= self.beta:
-            raise ValueError("phase bounds must satisfy 0 < alpha <= beta")
+        # a subnormal alpha overflows 1/alpha; equal bounds leave no barrier span
+        if not np.finfo(float).tiny <= self.alpha < self.beta:
+            raise ValueError(
+                f"phase bounds must satisfy {np.finfo(float).tiny} <= alpha < beta, "
+                f"got alpha = {self.alpha}, beta = {self.beta}"
+            )
         if (self.mass is None) == (self.gamma_pen is None):
             raise ValueError("set exactly one of mass (constrained) and gamma_pen (penalized)")
         if self.gamma_pen is not None and self.gamma_pen < 0.0:
@@ -65,9 +66,8 @@ class OptimizerConfig:
         return self.mass is not None
 
     def check_grid(self, grid: GridSpec) -> None:
-        # the barrier weight eps*(a-alpha)*(beta-a) and the mass-repair capacity
-        # (a-alpha)*(beta-a), summed over the cells, must stay finite; Python
-        # floats overflow to inf here without a warning
+        # the barrier weight eps*(a-alpha)*(beta-a), summed over the cells, must
+        # stay finite; Python floats overflow to inf here without a warning
         span = float(self.beta) - float(self.alpha)
         if not np.isfinite(max(float(self.eps), 1.0) * span * span * grid.n_cells):
             raise ValueError(
@@ -109,48 +109,54 @@ class RunResult:
 
 
 def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.ndarray:
-    """Multiplicative step weight eps*(a-alpha)*(beta-a), zero at the bounds."""
+    """Step weight eps*(a-alpha)*(beta-a)/(beta-alpha), zero at the bounds.
+
+    Dividing by the span keeps the step scale, and so the number of halvings
+    that find a decrease, independent of how wide the bounds are.
+    """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    return eps * (a.values - alpha) * (beta - a.values)
+    return eps * (a.values - alpha) * (beta - a.values) / (beta - alpha)
 
 
-def multiplier_gamma(a: DensityField, g: np.ndarray, eta: np.ndarray, m: float) -> float:
-    """Multiplier making the barrier-weighted update mass-neutral.
+def project(
+    a: DensityField, g: np.ndarray, eta: np.ndarray, m: float, alpha: float, beta: float
+) -> tuple[DensityField, float] | None:
+    """The barrier step clip(a + eta*(g - gamma), alpha, beta) of mass exactly m.
 
-    gamma = [ (mass(a) - m) + integral eta*g ] / integral eta. Raises when the
-    barrier has vanished everywhere (design pinned at the bounds).
+    Returns the stepped density and gamma, or None when no cell has eta > 0 or
+    m is out of the reach of the cells that can move. The mass is piecewise
+    linear and nonincreasing in gamma, with kinks where a cell reaches beta
+    (gamma = g - (beta-a)/eta) or alpha (gamma = g + (a-alpha)/eta): bisect
+    over the sorted kinks for the piece holding m, then solve on that piece
+    (a continuous quadratic knapsack; Brucker, Oper. Res. Lett. 3, 1984).
     """
-    total = integrate_cells(a.grid, eta)
-    if total <= DEGENERATE_ETA:
-        raise ValueError(
-            "degenerate design: barrier weight vanishes everywhere, "
-            "all cells are pinned at the phase bounds"
-        )
-    return ((a.mass() - m) + integrate_cells(a.grid, eta * g)) / total
+    moving = eta > 0.0
+    if not moving.any():
+        return None
+    # cells with eta = 0 get infinite kinks: they never clamp and carry no weight
+    to_beta = g - np.divide(beta - a.values, eta, out=np.full_like(eta, np.inf), where=moving)
+    to_alpha = g + np.divide(a.values - alpha, eta, out=np.full_like(eta, np.inf), where=moving)
+    kinks = np.sort(np.concatenate([to_beta[moving], to_alpha[moving]]))
 
+    def step(gamma: float) -> np.ndarray:
+        return np.clip(a.values + eta * (g - gamma), alpha, beta)
 
-def _repair_mass(
-    values: np.ndarray, alpha: float, beta: float, m: float, area: float
-) -> np.ndarray | None:
-    """Redistribute the post-clamp mass defect over unsaturated cells.
-
-    The correction is proportional to the barrier capacity (v-alpha)*(beta-v),
-    so saturated cells stay put. Returns None when the defect cannot be
-    absorbed (design effectively saturated); the caller then rejects the step.
-    """
-    v = values
-    tol = MASS_REL_TOL * abs(m)
-    for _ in range(60):
-        defect = m - float(np.sum(v)) * area
-        if abs(defect) <= 0.5 * tol:
-            return v
-        w = (v - alpha) * (beta - v)
-        w_total = float(np.sum(w)) * area
-        if w_total <= 1e-300:
-            return None
-        v = np.clip(v + defect * (w / w_total), alpha, beta)
-    return v if abs(m - float(np.sum(v)) * area) <= tol else None
+    j = bisect_left(kinks, True, key=lambda k: integrate_cells(a.grid, step(k)) <= m)
+    if j == len(kinks) or (j == 0 and integrate_cells(a.grid, step(kinks[0])) < m):
+        return None
+    # solve on the piece (lo, hi) where the mass falls through m (the first piece
+    # when m is the mass with every moving cell at beta). The defect is summed
+    # before the inner eta*g, which keeps gamma exact when eta*g is tiny next to a
+    lo, hi = kinks[max(j, 1) - 1], kinks[max(j, 1)]
+    at_beta, at_alpha = to_beta >= hi, to_alpha <= lo
+    inner = ~(at_beta | at_alpha)
+    defect = integrate_cells(a.grid, np.where(at_beta, beta, np.where(at_alpha, alpha, a.values))) - m
+    weight = integrate_cells(a.grid, np.where(inner, eta, 0.0))
+    gamma = lo  # no inner cell: the mass is flat on this piece up to rounding
+    if weight > 0.0:
+        gamma = (defect + integrate_cells(a.grid, np.where(inner, eta * g, 0.0))) / weight
+    return DensityField(a.grid, step(gamma)), float(gamma)
 
 
 def update(
@@ -173,21 +179,14 @@ def update(
         eps_try = cfg.eps * 0.5**halving
         eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
         if cfg.constrained:
-            try:
-                gamma = multiplier_gamma(a, g, eta, cfg.mass)
-            except ValueError:
-                break  # barrier numerically gone at this scale
-        trial = np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta)
-        if cfg.constrained:
-            repaired = _repair_mass(
-                trial, cfg.alpha, cfg.beta, cfg.mass, a.grid.cell_area
-            )
-            if repaired is None:
-                continue
-            trial = repaired
-        trial_field = DensityField(a.grid, trial)
-        if evaluate(trial_field) < current_value:
-            return trial_field, gamma, eps_try
+            projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
+            if projected is None:
+                break  # nothing can move at this scale or below
+            trial, gamma = projected
+        else:
+            trial = DensityField(a.grid, np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta))
+        if evaluate(trial) < current_value:
+            return trial, gamma, eps_try
     return a, gamma, 0.0
 
 
@@ -244,14 +243,11 @@ def run(
     for k in range(cfg.max_iters + 1):
         g = gradient_density(sols, kind)
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
-        saturated = False
+        saturated, gamma = False, cfg.gamma_pen
         if cfg.constrained:
-            try:
-                gamma = multiplier_gamma(a, g, eta, cfg.mass)
-            except ValueError:
-                gamma, saturated = 0.0, True
-        else:
-            gamma = cfg.gamma_pen
+            projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
+            saturated = projected is None
+            gamma = 0.0 if saturated else projected[1]
         stationarity = integrate_cells(grid, eta * (g - gamma) ** 2)
 
         step_eps, stop_reason = 0.0, None

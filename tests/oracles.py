@@ -1,27 +1,41 @@
-"""Test-only oracles: slow, direct forms of quantities the library computes.
+"""Test-only oracles and helpers: slow, direct forms of quantities the library computes.
 
 `expected_decomposition_check` re-solves the state equation under the mean
 load and each perturbation alone; `loop_optimality_residual` is the per-cell
-reference form of `stodesign.gclosure.optimality_residual`.
+reference form of `stodesign.gclosure.optimality_residual`. The sampling,
+error-norm, boundary, tensor and log-reading helpers below them are used only
+by the tests.
 """
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 
 from stodesign.cg import cg_solve
 from stodesign.fem import (
+    _ETA,
+    _GAUSS,
+    _XI,
     DensityField,
+    GridSpec,
     NodalField,
     assemble_load,
     assemble_stiffness,
     cell_averages,
+    cell_centers,
     cell_gradients,
+    cell_node_ids,
+    interior_node_ids,
 )
 from stodesign.gclosure import (
     RESIDUAL_FLOOR,
     PhasePair,
+    SymmetricTensor2,
     rank_one_laminate,
     volume_fraction,
 )
 from stodesign.objective import Objective
+from stodesign.optimizer import ConvergenceRecord
 from stodesign.scenarios import ScenarioSet, validate
 
 
@@ -112,3 +126,75 @@ def loop_optimality_residual(
             num += w * float(np.hypot(err[0], err[1]))
         residual[c] = num / (norm_sum + floor)
     return residual
+
+
+def boundary_node_ids(grid: GridSpec) -> np.ndarray:
+    mask = np.ones(grid.n_nodes, dtype=bool)
+    mask[interior_node_ids(grid)] = False
+    return np.nonzero(mask)[0]
+
+
+def node_coords(grid: GridSpec) -> np.ndarray:
+    x = np.linspace(grid.x0, grid.x1, grid.nx + 1)
+    y = np.linspace(grid.y0, grid.y1, grid.ny + 1)
+    yy, xx = np.meshgrid(y, x, indexing="ij")
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
+def l2_error(u: NodalField, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    """L2 norm of (interpolant of u) - fn over the domain, 2x2 Gauss per cell.
+
+    This is a function-space norm: it sees the in-cell interpolation error,
+    not just nodal mismatch, so it decays at the order of the element.
+    """
+    grid = u.grid
+    corners = u.values[cell_node_ids(grid)]
+    centers = cell_centers(grid)
+    total = 0.0
+    det_j = grid.cell_area / 4.0
+    for gx in (-_GAUSS, _GAUSS):
+        for gy in (-_GAUSS, _GAUSS):
+            shape = (1.0 + _XI * gx) * (1.0 + _ETA * gy) / 4.0
+            uh = corners @ shape
+            x = centers[:, 0] + gx * grid.hx / 2.0
+            y = centers[:, 1] + gy * grid.hy / 2.0
+            diff = uh - np.asarray(fn(x, y), dtype=float)
+            total += float(diff @ diff) * det_j
+    return float(np.sqrt(total))
+
+
+def sample_cells(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sample a function of (x, y) at all cell centers."""
+    centers = cell_centers(grid)
+    return np.asarray(fn(centers[:, 0], centers[:, 1]), dtype=float)
+
+
+def sample_nodes(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> NodalField:
+    """Sample a function of (x, y) at all nodes."""
+    pts = node_coords(grid)
+    return NodalField(grid, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))
+
+
+def as_array(t: SymmetricTensor2) -> np.ndarray:
+    """The 2x2 matrix of a scalar symmetric tensor."""
+    return np.array([[t.a11, t.a12], [t.a12, t.a22]])
+
+
+def read_convergence_log(path: Path) -> list[ConvergenceRecord]:
+    """The records of a `convergence.log`, header skipped."""
+    lines = path.read_text().splitlines()
+    records = []
+    for line in lines[1:]:
+        parts = line.split()
+        records.append(
+            ConvergenceRecord(
+                iter=int(parts[0]),
+                cost=float(parts[1]),
+                penalized_cost=float(parts[2]),
+                mass=float(parts[3]),
+                gamma=float(parts[4]),
+                step_eps=float(parts[5]),
+                stationarity=float(parts[6]),
+            )
+        )
+    return records

@@ -14,8 +14,6 @@ from stodesign.fem import (
     DensityField,
     GridSpec,
     integrate_cells,
-    l2_error,
-    sample_cells,
 )
 from stodesign.gclosure import (
     PhasePair,
@@ -41,7 +39,12 @@ from stodesign.scenarios import (
 )
 from stodesign.solve import solve_state
 
-from oracles import expected_decomposition_check, loop_optimality_residual
+from oracles import (
+    expected_decomposition_check,
+    l2_error,
+    loop_optimality_residual,
+    sample_cells,
+)
 
 PHASES = PhasePair(1.0, 2.0)
 MASS = 1.5

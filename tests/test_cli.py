@@ -7,13 +7,14 @@ from stodesign.cli import (
     compare_runs,
     density_to_pixels,
     parse_config_file,
-    read_convergence_log,
     read_density_csv,
     region_masks,
     run_cli,
 )
 from stodesign.fem import GridSpec
 from stodesign.scenarios import make_case1, save_scenario_file
+
+from oracles import read_convergence_log
 
 FAST = ["--nx", "12", "--ny", "12", "--eps1", "1e-4", "--eps", "64"]
 
@@ -172,9 +173,16 @@ def test_non_finite_flag_exits_one_before_any_solve(tmp_path, no_state_solve, ca
     assert "error:" in capsys.readouterr().err
 
 
-def test_overflowing_phase_bounds_exit_one_before_any_solve(tmp_path, no_state_solve, capsys):
-    wide = ["--alpha", "1e-300", "--beta", "1e300", "--mass", "1"]
-    assert run_cli(["run", "--nx", "8", "--ny", "8", *wide, "--out", str(tmp_path / "x")]) == 1
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--alpha", "1e-300", "--beta", "1e300", "--mass", "1"],
+        ["--alpha", "1e-310", "--beta", "2", "--mass", "1.5"],
+    ],
+    ids=["overflow", "subnormal"],
+)
+def test_overflowing_phase_bounds_exit_one_before_any_solve(tmp_path, no_state_solve, capsys, bounds):
+    assert run_cli(["run", "--nx", "8", "--ny", "8", *bounds, "--out", str(tmp_path / "x")]) == 1
     assert "error: phase bounds" in capsys.readouterr().err
 
 

@@ -14,7 +14,7 @@ from stodesign.gclosure import (
 )
 from stodesign.objective import Objective
 
-from oracles import loop_optimality_residual
+from oracles import as_array, loop_optimality_residual
 
 PHASES = PhasePair(1.0, 2.0)
 
@@ -24,6 +24,8 @@ def test_phase_validation():
         PhasePair(2.0, 1.0)
     with pytest.raises(ValueError):
         PhasePair(0.0, 1.0)
+    with pytest.raises(ValueError, match="phase bounds.*alpha = 1e-310"):
+        PhasePair(1e-310, 2.0)  # subnormal: 1/alpha overflows
 
 
 def test_mean_endpoint_values():
@@ -59,7 +61,7 @@ def test_arithmetic_monotone_decreasing():
 def test_eigenvalues_closed_form():
     t = SymmetricTensor2(2.0, 1.0, 0.5)
     lo, hi = t.eigenvalues()
-    ref = np.linalg.eigvalsh(t.as_array())
+    ref = np.linalg.eigvalsh(as_array(t))
     assert lo == pytest.approx(ref[0], abs=1e-14)
     assert hi == pytest.approx(ref[1], abs=1e-14)
 
@@ -110,7 +112,7 @@ def test_laminate_single_phase():
     for angle in (0.0, 0.3, 1.2):
         n = np.array([np.cos(angle), np.sin(angle)])
         M = rank_one_laminate(0.0, PHASES, n)
-        assert np.allclose(M.as_array(), 2.0 * np.eye(2), atol=1e-14)
+        assert np.allclose(as_array(M), 2.0 * np.eye(2), atol=1e-14)
 
 
 def test_laminate_rejects_non_unit_normal():

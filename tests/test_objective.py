@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from stodesign.fem import DensityField, GridSpec, sample_cells
+from stodesign.fem import DensityField, GridSpec
 from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import make_case1, make_case2, make_deterministic
 from stodesign.solve import solve_state
 
-from oracles import expected_decomposition_check
+from oracles import expected_decomposition_check, sample_cells
 
 
 def _compliance(a, sset, tol=1e-10):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stodesign.fem import DensityField, GridSpec, integrate_cells
 from stodesign.objective import Objective, cost
 from stodesign.optimizer import (
     OptimizerConfig,
     barrier_eta,
-    multiplier_gamma,
+    project,
     run,
     update,
 )
@@ -27,6 +30,10 @@ def test_config_validation():
         OptimizerConfig(mass=None, gamma_pen=None)
     with pytest.raises(ValueError):
         OptimizerConfig(eps=-1.0)
+    with pytest.raises(ValueError, match="phase bounds.*alpha = 2.0, beta = 2.0"):
+        OptimizerConfig(alpha=2.0, beta=2.0, mass=None, gamma_pen=0.1)
+    with pytest.raises(ValueError, match="phase bounds.*alpha = 1e-310"):
+        OptimizerConfig(alpha=1e-310)
     cfg = OptimizerConfig(mass=None, gamma_pen=0.5)
     assert not cfg.constrained
 
@@ -53,6 +60,8 @@ def test_barrier_values():
     assert np.all(barrier_eta(DensityField.constant(g, 2.0), 0.1, 1.0, 2.0) == 0.0)
     eta = barrier_eta(DensityField.constant(g, 1.5), 0.1, 1.0, 2.0)
     assert np.allclose(eta, 0.025, rtol=0, atol=1e-16)
+    eta = barrier_eta(DensityField.constant(g, 2.0), 0.1, 1.0, 5.0)  # divided by the span 4
+    assert np.allclose(eta, 0.075, rtol=1e-15, atol=0)
 
 
 def test_multiplier_trivial_cases():
@@ -60,17 +69,29 @@ def test_multiplier_trivial_cases():
     a = DensityField.constant(g, 1.5)  # mass 1.5 on the unit square
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
     zero_g = np.zeros(g.n_cells)
-    assert multiplier_gamma(a, zero_g, eta, 1.5) == pytest.approx(0.0, abs=1e-14)
+    assert project(a, zero_g, eta, 1.5, 1.0, 2.0)[1] == pytest.approx(0.0, abs=1e-14)
     ones_g = np.ones(g.n_cells)
-    assert multiplier_gamma(a, ones_g, eta, 1.5) == pytest.approx(1.0, rel=1e-13)
+    assert project(a, ones_g, eta, 1.5, 1.0, 2.0)[1] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_multiplier_degenerate_design():
     g = _grid()
     a = DensityField.constant(g, 1.0)  # pinned at alpha, eta vanishes
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
-    with pytest.raises(ValueError, match="degenerate"):
-        multiplier_gamma(a, np.ones(g.n_cells), eta, 1.5)
+    assert project(a, np.ones(g.n_cells), eta, 1.5, 1.0, 2.0) is None
+
+
+def test_project_mass_reach():
+    # every moving cell at beta is the most mass a step can reach, at alpha the least
+    g = _grid()
+    a = DensityField.constant(g, 1.5)
+    eta = barrier_eta(a, 0.1, 1.0, 2.0)
+    for gd in (np.linspace(-1.0, 1.0, g.n_cells), np.zeros(g.n_cells)):  # distinct, equal kinks
+        for m in (1.0, 2.0):
+            out, _ = project(a, gd, eta, m, 1.0, 2.0)
+            assert np.allclose(out.values, m, rtol=0.0, atol=1e-15)
+        assert project(a, gd, eta, 1.0 - 1e-9, 1.0, 2.0) is None
+        assert project(a, gd, eta, 2.0 + 1e-9, 1.0, 2.0) is None
 
 
 def test_preclamp_mass_identity():
@@ -81,9 +102,47 @@ def test_preclamp_mass_identity():
     m = a.mass()
     gd = rng.standard_normal(g.n_cells)
     eta = barrier_eta(a, 0.2, 1.0, 2.0)
-    gamma = multiplier_gamma(a, gd, eta, m)
+    _, gamma = project(a, gd, eta, m, 1.0, 2.0)
     updated = a.values + eta * (gd - gamma)
     assert integrate_cells(g, updated) == pytest.approx(m, abs=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_project_is_exact_property(data):
+    # random small grids and bounds, densities in [alpha, beta] with some cells
+    # pinned at a bound, and mass targets anywhere the moving cells can reach
+    g = GridSpec(data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9)))
+    alpha = data.draw(st.floats(0.1, 10.0))
+    beta = alpha * data.draw(st.floats(1.01, 100.0))
+    t = data.draw(arrays(float, g.n_cells, elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+    values = np.clip(alpha + t * (beta - alpha), alpha, beta)
+    values[t == 1.0] = beta
+    a = DensityField(g, values)
+    gd = data.draw(arrays(float, g.n_cells, elements=st.floats(-10.0, 10.0)))
+    eta = barrier_eta(a, 10.0 ** data.draw(st.floats(-3.0, 4.0)), alpha, beta)
+    moving = eta > 0.0
+    reach_up = integrate_cells(g, np.where(moving, beta - values, 0.0))
+    reach_down = integrate_cells(g, np.where(moving, values - alpha, 0.0))
+    shift = data.draw(st.just(0.0) | st.floats(-0.99, 0.99))
+    m = a.mass() + shift * (reach_up if shift > 0.0 else reach_down)
+
+    projected = project(a, gd, eta, m, alpha, beta)
+    if not moving.any():
+        assert projected is None
+        return
+    out, gamma = projected
+    assert np.all((out.values >= alpha) & (out.values <= beta))
+    # gamma is one float, and each of its ulps moves the mass by the integral of
+    # eta over the inner cells: no gamma hits m closer than a few of those
+    inner = moving & (out.values > alpha) & (out.values < beta)
+    gamma_ulp_mass = integrate_cells(g, np.where(inner, eta, 0.0)) * np.spacing(abs(gamma))
+    assert abs(out.mass() - m) <= 1e-13 * m + 8.0 * gamma_ulp_mass
+    assert np.array_equal(out.values[~moving], values[~moving])
+    unclamped = values + eta * (gd - gamma)
+    if np.all((unclamped >= alpha) & (unclamped <= beta)):
+        expected = ((a.mass() - m) + integrate_cells(g, eta * gd)) / integrate_cells(g, eta)
+        assert gamma == pytest.approx(expected, rel=1e-12)
 
 
 def test_penalized_descent_derivative_identity():
@@ -98,7 +157,7 @@ def test_penalized_descent_derivative_identity():
 
     gd = gradient_density(sols, kind)
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
-    gamma = multiplier_gamma(a, gd, eta, a.mass())
+    _, gamma = project(a, gd, eta, a.mass(), 1.0, 2.0)
     direction = eta * (gd - gamma)
     expected_rate = -integrate_cells(g, eta * (gd - gamma) ** 2)
     assert expected_rate <= 0.0
@@ -155,7 +214,7 @@ def test_update_conserves_mass_under_clamping():
     a_new, _, eps_acc = update(a, gd, cfg, lambda f: -1.0, 0.0)
     assert eps_acc > 0.0
     assert np.all(a_new.values >= cfg.alpha) and np.all(a_new.values <= cfg.beta)
-    assert abs(a_new.mass() - m) <= 1e-10 * m
+    assert abs(a_new.mass() - m) <= 1e-13 * m
 
 
 def test_run_saturated_design_declares_convergence():
@@ -168,6 +227,17 @@ def test_run_saturated_design_declares_convergence():
     assert res.stop_reason == "converged"
     assert len(res.history) == 1
     assert np.array_equal(res.density.values, a0.values)
+
+
+@pytest.mark.parametrize("beta", [1e20, 1e40, 1e80, 1e150])
+def test_run_wide_bounds_converges(beta):
+    # the barrier is divided by the phase span, so the base step does not grow
+    # with beta and backtracking finds a decrease within MAX_HALVINGS
+    g = GridSpec(16, 16)
+    sset = make_deterministic(g, np.ones(g.n_cells))
+    res = run(OptimizerConfig(alpha=1.0, beta=beta, mass=1.5), sset, Objective.COMPLIANCE)
+    assert res.stop_reason == "converged"
+    assert res.history[-1].cost == pytest.approx(0.019674633, rel=1e-7)
 
 
 def test_run_zero_load_stagnates_immediately():

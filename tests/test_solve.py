@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stodesign.solve as solve_module
-from stodesign.fem import DensityField, GridSpec, cell_centers, sample_cells
+from stodesign.fem import DensityField, GridSpec, cell_centers
 from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot
 from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import (
@@ -18,6 +18,8 @@ from stodesign.scenarios import (
     make_deterministic,
 )
 from stodesign.solve import solve_state
+
+from oracles import boundary_node_ids, sample_cells
 
 
 def _center_node(g: GridSpec) -> int:
@@ -61,8 +63,6 @@ def test_zero_load_zero_solution():
 
 
 def test_boundary_values_exactly_zero():
-    from stodesign.fem import boundary_node_ids
-
     g = GridSpec(16, 16)
     sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
     for sol in sols:
