@@ -1,7 +1,12 @@
-"""Jacobi-preconditioned conjugate gradient solver for sparse SPD systems."""
+"""Preconditioned conjugate gradient solver for sparse SPD systems.
+
+The state solves pass the multigrid V-cycle of `stodesign.mg` as the
+preconditioner; without one, this is plain CG.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -31,8 +36,9 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
+    M: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Solve K x = b with Jacobi-preconditioned conjugate gradients.
+    """Solve K x = b with preconditioned conjugate gradients.
 
     Args:
         K: SPD system matrix.
@@ -40,6 +46,8 @@ def cg_solve(
         tol: relative tolerance on the true residual, ||Kx - b|| <= tol*||b||.
         max_iter: iteration cap, defaults to 20*n.
         x0: optional starting guess (zero if omitted).
+        M: SPD preconditioner r -> z, an approximation of K^-1 r; the
+            identity if omitted.
 
     Returns:
         (x, SolveReport). A non-converged solve returns the last iterate with
@@ -68,14 +76,12 @@ def cg_solve(
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    diag = K.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("matrix diagonal must be strictly positive for Jacobi CG")
-    inv_diag = 1.0 / diag
+    if M is None:
+        M = np.copy
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - (K @ x)
-    z = inv_diag * r
+    z = M(r)
     p = z.copy()
     rz = float(r @ z)
 
@@ -90,7 +96,7 @@ def cg_solve(
         alpha = rz / float(p @ Kp)
         x += alpha * p
         r -= alpha * Kp
-        z = inv_diag * r
+        z = M(r)
         rz_new = float(r @ z)
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol * b_norm:

@@ -206,10 +206,21 @@ def assemble_stiffness(a: DensityField) -> sparse.csr_matrix:
     if not np.all((a.values > 0.0) & (a.values < np.inf)):
         raise ValueError("coefficient values must be finite and strictly positive")
     grid = a.grid
-    keep, slot, indices, indptr = _stiffness_pattern(grid)
     kref = reference_stiffness(grid.hx, grid.hy)
-    vals = (a.values[:, None] * kref.ravel()).ravel()[keep]
-    data = np.bincount(slot, weights=vals, minlength=len(indices))
+    return assemble_elements(grid, kref.ravel(), a.values[:, None])
+
+
+def assemble_elements(
+    grid: GridSpec, elements: np.ndarray, scale: np.ndarray | float = 1.0
+) -> sparse.csr_matrix:
+    """Sum the element matrices scale * elements into the interior CSR pattern.
+
+    `elements` holds row-major 4x4 matrices, one per cell (n_cells, 16) or one
+    for every cell (16,). The product is formed only after the pattern is
+    fetched, which on a grid's first assembly is the peak of its memory use.
+    """
+    keep, slot, indices, indptr = _stiffness_pattern(grid)
+    data = np.bincount(slot, weights=(scale * elements).ravel()[keep], minlength=len(indices))
     n = grid.n_interior
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 

@@ -165,25 +165,31 @@ def update(
     cfg: OptimizerConfig,
     evaluate: Callable[[DensityField], float],
     current_value: float,
+    first: tuple[DensityField, float] | None = None,
 ) -> tuple[DensityField, float, float]:
     """One backtracked descent step.
 
     `evaluate` must return the merit value of a trial density (it is expected
     to run the scenario solves; an infinite value rejects the trial). Halves the step scale up to MAX_HALVINGS
-    times until the merit strictly decreases. Returns (new density, multiplier
+    times until the merit strictly decreases. `first`, when given, is the
+    first trial and its multiplier: `project` at the base step scale, which
+    the caller has already computed. Returns (new density, multiplier
     used, accepted eps); accepted eps 0.0 signals stagnation, with the
     original density returned unchanged.
     """
     gamma = cfg.gamma_pen if not cfg.constrained else 0.0
     for halving in range(MAX_HALVINGS + 1):
         eps_try = cfg.eps * 0.5**halving
-        eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
-        if cfg.constrained:
+        if halving == 0 and first is not None:
+            trial, gamma = first
+        elif cfg.constrained:
+            eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
             projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
             if projected is None:
                 break  # nothing can move at this scale or below
             trial, gamma = projected
         else:
+            eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
             trial = DensityField(a.grid, np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta))
         if evaluate(trial) < current_value:
             return trial, gamma, eps_try
@@ -243,7 +249,7 @@ def run(
     for k in range(cfg.max_iters + 1):
         g = gradient_density(sols, kind)
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
-        saturated, gamma = False, cfg.gamma_pen
+        saturated, gamma, projected = False, cfg.gamma_pen, None
         if cfg.constrained:
             projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
             saturated = projected is None
@@ -259,7 +265,7 @@ def run(
             stop_reason = "converged"  # every cell sits at a bound: nothing can move
         else:
             warm = [s.u.interior() for s in sols]
-            a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now)
+            a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"
             else:

@@ -1,7 +1,8 @@
 """State solves per scenario.
 
-The stiffness matrix depends only on the coefficient field, so it is
-assembled once and reused across scenarios. The state map is linear, so only
+The stiffness matrix depends only on the coefficient field, so it and its
+multigrid hierarchy (`stodesign.mg.VCycle`, the CG preconditioner) are built
+once per call and shared by all scenarios. The state map is linear, so only
 linearly independent loads need a CG solve from the caller's warm start; a
 load within the solver tolerance of the span of earlier loads starts from the
 same combination of their states, which CG then certifies in zero or a few
@@ -24,6 +25,7 @@ from .fem import (
     assemble_stiffness,
     cell_grad_dot,
 )
+from .mg import VCycle
 from .scenarios import ScenarioSet, validate
 
 
@@ -71,6 +73,7 @@ def solve_state(
         )
 
     K = assemble_stiffness(a)
+    M = VCycle(a, K)
     n = K.shape[0]
     # Rows of Q: orthonormal basis of the independent loads so far (incremental
     # Gram-Schmidt, reorthogonalized once). Rows of Y: the matching
@@ -92,7 +95,7 @@ def solve_state(
             x0 = h @ Y
         else:
             x0 = warm_starts[k] if warm_starts is not None else None
-        x, report = cg_solve(K, b, tol=tol, x0=x0)
+        x, report = cg_solve(K, b, tol=tol, x0=x0, M=M)
         if not report.converged:
             raise RuntimeError(
                 f"CG did not converge for scenario {k} "

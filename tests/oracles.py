@@ -2,7 +2,9 @@
 
 `expected_decomposition_check` re-solves the state equation under the mean
 load and each perturbation alone; `loop_optimality_residual` is the per-cell
-reference form of `stodesign.gclosure.optimality_residual`. The sampling,
+reference form of `stodesign.gclosure.optimality_residual`;
+`prolongation_oracle` builds the multigrid prolongations from hat functions,
+so that P^T A P checks the element-wise coarse operators. The sampling,
 error-norm, boundary, tensor and log-reading helpers below them are used only
 by the tests.
 """
@@ -10,6 +12,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from stodesign.cg import cg_solve
 from stodesign.fem import (
@@ -126,6 +129,34 @@ def loop_optimality_residual(
             num += w * float(np.hypot(err[0], err[1]))
         residual[c] = num / (norm_sum + floor)
     return residual
+
+
+def _hat_prolongation(n: int) -> np.ndarray:
+    """Interior-to-interior linear interpolation along a direction of n cells.
+
+    A direction of more than 8 cells keeps the even fine nodes, plus node n
+    when n is odd; one of at most 8 cells is not coarsened. Column k - 1 is the
+    hat function of coarse node k, sampled at the interior fine nodes.
+    """
+    coarse = list(range(n + 1)) if n <= 8 else sorted(set(range(0, n + 1, 2)) | {n})
+    P = np.zeros((n - 1, len(coarse) - 2))
+    for k in range(1, len(coarse) - 1):
+        left, mid, right = coarse[k - 1], coarse[k], coarse[k + 1]
+        for f in range(left + 1, right):
+            P[f - 1, k - 1] = (f - left) / (mid - left) if f <= mid else (right - f) / (right - mid)
+    return P
+
+
+def prolongation_oracle(grid: GridSpec) -> list[sparse.csr_matrix]:
+    """P = kron(P1y, P1x) of each coarsening step, finest first, until both
+    directions have at most 8 cells."""
+    steps = []
+    nx, ny = grid.nx, grid.ny
+    while nx > 8 or ny > 8:
+        P1x, P1y = _hat_prolongation(nx), _hat_prolongation(ny)
+        steps.append(sparse.kron(sparse.csr_matrix(P1y), sparse.csr_matrix(P1x), format="csr"))
+        nx, ny = P1x.shape[1] + 1, P1y.shape[1] + 1
+    return steps
 
 
 def boundary_node_ids(grid: GridSpec) -> np.ndarray:

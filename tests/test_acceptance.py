@@ -274,6 +274,30 @@ def test_criterion_10_stationarity_decrease(reference_runs):
     _report(10, f"stationarity {first:.3e} -> {final:.3e}, reduction {ratio:.1e} >= 1e3")
 
 
+def test_criterion_11_mesh_convergence():
+    # compliance b^T x of a unit load on a fixed smooth coefficient: Q1 energy
+    # converges at order 2, so successive differences shrink by 4
+    start = time.perf_counter()
+    costs = []
+    for n in (64, 128, 256, 512):
+        g = GridSpec(n, n)
+        a = DensityField(
+            g, sample_cells(g, lambda x, y: 1.5 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
+        )
+        sols = solve_state(a, make_deterministic(g, np.ones(g.n_cells)))
+        costs.append(cost(a, sols, Objective.COMPLIANCE))
+    c = np.array(costs)
+    orders = np.log2((c[:-2] - c[1:-1]) / (c[1:-1] - c[2:]))
+    elapsed = time.perf_counter() - start
+    assert np.all((1.9 <= orders) & (orders <= 2.1))
+    _report(
+        11,
+        "compliance "
+        + ", ".join(f"c({n})={v:.10f}" for n, v in zip((64, 128, 256, 512), costs))
+        + f"; observed order {orders[0]:.4f}, {orders[1]:.4f} in [1.9, 2.1] ({elapsed:.2f}s)",
+    )
+
+
 def test_residual_matches_loop_oracle_on_reference_designs(reference_runs):
     _, results = reference_runs
     worst = 0.0

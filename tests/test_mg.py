@@ -1,0 +1,105 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import stodesign
+from stodesign.cg import cg_solve
+from stodesign.fem import DensityField, GridSpec, assemble_load, assemble_stiffness
+from stodesign.mg import VCycle, coarsenings
+from stodesign.scenarios import make_case1
+
+from oracles import prolongation_oracle
+
+
+def _density(g: GridSpec, kind: str, seed: int = 0) -> DensityField:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
+    return DensityField(g, rng.choice([1.0, 2.0], g.n_cells))  # bang-bang
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (9, 9), (37, 23), (64, 8)])
+def test_coarse_operators_are_galerkin(nx, ny):
+    g = GridSpec(nx, ny)
+    a = _density(g, "random")
+    K = assemble_stiffness(a)
+    M = VCycle(a, K)
+    oracle = prolongation_oracle(g)
+    assert len(M.operators) == len(oracle) + 1
+    A = K
+    for P, step, coarse in zip(oracle, coarsenings(g), M.operators[1:]):
+        assert (P != step.P).nnz == 0
+        A = (P.T @ A @ P).tocsr()
+        assert coarse.shape == A.shape
+        assert abs(coarse - A).max() <= 1e-13 * abs(A).max()
+    assert max(M.operators[-1].shape) <= 7 * 7
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (256, 96)])
+@pytest.mark.parametrize("kind", ["random", "bang-bang"])
+def test_v_cycle_is_symmetric_positive_definite(nx, ny, kind):
+    g = GridSpec(nx, ny)
+    a = _density(g, kind)
+    M = VCycle(a, assemble_stiffness(a))
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, g.n_interior))
+        x_in = x.copy()
+        Mx, My = M(x), M(y)
+        assert np.array_equal(x, x_in)
+        assert abs(Mx @ y - x @ My) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+        assert Mx @ x > 0.0
+
+
+@pytest.mark.parametrize(
+    "nx, ny, cap",
+    [
+        (64, 64, 12),
+        (256, 256, 12),
+        (256, 96, 30),
+        (37, 23, 100),
+        (255, 255, 100),
+        (257, 257, 100),
+        (256, 32, 100),
+        (1024, 8, 100),
+        (8, 1024, 100),
+    ],
+)
+@pytest.mark.parametrize("kind", ["random", "bang-bang"])
+def test_cold_solve_iteration_caps(nx, ny, cap, kind):
+    g = GridSpec(nx, ny)
+    a = _density(g, kind)
+    K = assemble_stiffness(a)
+    sset = make_case1(g)
+    b = assemble_load(g, sset.f + sset.scenarios[0].xi)
+    tol = 1e-10
+    x, report = cg_solve(K, b, tol=tol, M=VCycle(a, K))
+    assert report.converged
+    assert report.iterations <= cap
+    assert np.linalg.norm(K @ x - b) <= tol * np.linalg.norm(b)
+
+
+def test_solves_import_no_dense_or_sparse_linalg():
+    # importing scipy.linalg alone adds several MB of resident memory
+    code = """
+import sys
+import stodesign
+from stodesign.objective import Objective
+from stodesign.scenarios import make_case1
+g = stodesign.GridSpec(37, 23)
+stodesign.solve_state(stodesign.DensityField.constant(g, 1.5), make_case1(g))
+stodesign.run(stodesign.OptimizerConfig(max_iters=2), make_case1(g), Objective.COMPLIANCE)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]
+             or m.split(".")[:3] == ["scipy", "sparse", "linalg"]))
+"""
+    src = str(Path(stodesign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -360,11 +360,11 @@ def test_trial_cg_failure_rejects_only_that_trial(monkeypatch):
     sset = make_case1(g)
     starts = []
 
-    def first_trial_fails(K, b, tol, x0=None):
+    def first_trial_fails(K, b, tol, x0=None, M=None):
         starts.append(x0)
         if len(starts) == len(sset.scenarios) + 1:  # first solve of the first trial
             return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
-        return cg_solve(K, b, tol=tol, x0=x0)
+        return cg_solve(K, b, tol=tol, x0=x0, M=M)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", first_trial_fails)
     cfg = OptimizerConfig(eps1=1e-5)
@@ -377,7 +377,7 @@ def test_trial_cg_failure_rejects_only_that_trial(monkeypatch):
 def test_initial_cg_failure_aborts_run(monkeypatch):
     from stodesign.cg import SolveReport
 
-    def stalled(K, b, tol, x0=None):
+    def stalled(K, b, tol, x0=None, M=None):
         return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
