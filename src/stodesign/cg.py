@@ -54,6 +54,10 @@ def cg_solve(
         converged=False; the caller decides how to proceed. A residual norm
         that is not finite ends the solve at once, not converged.
 
+    M is applied only to a residual that fails the tolerance test, once per
+    iteration: a solve of `iterations` steps applies it that many times, and
+    an x0 that already meets tol costs no application at all.
+
     Raises ValueError for a non-positive tol, or a b or x0 that is not a
     finite vector of length n.
     """
@@ -81,30 +85,20 @@ def cg_solve(
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - (K @ x)
-    z = M(r)
-    p = z.copy()
-    rz = float(r @ z)
-
     r_norm = float(np.linalg.norm(r))
-    converged = r_norm <= tol * b_norm
-    if converged or not np.isfinite(r_norm):
-        return x, SolveReport(0, r_norm / b_norm, converged)
-
+    p = rz = None
     it = 0
-    for it in range(1, max_iter + 1):
+    # the preconditioner runs only on a residual that failed the test
+    while r_norm > tol * b_norm and np.isfinite(r_norm) and it < max_iter:
+        z = M(r)
+        rz_new = float(r @ z)
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Kp = K @ p
         alpha = rz / float(p @ Kp)
         x += alpha * p
         r -= alpha * Kp
-        z = M(r)
-        rz_new = float(r @ z)
         r_norm = float(np.linalg.norm(r))
-        if r_norm <= tol * b_norm:
-            converged = True
-            break
-        if not np.isfinite(r_norm):
-            break
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        it += 1
 
-    return x, SolveReport(it, r_norm / b_norm, converged)
+    return x, SolveReport(it, r_norm / b_norm, r_norm <= tol * b_norm)

@@ -169,60 +169,87 @@ def reference_stiffness(hx: float, hy: float) -> np.ndarray:
     return K
 
 
-@lru_cache(maxsize=64)
-def _stiffness_pattern(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR structure of the interior stiffness matrix, built once per grid.
+def _pattern(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR structure of the interior stiffness matrix and where its entries come from.
 
-    Returns (keep, slot, indices, indptr): the flat (cell, 4x4 entry) positions
-    coupling two interior nodes, the CSR nonzero each one adds into, and the
-    CSR column indices and row pointers. Raises if the pattern is not
-    symmetric.
+    Returns (entries, starts, indices, indptr). `entries` are the flat
+    (cell * 16 + 4x4 entry) positions of the element entries that couple two
+    interior nodes, grouped by the CSR nonzero they add into, in cell order
+    within each group: nonzero s sums entries[starts[s]:starts[s + 1]].
+    `indices` and `indptr` are the CSR column indices and row pointers.
+    Raises if the pattern is not symmetric.
     """
-    cells = cell_node_ids(grid)
-    imap = _interior_index_map(grid)
-    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-    rows = imap[cells[:, li.ravel()]].ravel()
-    cols = imap[cells[:, lj.ravel()]].ravel()
-    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-
     n = grid.n_interior
-    nonzeros, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    corners = _interior_index_map(grid)[cell_node_ids(grid)]  # -1 on the boundary
+    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    rows, cols = corners[:, li.ravel()].ravel(), corners[:, lj.ravel()].ravel()
+    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys = rows[entries] * n + cols[entries]
+    del rows, cols  # freed before the sort, the peak of a grid's first assembly
+    order = np.argsort(keys, kind="stable")
+    entries, keys = entries[order], keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1, append=n * n))
+    nonzeros = keys[starts[:-1]]
     indices = nonzeros % n
     indptr = np.searchsorted(nonzeros // n, np.arange(n + 1))
     if not np.array_equal(np.sort(indices * n + nonzeros // n), nonzeros):
         raise ValueError("stiffness pattern is not symmetric")
-    for arr in (keep, slot, indices, indptr):
+    # scipy's own index type for this size, so that no matrix copies them
+    index = np.int32 if len(nonzeros) <= np.iinfo(np.int32).max else np.int64
+    return entries, starts, indices.astype(index), indptr.astype(index)
+
+
+@lru_cache(maxsize=128)
+def _assembly_map(
+    grid: GridSpec, per_cell: bool
+) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """(S, indices, indptr) with the stiffness nonzeros K.data = S @ x, built once per grid.
+
+    S has one row per CSR nonzero of the interior stiffness matrix; row s
+    holds the `_pattern` entries that nonzero s sums, in cell order, so the
+    matrix-vector product sums them exactly as adding the element matrices
+    cell by cell does. With `per_cell`, x is one coefficient per cell and S
+    holds the unit-coefficient element entries kref; otherwise x is the
+    (n_cells, 16) element matrices flattened and S holds ones. The pattern's
+    own arrays are not kept.
+    """
+    entries, starts, indices, indptr = _pattern(grid)
+    if per_cell:
+        kref = reference_stiffness(grid.hx, grid.hy).ravel()
+        values, columns, width = kref[entries % 16], entries // 16, grid.n_cells
+    else:
+        values, columns, width = np.ones(len(entries)), entries, 16 * grid.n_cells
+    S = sparse.csr_matrix((values, columns, starts), shape=(len(indices), width))
+    for arr in (S.data, S.indices, S.indptr, indices, indptr):
         arr.flags.writeable = False
-    return keep, slot, indices, indptr
+    return S, indices, indptr
 
 
 def assemble_stiffness(a: DensityField) -> sparse.csr_matrix:
     """Assemble the interior-node stiffness matrix of -div(a grad u).
 
     The coefficient is held constant per cell; boundary rows and columns are
-    eliminated (homogeneous Dirichlet). Duplicate element entries are summed
-    in cell order into the per-grid CSR pattern.
+    eliminated (homogeneous Dirichlet). The nonzeros are one sparse product
+    S @ a with the per-grid assembly map S (`_assembly_map`), which sums each
+    nonzero's element entries a_c * kref in cell order.
     """
     if not np.all((a.values > 0.0) & (a.values < np.inf)):
         raise ValueError("coefficient values must be finite and strictly positive")
     grid = a.grid
-    kref = reference_stiffness(grid.hx, grid.hy)
-    return assemble_elements(grid, kref.ravel(), a.values[:, None])
-
-
-def assemble_elements(
-    grid: GridSpec, elements: np.ndarray, scale: np.ndarray | float = 1.0
-) -> sparse.csr_matrix:
-    """Sum the element matrices scale * elements into the interior CSR pattern.
-
-    `elements` holds row-major 4x4 matrices, one per cell (n_cells, 16) or one
-    for every cell (16,). The product is formed only after the pattern is
-    fetched, which on a grid's first assembly is the peak of its memory use.
-    """
-    keep, slot, indices, indptr = _stiffness_pattern(grid)
-    data = np.bincount(slot, weights=(scale * elements).ravel()[keep], minlength=len(indices))
+    S, indices, indptr = _assembly_map(grid, per_cell=True)
     n = grid.n_interior
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return sparse.csr_matrix((S @ a.values, indices, indptr), shape=(n, n))
+
+
+def assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.csr_matrix:
+    """Sum per-cell element matrices into the interior CSR pattern.
+
+    `elements` holds one row-major 4x4 matrix per cell, (n_cells, 16).
+    Duplicate entries are summed in cell order.
+    """
+    S, indices, indptr = _assembly_map(grid, per_cell=False)
+    n = grid.n_interior
+    return sparse.csr_matrix((S @ elements.ravel(), indices, indptr), shape=(n, n))
 
 
 def assemble_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
@@ -267,7 +294,7 @@ def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
     kref = reference_stiffness(grid.hx, grid.hy)
     cu = u.values[cell_node_ids(grid)]
     cp = p.values[cell_node_ids(grid)]
-    return np.einsum("ci,ij,cj->c", cu, kref, cp) / grid.cell_area
+    return np.einsum("ci,ci->c", cu @ kref, cp) / grid.cell_area
 
 
 def cell_averages(u: NodalField) -> np.ndarray:

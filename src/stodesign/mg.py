@@ -14,8 +14,10 @@ coarse element matrix of a cell is sum over its children of R^T E R, with E
 the child's element matrix and R the interpolation from the coarse cell's
 corners to the child's, and the coarse elements are summed into the coarse
 grid's stiffness pattern. Everything that depends only on the grid (level
-sizes, child maps, P) is built once per grid; the operators, the Jacobi
-weights and the coarsest inverse once per assembly.
+sizes, child tables, the stacked T = kron(R, R), P and P^T) is built once per
+grid; per assembly each level is one gather of the children's element
+matrices and one matrix product with the stacked T, then the operators, the
+Jacobi weights and the coarsest inverse.
 """
 from __future__ import annotations
 
@@ -44,15 +46,22 @@ class Coarsening:
 
     `coarse` carries the coarse cell counts (its spacing is nominal: the last
     cell of an odd direction is half as wide). `P` prolongs coarse interior
-    values to fine interior ones. Each group is (T, fine cells, coarse cells):
-    the children that sit at the same position in their parent, with
-    T = kron(R, R), so that a fine element matrix flattened row-major, times
-    T, is R^T E R flattened.
+    values to fine interior ones and `PT` is its transpose, both CSR. A child
+    position is where a fine cell sits in its parent (whole, or one of two
+    halves, per direction). `children[c, q]` is the fine cell at position q
+    of coarse cell c, or the fine cell count when there is none, an index
+    that points one row past the fine elements, at an appended zero row.
+    `T[q]` = kron(R, R) for the interpolation R of position q, so that the
+    children's element matrices flattened row-major and laid side by side,
+    times T stacked to (positions * 16, 16), are the coarse element matrix
+    sum_q R^T E R flattened.
     """
 
     coarse: GridSpec
     P: sparse.csr_matrix
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    PT: sparse.csr_matrix
+    children: np.ndarray
+    T: np.ndarray
 
 
 def _coarse_nodes(n: int) -> np.ndarray:
@@ -95,15 +104,18 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
     while grid.nx > COARSEST or grid.ny > COARSEST:
         xn, yn = _coarse_nodes(grid.nx), _coarse_nodes(grid.ny)
         coarse = GridSpec(len(xn) - 1, len(yn) - 1, grid.x0, grid.y0, grid.x1, grid.y1)
-        groups = []
-        for Rx, fx, cx in _children_1d(xn):
-            for Ry, fy, cy in _children_1d(yn):
-                R = Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)]
-                fine = (fy[:, None] * grid.nx + fx).ravel()
-                parent = (cy[:, None] * coarse.nx + cx).ravel()
-                groups.append((np.kron(R, R), fine, parent))
+        pairs = [(x, y) for x in _children_1d(xn) for y in _children_1d(yn)]
+        children = np.full((coarse.n_cells, len(pairs)), grid.n_cells)
+        T = np.empty((len(pairs), 16, 16))
+        for q, ((Rx, fx, cx), (Ry, fy, cy)) in enumerate(pairs):
+            R = Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)]
+            parent = (cy[:, None] * coarse.nx + cx).ravel()
+            children[parent, q] = (fy[:, None] * grid.nx + fx).ravel()
+            T[q] = np.kron(R, R)
         P = sparse.kron(_prolongation_1d(yn), _prolongation_1d(xn), format="csr")
-        steps.append(Coarsening(coarse, P, tuple(groups)))
+        for arr in (children, T):
+            arr.flags.writeable = False
+        steps.append(Coarsening(coarse, P, P.T.tocsr(), children, T))
         grid = coarse
     return tuple(steps)
 
@@ -128,20 +140,20 @@ class VCycle:
 
     def __init__(self, a: DensityField, K: sparse.csr_matrix):
         grid = a.grid
-        kref = reference_stiffness(grid.hx, grid.hy).ravel()
+        self.steps = coarsenings(grid)
         self.operators = [K]
-        self.prolongations = []  # (P, P^T) from each level to the next finer one
-        elements = None  # finest level: the element matrix of cell c is a_c * kref
-        for step in coarsenings(grid):
-            coarse = np.zeros((step.coarse.n_cells, 16))
-            for T, fine, parent in step.groups:
-                if elements is None:
-                    coarse[parent] += np.outer(a.values[fine], kref @ T)
-                else:
-                    coarse[parent] += elements[fine] @ T
+        # each level's element matrices with the zero row the child tables
+        # point absent children to; on the finest level the element matrix of
+        # cell c is a_c * kref, so a_c stands in for it and kref joins T
+        elements = np.append(a.values, 0.0)[:, None]
+        kref = reference_stiffness(grid.hx, grid.hy).ravel()
+        for level, step in enumerate(self.steps):
+            T = step.T.reshape(-1, 16) if level else kref @ step.T
+            n = step.coarse.n_cells
+            coarse = np.zeros((n + 1, 16))
+            np.matmul(elements[step.children].reshape(n, -1), T, out=coarse[:n])
             elements = coarse
-            self.operators.append(assemble_elements(step.coarse, coarse))
-            self.prolongations.append((step.P, step.P.T))
+            self.operators.append(assemble_elements(step.coarse, coarse[:n]))
         self.weights = [_jacobi_weights(A) for A in self.operators[:-1]]
         inverse = np.linalg.inv(self.operators[-1].toarray())
         self.coarsest_inverse = 0.5 * (inverse + inverse.T)
@@ -153,7 +165,7 @@ class VCycle:
         if level == len(self.weights):
             return self.coarsest_inverse @ b
         A, w = self.operators[level], self.weights[level]
-        P, PT = self.prolongations[level]
+        P, PT = self.steps[level].P, self.steps[level].PT
         x = w * b
         for _ in range(SWEEPS - 1):
             x += w * (b - A @ x)

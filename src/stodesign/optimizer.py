@@ -212,6 +212,10 @@ def run(
     the mass term of the penalized functional is constant on the mass manifold
     the iterates stay on, so the recorded penalized cost equals the cost. In
     penalized mode the merit is cost + gamma_pen * mass.
+
+    Raises ArithmeticError, naming the iterate and beta/alpha, when the
+    gradient density or the stationarity of an iterate is not finite, as a
+    tiny alpha makes them on the energy kind.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -242,19 +246,31 @@ def run(
             return np.inf  # CG failed on this trial: reject it, the step is halved
         return trial[2]
 
+    def require_finite(name: str, value: np.ndarray | float, k: int) -> None:
+        """Stop with an error where a tiny alpha overflows the gradient arithmetic."""
+        if not np.all(np.isfinite(value)):
+            raise ArithmeticError(
+                f"{name} is not finite at iterate {k}: the phase contrast "
+                f"beta/alpha = {cfg.beta / cfg.alpha:.3g} overflows the arithmetic"
+            )
+
     sols, cost_now, merit_now = trial = solve(a)
     merit_scale = abs(merit_now)
     history: list[ConvergenceRecord] = []
     converged = False
     for k in range(cfg.max_iters + 1):
-        g = gradient_density(sols, kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = gradient_density(sols, kind)
+        require_finite("the gradient density", g, k)
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
         saturated, gamma, projected = False, cfg.gamma_pen, None
         if cfg.constrained:
             projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
             saturated = projected is None
             gamma = 0.0 if saturated else projected[1]
-        stationarity = integrate_cells(grid, eta * (g - gamma) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stationarity = integrate_cells(grid, eta * (g - gamma) ** 2)
+        require_finite("the stationarity", stationarity, k)
 
         step_eps, stop_reason = 0.0, None
         if converged:

@@ -4,9 +4,11 @@
 load and each perturbation alone; `loop_optimality_residual` is the per-cell
 reference form of `stodesign.gclosure.optimality_residual`;
 `prolongation_oracle` builds the multigrid prolongations from hat functions,
-so that P^T A P checks the element-wise coarse operators. The sampling,
-error-norm, boundary, tensor and log-reading helpers below them are used only
-by the tests.
+so that P^T A P checks the element-wise coarse operators. `eager_pcg`,
+`bincount_stiffness` and `einsum_grad_dot` are the earlier forms of the state
+solve's kernels, which the library's must match. The sampling, error-norm,
+boundary, tensor and log-reading helpers below them are used only by the
+tests.
 """
 from pathlib import Path
 from typing import Callable
@@ -14,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from stodesign.cg import cg_solve
+from stodesign.cg import SolveReport, cg_solve
 from stodesign.fem import (
     _ETA,
     _GAUSS,
@@ -29,6 +31,7 @@ from stodesign.fem import (
     cell_gradients,
     cell_node_ids,
     interior_node_ids,
+    reference_stiffness,
 )
 from stodesign.gclosure import (
     RESIDUAL_FLOOR,
@@ -157,6 +160,74 @@ def prolongation_oracle(grid: GridSpec) -> list[sparse.csr_matrix]:
         steps.append(sparse.kron(sparse.csr_matrix(P1y), sparse.csr_matrix(P1x), format="csr"))
         nx, ny = P1x.shape[1] + 1, P1y.shape[1] + 1
     return steps
+
+
+def eager_pcg(
+    K: sparse.csr_matrix,
+    b: np.ndarray,
+    tol: float,
+    max_iter: int,
+    M: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, SolveReport]:
+    """Preconditioned CG that applies M to every residual, also to the one
+    that passes the test, which it then throws away."""
+    b_norm = float(np.linalg.norm(b))
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
+    r = b - (K @ x)
+    z = M(r)
+    p = z.copy()
+    rz = float(r @ z)
+    r_norm = float(np.linalg.norm(r))
+    converged = r_norm <= tol * b_norm
+    if converged or not np.isfinite(r_norm):
+        return x, SolveReport(0, r_norm / b_norm, converged)
+    it = 0
+    for it in range(1, max_iter + 1):
+        Kp = K @ p
+        alpha = rz / float(p @ Kp)
+        x += alpha * p
+        r -= alpha * Kp
+        z = M(r)
+        rz_new = float(r @ z)
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol * b_norm:
+            converged = True
+            break
+        if not np.isfinite(r_norm):
+            break
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, SolveReport(it, r_norm / b_norm, converged)
+
+
+def bincount_stiffness(a: DensityField) -> sparse.csr_matrix:
+    """The stiffness matrix summed entry by entry: each element entry a_c * kref
+    that couples two interior nodes is added, in cell order, into its CSR
+    nonzero."""
+    grid = a.grid
+    imap = np.full(grid.n_nodes, -1)
+    imap[interior_node_ids(grid)] = np.arange(grid.n_interior)
+    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    rows = imap[cell_node_ids(grid)[:, li.ravel()]].ravel()
+    cols = imap[cell_node_ids(grid)[:, lj.ravel()]].ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    n = grid.n_interior
+    nonzeros, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    kref = reference_stiffness(grid.hx, grid.hy).ravel()
+    weights = (a.values[:, None] * kref).ravel()[keep]
+    data = np.bincount(slot, weights=weights, minlength=len(nonzeros))
+    indptr = np.searchsorted(nonzeros // n, np.arange(n + 1))
+    return sparse.csr_matrix((data, nonzeros % n, indptr), shape=(n, n))
+
+
+def einsum_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
+    """Per-cell u_c^T kref p_c / |cell| as one three-operand contraction."""
+    grid = u.grid
+    kref = reference_stiffness(grid.hx, grid.hy)
+    cu = u.values[cell_node_ids(grid)]
+    cp = p.values[cell_node_ids(grid)]
+    return np.einsum("ci,ij,cj->c", cu, kref, cp) / grid.cell_area
 
 
 def boundary_node_ids(grid: GridSpec) -> np.ndarray:

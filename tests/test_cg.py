@@ -4,6 +4,10 @@ from scipy import sparse
 
 from stodesign.cg import cg_solve
 from stodesign.fem import DensityField, GridSpec, assemble_load, assemble_stiffness
+from stodesign.mg import VCycle
+from stodesign.scenarios import make_case1
+
+from oracles import eager_pcg
 
 
 def _identity(n):
@@ -120,3 +124,51 @@ def test_non_finite_residual_stops_at_once():
     K = _NanAfter(assemble_stiffness(DensityField.constant(g, 1.0)), good=2)
     _, report = cg_solve(K, assemble_load(g, np.ones(g.n_cells)))
     assert (report.iterations, report.converged) == (2, False)
+
+
+class _Counted:
+    """Preconditioner stand-in that counts its applications."""
+
+    def __init__(self, M):
+        self.M, self.calls = M, 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.M(r)
+
+
+def _v_cycle_system(nx=37, ny=23):
+    g = GridSpec(nx, ny)
+    a = DensityField(g, np.random.default_rng(5).uniform(1.0, 2.0, g.n_cells))
+    K = assemble_stiffness(a)
+    sset = make_case1(g)
+    return K, assemble_load(g, sset.f + sset.scenarios[0].xi), VCycle(a, K)
+
+
+def test_preconditioner_runs_once_per_iteration():
+    K, b, M = _v_cycle_system()
+    for x0 in (None, np.full(K.shape[0], 0.01)):
+        spy = _Counted(M)
+        x, report = cg_solve(K, b, tol=1e-10, x0=x0, M=spy)
+        assert report.converged and report.iterations > 1
+        assert spy.calls == report.iterations
+        # a start that already meets tol costs no application at all
+        spy = _Counted(M)
+        _, again = cg_solve(K, b, tol=1e-10, x0=x, M=spy)
+        assert (again.iterations, again.converged, spy.calls) == (0, True, 0)
+    spy = _Counted(M)
+    _, capped = cg_solve(K, b, max_iter=3, M=spy)
+    assert (capped.iterations, capped.converged, spy.calls) == (3, False, 3)
+
+
+def test_matches_eager_preconditioning_bitwise():
+    # applying M only to residuals that fail the test changes no number
+    K, b, M = _v_cycle_system()
+    x_cold, _ = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M)
+    warm = 0.9 * x_cold + 0.01
+    for x0 in (None, warm):
+        x, report = cg_solve(K, b, tol=1e-10, x0=x0, M=M)
+        x_ref, ref = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M, x0=x0)
+        assert np.array_equal(x, x_ref)
+        assert report == ref
+        assert report.converged and report.iterations > 1

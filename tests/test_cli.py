@@ -186,6 +186,25 @@ def test_subnormal_alpha_exits_one_before_any_solve(tmp_path, no_state_solve, ca
 
 
 @pytest.mark.parametrize(
+    "alpha, quantity", [("1e-100", "the stationarity"), ("1e-200", "the gradient density")]
+)
+def test_overflowing_phase_contrast_exits_one_with_a_clear_error(tmp_path, capsys, alpha, quantity):
+    # energy designs drive u and |grad u|^2 up like 1/alpha; past the float
+    # range the run must stop with an error line, not a RuntimeWarning
+    argv = ["run", "--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", alpha]
+    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"error: {quantity} is not finite at iterate \d+: the phase contrast", err)
+    assert f"beta/alpha = {2.0 / float(alpha):.3g}" in err
+
+
+def test_large_finite_phase_contrast_still_stagnates(tmp_path, capsys):
+    argv = ["run", "--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", "1e-20"]
+    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().out.startswith("stagnated:")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("1,2\n3\n", ":2: 1 values, but the first row has 2"),

@@ -16,7 +16,7 @@ from stodesign.fem import (
     reference_stiffness,
 )
 
-from oracles import l2_error, sample_cells, sample_nodes
+from oracles import bincount_stiffness, einsum_grad_dot, l2_error, sample_cells, sample_nodes
 
 
 def test_grid_counts():
@@ -102,6 +102,16 @@ def test_stiffness_bitwise_symmetric_and_matches_dense_assembly():
     inner = interior_node_ids(g)
     K = assemble_stiffness(DensityField(g, a)).toarray()
     assert np.max(np.abs(K - dense[np.ix_(inner, inner)])) <= 1e-15
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 4), (9, 7), (16, 16), (37, 23), (256, 96)])
+def test_stiffness_matches_entrywise_assembly_bitwise(nx, ny):
+    g = GridSpec(nx, ny)
+    a = DensityField(g, np.random.default_rng(nx * ny).uniform(0.5, 3.0, g.n_cells))
+    K, ref = assemble_stiffness(a), bincount_stiffness(a)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.array_equal(K.data, ref.data)
 
 
 def test_stiffness_positive_definite():
@@ -205,6 +215,16 @@ def test_cell_grad_dot_matches_stiffness_quadratic_form():
     direct = u.interior() @ (K @ u.interior())
     energy = float(a.values @ cell_grad_dot(u, u)) * g.cell_area
     assert energy == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 7), (37, 23), (64, 64)])
+def test_cell_grad_dot_matches_three_operand_contraction(nx, ny):
+    g = GridSpec(nx, ny, 0.0, 0.0, 2.0, 0.5)
+    rng = np.random.default_rng(nx + ny)
+    u, p = (NodalField(g, rng.standard_normal(g.n_nodes)) for _ in range(2))
+    for left, right in ((u, p), (u, u)):
+        ref = einsum_grad_dot(left, right)
+        assert np.max(np.abs(cell_grad_dot(left, right) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_field_size_validation():
