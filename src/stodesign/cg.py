@@ -31,7 +31,7 @@ def _require_finite(name: str, v: np.ndarray) -> None:
 
 
 def cg_solve(
-    K: sparse.csr_matrix,
+    K: sparse.spmatrix,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
@@ -41,7 +41,8 @@ def cg_solve(
     """Solve K x = b with preconditioned conjugate gradients.
 
     Args:
-        K: SPD system matrix.
+        K: SPD system matrix in any sparse format; only K @ x and K.shape
+            are used.
         b: right-hand side.
         tol: relative tolerance on the true residual, ||Kx - b|| <= tol*||b||.
         max_iter: iteration cap, defaults to 20*n.

@@ -134,15 +134,6 @@ def interior_node_ids(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _interior_index_map(grid: GridSpec) -> np.ndarray:
-    """Full node index -> interior index, -1 for boundary nodes."""
-    m = np.full(grid.n_nodes, -1, dtype=np.int64)
-    m[interior_node_ids(grid)] = np.arange(grid.n_interior)
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=64)
 def cell_centers(grid: GridSpec) -> np.ndarray:
     cx = grid.x0 + (np.arange(grid.nx) + 0.5) * grid.hx
     cy = grid.y0 + (np.arange(grid.ny) + 0.5) * grid.hy
@@ -169,87 +160,93 @@ def reference_stiffness(hx: float, hy: float) -> np.ndarray:
     return K
 
 
-def _pattern(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR structure of the interior stiffness matrix and where its entries come from.
+# The corner (SW, SE, NE, NW = 0..3) a node is of the cell at [sy, sx] from
+# it, above it when sy = 1 and right of it when sx = 1; `_CELLS` lists those
+# cells by increasing cell index.
+_NODE_CORNER = np.array([[2, 3], [1, 0]])
+_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    Returns (entries, starts, indices, indptr). `entries` are the flat
-    (cell * 16 + 4x4 entry) positions of the element entries that couple two
-    interior nodes, grouped by the CSR nonzero they add into, in cell order
-    within each group: nonzero s sums entries[starts[s]:starts[s + 1]].
-    `indices` and `indptr` are the CSR column indices and row pointers.
-    Raises if the pattern is not symmetric.
+
+@lru_cache(maxsize=64)
+def _offsets(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct diagonals of the 9-point stencil, m interior nodes
+    per row, and where[3*dy + dx + 4], the one of the neighbour dy*m + dx; for
+    m <= 2 some neighbours share a diagonal."""
+    k = np.arange(-1, 2)
+    offsets, where = np.unique((k[:, None] * m + k).ravel(), return_inverse=True)
+    offsets = offsets.astype(np.int32)  # scipy's index type: not copied per matrix
+    offsets.flags.writeable = where.flags.writeable = False
+    return offsets, where
+
+
+def _stencil(grid: GridSpec, terms) -> sparse.dia_matrix:
+    """Sum element matrices into the nine diagonals of the interior matrix.
+
+    Interior node (q, p) is column q*m + p, m = nx - 1. For each (sy, sx) of
+    `_CELLS` in turn, `terms` yields a (2, 2, ny - 1, m) array: [by, bx, q, p]
+    is the entry (row corner _NODE_CORNER[by, bx], column corner
+    _NODE_CORNER[sy, sx]) of the cell at (sy, sx) from node (q, p), which
+    couples it to the node dy = by - sy rows up and dx = bx - sx right. So each
+    entry is summed from zero in cell order, as adding the element matrices
+    cell by cell does. data[d, j] holds A[j - offsets[d], j]; a slot whose row
+    lies off the grid or wraps to another grid row is exactly 0.
     """
-    n = grid.n_interior
-    corners = _interior_index_map(grid)[cell_node_ids(grid)]  # -1 on the boundary
-    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-    rows, cols = corners[:, li.ravel()].ravel(), corners[:, lj.ravel()].ravel()
-    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
-    keys = rows[entries] * n + cols[entries]
-    del rows, cols  # freed before the sort, the peak of a grid's first assembly
-    order = np.argsort(keys, kind="stable")
-    entries, keys = entries[order], keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1, append=n * n))
-    nonzeros = keys[starts[:-1]]
-    indices = nonzeros % n
-    indptr = np.searchsorted(nonzeros // n, np.arange(n + 1))
-    if not np.array_equal(np.sort(indices * n + nonzeros // n), nonzeros):
-        raise ValueError("stiffness pattern is not symmetric")
-    # scipy's own index type for this size, so that no matrix copies them
-    index = np.int32 if len(nonzeros) <= np.iinfo(np.int32).max else np.int64
-    return entries, starts, indices.astype(index), indptr.astype(index)
+    m, r = grid.nx - 1, grid.ny - 1
+    data = np.zeros((3, 3, r, m))  # [dy + 1, dx + 1, q, p]
+    for (sy, sx), term in zip(_CELLS, terms):
+        data[1 - sy : 3 - sy, 1 - sx : 3 - sx] += term
+    # neighbours off the grid: these sums read cells the two nodes do not share
+    data[:, 0, :, -1] = data[:, 2, :, 0] = 0.0
+    data[0, :, -1, :] = data[2, :, 0, :] = 0.0
+    data = data.reshape(9, r * m)
+    offsets, where = _offsets(m)
+    if len(offsets) < 9:  # neighbours that share a diagonal fill disjoint slots
+        merged = np.zeros((len(offsets), r * m))
+        np.add.at(merged, where, data)
+        data = merged
+    return sparse.dia_matrix((data, offsets), shape=(r * m, r * m))
 
 
-@lru_cache(maxsize=128)
-def _assembly_map(
-    grid: GridSpec, per_cell: bool
-) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """(S, indices, indptr) with the stiffness nonzeros K.data = S @ x, built once per grid.
-
-    S has one row per CSR nonzero of the interior stiffness matrix; row s
-    holds the `_pattern` entries that nonzero s sums, in cell order, so the
-    matrix-vector product sums them exactly as adding the element matrices
-    cell by cell does. With `per_cell`, x is one coefficient per cell and S
-    holds the unit-coefficient element entries kref; otherwise x is the
-    (n_cells, 16) element matrices flattened and S holds ones. The pattern's
-    own arrays are not kept.
-    """
-    entries, starts, indices, indptr = _pattern(grid)
-    if per_cell:
-        kref = reference_stiffness(grid.hx, grid.hy).ravel()
-        values, columns, width = kref[entries % 16], entries // 16, grid.n_cells
-    else:
-        values, columns, width = np.ones(len(entries)), entries, 16 * grid.n_cells
-    S = sparse.csr_matrix((values, columns, starts), shape=(len(indices), width))
-    for arr in (S.data, S.indices, S.indptr, indices, indptr):
-        arr.flags.writeable = False
-    return S, indices, indptr
+@lru_cache(maxsize=64)
+def _corner_blocks(hx: float, hy: float) -> np.ndarray:
+    """kref[_NODE_CORNER[by, bx], _NODE_CORNER[sy, sx]] at [sy, sx, by, bx, 0, 0]."""
+    blocks = reference_stiffness(hx, hy)[_NODE_CORNER, _NODE_CORNER[:, :, None, None]]
+    blocks.flags.writeable = False
+    return blocks[..., None, None]
 
 
-def assemble_stiffness(a: DensityField) -> sparse.csr_matrix:
+def assemble_stiffness(a: DensityField) -> sparse.dia_matrix:
     """Assemble the interior-node stiffness matrix of -div(a grad u).
 
     The coefficient is held constant per cell; boundary rows and columns are
-    eliminated (homogeneous Dirichlet). The nonzeros are one sparse product
-    S @ a with the per-grid assembly map S (`_assembly_map`), which sums each
-    nonzero's element entries a_c * kref in cell order.
+    eliminated (homogeneous Dirichlet). The result is a DIA matrix of the
+    stencil's nine diagonals (`_stencil`), filled from the cell array by
+    slicing; callers may treat it as any SPD sparse matrix.
     """
-    if not np.all((a.values > 0.0) & (a.values < np.inf)):
+    # a NaN makes min() NaN, which fails the test too
+    if not (a.values.min() > 0.0 and a.values.max() < np.inf):
         raise ValueError("coefficient values must be finite and strictly positive")
     grid = a.grid
-    S, indices, indptr = _assembly_map(grid, per_cell=True)
-    n = grid.n_interior
-    return sparse.csr_matrix((S @ a.values, indices, indptr), shape=(n, n))
+    m, r = grid.nx - 1, grid.ny - 1
+    cells = a.values.reshape(grid.ny, grid.nx)
+    # the cell at (sy, sx) from each node, one contiguous copy per (sy, sx)
+    windows = np.stack([cells[sy : sy + r, sx : sx + m] for sy, sx in _CELLS])
+    blocks = _corner_blocks(grid.hx, grid.hy)
+    return _stencil(grid, (blocks[c] * window for c, window in zip(_CELLS, windows)))
 
 
-def assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.csr_matrix:
-    """Sum per-cell element matrices into the interior CSR pattern.
-
-    `elements` holds one row-major 4x4 matrix per cell, (n_cells, 16).
-    Duplicate entries are summed in cell order.
-    """
-    S, indices, indptr = _assembly_map(grid, per_cell=False)
-    n = grid.n_interior
-    return sparse.csr_matrix((S @ elements.ravel(), indices, indptr), shape=(n, n))
+def assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.dia_matrix:
+    """Sum per-cell element matrices, (n_cells, 16) row-major, into a DIA
+    matrix of the interior stencil's nine diagonals (`_stencil`)."""
+    m, r = grid.nx - 1, grid.ny - 1
+    entries = elements.T.reshape(4, 4, grid.ny, grid.nx)  # [row, column, cell y, cell x]
+    return _stencil(
+        grid,
+        (
+            entries[_NODE_CORNER, _NODE_CORNER[sy, sx], sy : sy + r, sx : sx + m]
+            for sy, sx in _CELLS
+        ),
+    )
 
 
 def assemble_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:

@@ -13,11 +13,13 @@ The coarse operators are Galerkin, P^T A P, formed element by element: the
 coarse element matrix of a cell is sum over its children of R^T E R, with E
 the child's element matrix and R the interpolation from the coarse cell's
 corners to the child's, and the coarse elements are summed into the coarse
-grid's stiffness pattern. Everything that depends only on the grid (level
-sizes, child tables, the stacked T = kron(R, R), P and P^T) is built once per
-grid; per assembly each level is one gather of the children's element
-matrices and one matrix product with the stacked T, then the operators, the
-Jacobi weights and the coarsest inverse.
+grid's nine stencil diagonals, a DIA matrix like the fine one; the Jacobi
+weights and the coarsest dense matrix are read off those diagonals.
+Everything that depends only on the grid (level sizes, child tables, the
+stacked T = kron(R, R), P and P^T) is built once per grid; per assembly each
+level is one gather of the children's element matrices and one matrix
+product with the stacked T, then the operators, the Jacobi weights and the
+coarsest inverse.
 """
 from __future__ import annotations
 
@@ -120,25 +122,41 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
     return tuple(steps)
 
 
-def _jacobi_weights(A: sparse.csr_matrix) -> np.ndarray:
-    """omega / diag(A), with omega = 1 / the Gershgorin bound of D^-1 A.
+def _jacobi_weights(A: sparse.dia_matrix) -> np.ndarray:
+    """omega / diag(A), with omega = 1 / a Gershgorin bound of D^-1 A.
 
-    The bound is at least lambda_max(D^-1 A), so the sweep contracts in the A
-    norm and the cycle stays positive definite, on any cell aspect ratio.
+    The bound, the largest column sum of |A D^-1| (similar to D^-1 A), is at
+    least lambda_max(D^-1 A), so the sweep contracts in the A norm and the
+    cycle stays positive definite, on any cell aspect ratio. Column j of A is
+    data[:, j]: `stodesign.fem` leaves the slots outside the matrix at 0.
     """
-    diag = A.diagonal()
-    row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
-    return 1.0 / (diag * np.max(row_sums / diag))
+    diag = A.data[np.searchsorted(A.offsets, 0)]
+    return 1.0 / (diag * np.max(np.abs(A.data).sum(axis=0) / diag))
+
+
+def _dense(A: sparse.dia_matrix) -> np.ndarray:
+    """A as a C-ordered dense array, written one diagonal at a time."""
+    n = A.shape[0]
+    dense = np.zeros(n * n)
+    for offset, values in zip(A.offsets.tolist(), A.data):
+        start = max(0, offset)
+        stop = max(start, n + min(0, offset))
+        # A[j - offset, j] is flat entry j*(n + 1) - offset*n
+        flat = slice(start * (n + 1) - offset * n, stop * (n + 1) - offset * n, n + 1)
+        dense[flat] = values[start:stop]
+    return dense.reshape(n, n)
 
 
 class VCycle:
     """The V(2,2) preconditioner r -> z for the stiffness matrix K of `a`.
 
-    `operators[0]` is K itself; `operators[l + 1]` is the Galerkin operator
-    of `coarsenings(a.grid)[l].coarse`.
+    K is the DIA matrix of `stodesign.fem.assemble_stiffness`; the cycle
+    only multiplies by it, the weights and the coarsest matrix read its
+    diagonals. `operators[0]` is K itself; `operators[l + 1]` is the Galerkin
+    operator of `coarsenings(a.grid)[l].coarse`, in the same format.
     """
 
-    def __init__(self, a: DensityField, K: sparse.csr_matrix):
+    def __init__(self, a: DensityField, K: sparse.dia_matrix):
         grid = a.grid
         self.steps = coarsenings(grid)
         self.operators = [K]
@@ -155,7 +173,7 @@ class VCycle:
             elements = coarse
             self.operators.append(assemble_elements(step.coarse, coarse[:n]))
         self.weights = [_jacobi_weights(A) for A in self.operators[:-1]]
-        inverse = np.linalg.inv(self.operators[-1].toarray())
+        inverse = np.linalg.inv(_dense(self.operators[-1]))
         self.coarsest_inverse = 0.5 * (inverse + inverse.T)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

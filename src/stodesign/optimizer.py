@@ -21,6 +21,7 @@ from .scenarios import ScenarioSet
 from .solve import ScenarioSolution, solve_state
 
 MAX_HALVINGS = 30
+MASS_REL_TOL = 1e-10  # a constrained trial misses the mass target by at most this, relative
 SOLVE_TOL = 1e-10  # relative CG residual of every state solve
 
 
@@ -134,9 +135,12 @@ def project(
     moving = eta > 0.0
     if not moving.any():
         return None
-    # cells with eta = 0 get infinite kinks: they never clamp and carry no weight
-    to_beta = g - np.divide(beta - a.values, eta, out=np.full_like(eta, np.inf), where=moving)
-    to_alpha = g + np.divide(a.values - alpha, eta, out=np.full_like(eta, np.inf), where=moving)
+    # cells with eta = 0 get infinite kinks: they never clamp and carry no weight.
+    # A subnormal eta overflows a quotient to inf, the same answer: that cell
+    # cannot reach the bound at any finite gamma.
+    with np.errstate(over="ignore"):
+        to_beta = g - np.divide(beta - a.values, eta, out=np.full_like(eta, np.inf), where=moving)
+        to_alpha = g + np.divide(a.values - alpha, eta, out=np.full_like(eta, np.inf), where=moving)
     kinks = np.sort(np.concatenate([to_beta[moving], to_alpha[moving]]))
 
     def step(gamma: float) -> np.ndarray:
@@ -171,7 +175,9 @@ def update(
 
     `evaluate` must return the merit value of a trial density (it is expected
     to run the scenario solves; an infinite value rejects the trial). Halves the step scale up to MAX_HALVINGS
-    times until the merit strictly decreases. `first`, when given, is the
+    times until the merit strictly decreases. A constrained trial whose mass
+    misses the target by more than MASS_REL_TOL is rejected unevaluated, as
+    when eps*|g| is so large that no float gamma meets the mass. `first`, when given, is the
     first trial and its multiplier: `project` at the base step scale, which
     the caller has already computed. Returns (new density, multiplier
     used, accepted eps); accepted eps 0.0 signals stagnation, with the
@@ -191,6 +197,8 @@ def update(
         else:
             eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
             trial = DensityField(a.grid, np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta))
+        if cfg.constrained and abs(trial.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
+            continue  # a cell's two kinks rounded to one float: halve
         if evaluate(trial) < current_value:
             return trial, gamma, eps_try
     return a, gamma, 0.0

@@ -5,8 +5,9 @@ load and each perturbation alone; `loop_optimality_residual` is the per-cell
 reference form of `stodesign.gclosure.optimality_residual`;
 `prolongation_oracle` builds the multigrid prolongations from hat functions,
 so that P^T A P checks the element-wise coarse operators. `eager_pcg`,
-`bincount_stiffness` and `einsum_grad_dot` are the earlier forms of the state
-solve's kernels, which the library's must match. The sampling, error-norm,
+`bincount_stiffness`, `map_assemble_elements`, `reduceat_jacobi_weights` and
+`einsum_grad_dot` are the earlier, CSR-based forms of the state solve's
+kernels, which the library's must match. The sampling, error-norm,
 boundary, tensor and log-reading helpers below them are used only by the
 tests.
 """
@@ -219,6 +220,38 @@ def bincount_stiffness(a: DensityField) -> sparse.csr_matrix:
     data = np.bincount(slot, weights=weights, minlength=len(nonzeros))
     indptr = np.searchsorted(nonzeros // n, np.arange(n + 1))
     return sparse.csr_matrix((data, nonzeros % n, indptr), shape=(n, n))
+
+
+def map_assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.csr_matrix:
+    """Per-cell element matrices, (n_cells, 16) row-major, summed into the
+    interior CSR pattern by a 0/1 assembly map: the element entries that
+    couple two interior nodes are grouped by their nonzero with one stable
+    sort, so each nonzero sums its entries in cell order, and the map's
+    product adds them from zero."""
+    n = grid.n_interior
+    imap = np.full(grid.n_nodes, -1)
+    imap[interior_node_ids(grid)] = np.arange(n)
+    corners = imap[cell_node_ids(grid)]
+    li, lj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    rows, cols = corners[:, li.ravel()].ravel(), corners[:, lj.ravel()].ravel()
+    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys = rows[entries] * n + cols[entries]
+    order = np.argsort(keys, kind="stable")
+    entries, keys = entries[order], keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1, append=n * n))
+    nonzeros = keys[starts[:-1]]
+    S = sparse.csr_matrix(
+        (np.ones(len(entries)), entries, starts), shape=(len(nonzeros), 16 * grid.n_cells)
+    )
+    indptr = np.searchsorted(nonzeros // n, np.arange(n + 1))
+    return sparse.csr_matrix((S @ elements.ravel(), nonzeros % n, indptr), shape=(n, n))
+
+
+def reduceat_jacobi_weights(A: sparse.csr_matrix) -> np.ndarray:
+    """omega / diag(A), omega = 1 / max_i (sum_j |A_ij|) / A_ii, from CSR row sums."""
+    diag = A.diagonal()
+    row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+    return 1.0 / (diag * np.max(row_sums / diag))
 
 
 def einsum_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ def test_overflowing_phase_contrast_exits_one_with_a_clear_error(tmp_path, capsy
 def test_large_finite_phase_contrast_still_stagnates(tmp_path, capsys):
     argv = ["run", "--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", "1e-20"]
     assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().out.startswith("stagnated:")
+
+
+@pytest.mark.parametrize("eps", ["1e20", "1e300"])
+def test_huge_step_scale_holds_the_mass(tmp_path, eps):
+    # eps*|g| so large that each cell's two kinks round to one float: no
+    # multiplier meets the mass, so such a trial must halve the step
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["run", "--nx", "16", "--ny", "16", "--eps", eps, "--out", str(out)])
+    assert rc in (0, 2)
+    for record in read_convergence_log(out / "convergence.log"):
+        assert abs(record.mass - 1.5) <= 1e-10 * 1.5
+
+
+def test_tiny_step_scale_stagnates_without_a_warning(tmp_path, capsys):
+    # halving makes eta subnormal, and a kink (a - alpha)/eta overflows to inf
+    argv = ["run", "--nx", "16", "--ny", "16", "--eps", "1e-300", "--out", str(tmp_path / "x")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 2
     assert capsys.readouterr().out.startswith("stagnated:")
 
 

@@ -8,11 +8,18 @@ import pytest
 
 import stodesign
 from stodesign.cg import cg_solve
-from stodesign.fem import DensityField, GridSpec, assemble_load, assemble_stiffness
+from stodesign import mg
+from stodesign.fem import (
+    DensityField,
+    GridSpec,
+    assemble_elements,
+    assemble_load,
+    assemble_stiffness,
+)
 from stodesign.mg import VCycle, coarsenings
 from stodesign.scenarios import make_case1
 
-from oracles import prolongation_oracle
+from oracles import map_assemble_elements, prolongation_oracle, reduceat_jacobi_weights
 
 
 def _density(g: GridSpec, kind: str, seed: int = 0) -> DensityField:
@@ -37,6 +44,40 @@ def test_coarse_operators_are_galerkin(nx, ny):
         assert coarse.shape == A.shape
         assert abs(coarse - A).max() <= 1e-13 * abs(A).max()
     assert max(M.operators[-1].shape) <= 7 * 7
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8)])
+def test_coarse_operators_match_map_assembly_bitwise(nx, ny, monkeypatch):
+    g = GridSpec(nx, ny)
+    a = _density(g, "random")
+    levels = []
+
+    def recorded(grid, elements):
+        levels.append((grid, elements.copy()))
+        return assemble_elements(grid, elements)
+
+    monkeypatch.setattr(mg, "assemble_elements", recorded)
+    M = VCycle(a, assemble_stiffness(a))
+    assert len(levels) == len(M.operators) - 1
+    rng = np.random.default_rng(2)
+    for (grid, elements), A in zip(levels, M.operators[1:]):
+        ref = map_assemble_elements(grid, elements)
+        assert np.array_equal(A.toarray(), ref.toarray())
+        for _ in range(3):
+            x = rng.standard_normal(grid.n_interior)
+            assert np.array_equal(A @ x, ref @ x)
+    assert np.array_equal(mg._dense(M.operators[-1]), M.operators[-1].toarray())
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (256, 96)])
+@pytest.mark.parametrize("kind", ["random", "bang-bang"])
+def test_jacobi_weights_match_csr_row_sums(nx, ny, kind):
+    g = GridSpec(nx, ny)
+    a = _density(g, kind)
+    M = VCycle(a, assemble_stiffness(a))
+    for A, w in zip(M.operators, M.weights):
+        ref = reduceat_jacobi_weights(A.tocsr())
+        assert np.max(np.abs(w - ref) / ref) <= 1e-15
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (256, 96)])
