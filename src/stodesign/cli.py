@@ -107,21 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config_file(path: str | Path) -> dict:
     """Read `key = value` lines; '#' starts a comment."""
     values: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(f"cannot parse config line: {raw!r}")
-            key, val = parts
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = CONFIG_KEYS[key](val.strip())
+        try:
+            if "=" in line:
+                key, _, val = line.partition("=")
+            else:
+                parts = line.split(None, 1)
+                if len(parts) != 2:
+                    raise ValueError(f"cannot parse config line: {raw!r}")
+                key, val = parts
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            values[key] = CONFIG_KEYS[key](val.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -2,7 +2,8 @@
 
 The diffusion coefficient is piecewise constant per cell, solution fields are
 nodal. Cells are indexed row-major as j*nx + i, nodes as j*(nx+1) + i, with i
-running fastest. Cell corners are ordered counterclockwise SW, SE, NE, NW.
+running fastest: fields are (ny, nx) and (ny+1, nx+1) arrays, and corners,
+neighbours and interior nodes are slices. Corners run SW, SE, NE, NW.
 """
 from __future__ import annotations
 
@@ -102,35 +103,12 @@ class NodalField:
     @classmethod
     def from_interior(cls, grid: GridSpec, interior: np.ndarray) -> "NodalField":
         """Scatter an interior-node vector onto the full grid, zero boundary."""
-        full = np.zeros(grid.n_nodes)
-        full[interior_node_ids(grid)] = interior
-        return cls(grid, full)
+        full = np.zeros((grid.ny + 1, grid.nx + 1))
+        full[1:-1, 1:-1] = np.reshape(interior, (grid.ny - 1, grid.nx - 1))
+        return cls(grid, full.ravel())
 
     def interior(self) -> np.ndarray:
-        return self.values[interior_node_ids(self.grid)]
-
-
-@lru_cache(maxsize=64)
-def cell_node_ids(grid: GridSpec) -> np.ndarray:
-    """(n_cells, 4) node indices per cell, corners ordered SW, SE, NE, NW."""
-    i = np.arange(grid.nx)
-    j = np.arange(grid.ny)
-    jj, ii = np.meshgrid(j, i, indexing="ij")
-    sw = (jj * (grid.nx + 1) + ii).ravel()
-    ids = np.stack([sw, sw + 1, sw + grid.nx + 2, sw + grid.nx + 1], axis=1)
-    ids.flags.writeable = False
-    return ids
-
-
-@lru_cache(maxsize=64)
-def interior_node_ids(grid: GridSpec) -> np.ndarray:
-    """Indices of nodes with 0 < i < nx and 0 < j < ny, row-major."""
-    i = np.arange(1, grid.nx)
-    j = np.arange(1, grid.ny)
-    jj, ii = np.meshgrid(j, i, indexing="ij")
-    ids = (jj * (grid.nx + 1) + ii).ravel()
-    ids.flags.writeable = False
-    return ids
+        return self.values.reshape(self.grid.ny + 1, self.grid.nx + 1)[1:-1, 1:-1].ravel()
 
 
 @lru_cache(maxsize=64)
@@ -253,28 +231,31 @@ def assemble_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
     """Interior load vector for a source held constant per cell.
 
     Each cell spreads g_c * cell_area / 4 to its four corner nodes, the exact
-    integral of the bilinear basis against a cell-wise constant.
+    integral of the bilinear basis; a node sums its shares in cell order.
     """
     g_cells = np.asarray(g_cells, dtype=float)
     if g_cells.shape != (grid.n_cells,):
         raise ValueError("load must hold one real per cell")
-    contrib = g_cells * (grid.cell_area / 4.0)
-    nodal = np.zeros(grid.n_nodes)
-    np.add.at(nodal, cell_node_ids(grid).ravel(), np.repeat(contrib, 4))
-    return nodal[interior_node_ids(grid)]
+    shares = (g_cells * (grid.cell_area / 4.0)).reshape(grid.ny, grid.nx)
+    nodal = np.zeros((grid.ny - 1, grid.nx - 1))
+    for sy, sx in _CELLS:
+        nodal += shares[sy : sy + grid.ny - 1, sx : sx + grid.nx - 1]
+    return nodal.ravel()
+
+
+def _corners(u: NodalField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The SW, SE, NE, NW corner values of every cell, (ny, nx) views of u."""
+    nodes = u.values.reshape(u.grid.ny + 1, u.grid.nx + 1)
+    return nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, 1:], nodes[1:, :-1]
 
 
 def cell_gradients(u: NodalField) -> np.ndarray:
     """(n_cells, 2) gradient of the bilinear interpolant at each cell center."""
     grid = u.grid
-    corners = u.values[cell_node_ids(grid)]  # (n_cells, 4): SW SE NE NW
-    gx = ((corners[:, 1] + corners[:, 2]) - (corners[:, 0] + corners[:, 3])) / (
-        2.0 * grid.hx
-    )
-    gy = ((corners[:, 3] + corners[:, 2]) - (corners[:, 0] + corners[:, 1])) / (
-        2.0 * grid.hy
-    )
-    return np.stack([gx, gy], axis=1)
+    sw, se, ne, nw = _corners(u)
+    gx = ((se + ne) - (sw + nw)) / (2.0 * grid.hx)
+    gy = ((nw + ne) - (sw + se)) / (2.0 * grid.hy)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
@@ -289,15 +270,15 @@ def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
     if p.grid != grid:
         raise ValueError("fields live on different grids")
     kref = reference_stiffness(grid.hx, grid.hy)
-    cu = u.values[cell_node_ids(grid)]
-    cp = p.values[cell_node_ids(grid)]
+    cu = np.stack(_corners(u), axis=-1).reshape(-1, 4)
+    cp = np.stack(_corners(p), axis=-1).reshape(-1, 4)
     return np.einsum("ci,ci->c", cu @ kref, cp) / grid.cell_area
 
 
 def cell_averages(u: NodalField) -> np.ndarray:
     """Per-cell average of corner values; exact cell mean of the interpolant."""
-    corners = u.values[cell_node_ids(u.grid)]
-    return corners.sum(axis=1) / 4.0
+    sw, se, ne, nw = _corners(u)
+    return ((((sw + se) + ne) + nw) / 4.0).ravel()
 
 
 def integrate_cells(grid: GridSpec, w: np.ndarray) -> float:

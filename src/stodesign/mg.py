@@ -15,11 +15,11 @@ the child's element matrix and R the interpolation from the coarse cell's
 corners to the child's, and the coarse elements are summed into the coarse
 grid's nine stencil diagonals, a DIA matrix like the fine one; the Jacobi
 weights and the coarsest dense matrix are read off those diagonals.
-Everything that depends only on the grid (level sizes, child tables, the
-stacked T = kron(R, R), P and P^T) is built once per grid; per assembly each
-level is one gather of the children's element matrices and one matrix
-product with the stacked T, then the operators, the Jacobi weights and the
-coarsest inverse.
+Everything that depends only on the grid (level sizes, the slices that
+pick each child position's cells, the stacked T = kron(R, R), P and P^T) is
+built once per grid; per assembly each level is one slice copy per child
+position of the element matrices and one matrix product with the stacked T,
+then the operators, the Jacobi weights and the coarsest inverse.
 """
 from __future__ import annotations
 
@@ -50,28 +50,24 @@ class Coarsening:
     cell of an odd direction is half as wide). `P` prolongs coarse interior
     values to fine interior ones and `PT` is its transpose, both CSR. A child
     position is where a fine cell sits in its parent (whole, or one of two
-    halves, per direction). `children[c, q]` is the fine cell at position q
-    of coarse cell c, or the fine cell count when there is none, an index
-    that points one row past the fine elements, at an appended zero row.
+    halves, per direction). `slices[q]` = (cy, cx, fy, fx): coarse cells
+    [cy, cx] have at position q the fine cells [fy, fx], the others none.
     `T[q]` = kron(R, R) for the interpolation R of position q, so that the
-    children's element matrices flattened row-major and laid side by side,
-    times T stacked to (positions * 16, 16), are the coarse element matrix
-    sum_q R^T E R flattened.
+    children's element matrices flattened row-major and laid side by side
+    (zero for none), times T stacked to (positions * 16, 16), are the coarse
+    element matrix sum_q R^T E R flattened.
     """
 
     coarse: GridSpec
     P: sparse.csr_matrix
     PT: sparse.csr_matrix
-    children: np.ndarray
+    slices: tuple[tuple[slice, slice, slice, slice], ...]
     T: np.ndarray
 
 
 def _coarse_nodes(n: int) -> np.ndarray:
     """Fine node index of each coarse node along a direction of n cells."""
-    if n <= COARSEST:
-        return np.arange(n + 1)
-    nodes = np.arange(0, n + 1, 2)
-    return nodes if n % 2 == 0 else np.append(nodes, n)
+    return np.arange(n + 1) if n <= COARSEST else np.append(np.arange(0, n, 2), n)
 
 
 def _prolongation_1d(nodes: np.ndarray) -> sparse.csr_matrix:
@@ -89,14 +85,13 @@ def _prolongation_1d(nodes: np.ndarray) -> sparse.csr_matrix:
     )
 
 
-def _children_1d(nodes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(R, fine cells, coarse cells) for each child position along one direction."""
-    width = np.diff(nodes)
-    whole, split = np.flatnonzero(width == 1), np.flatnonzero(width == 2)
-    groups = [(_WHOLE, nodes[whole], whole)] if whole.size else []
-    if split.size:
-        groups += [(R, nodes[split] + i, split) for i, R in enumerate(_HALVES)]
-    return groups
+def _children_1d(n: int) -> list[tuple[np.ndarray, slice, slice]]:
+    """(R, fine cells, coarse cells) per child position along n cells, whole first."""
+    if n <= COARSEST:
+        return [(_WHOLE, slice(None), slice(None))]
+    split = n // 2  # as in _coarse_nodes: coarse cells 0 .. split - 1 span two fine cells
+    whole = [(_WHOLE, slice(n - 1, n), slice(split, split + 1))] if n % 2 else []
+    return whole + [(R, slice(i, 2 * split, 2), slice(split)) for i, R in enumerate(_HALVES)]
 
 
 @lru_cache(maxsize=64)
@@ -106,18 +101,13 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
     while grid.nx > COARSEST or grid.ny > COARSEST:
         xn, yn = _coarse_nodes(grid.nx), _coarse_nodes(grid.ny)
         coarse = GridSpec(len(xn) - 1, len(yn) - 1, grid.x0, grid.y0, grid.x1, grid.y1)
-        pairs = [(x, y) for x in _children_1d(xn) for y in _children_1d(yn)]
-        children = np.full((coarse.n_cells, len(pairs)), grid.n_cells)
-        T = np.empty((len(pairs), 16, 16))
-        for q, ((Rx, fx, cx), (Ry, fy, cy)) in enumerate(pairs):
-            R = Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)]
-            parent = (cy[:, None] * coarse.nx + cx).ravel()
-            children[parent, q] = (fy[:, None] * grid.nx + fx).ravel()
-            T[q] = np.kron(R, R)
+        pairs = [(x, y) for x in _children_1d(grid.nx) for y in _children_1d(grid.ny)]
+        slices = tuple((cy, cx, fy, fx) for (_, fx, cx), (_, fy, cy) in pairs)
+        Rs = [Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)] for (Rx, _, _), (Ry, _, _) in pairs]
+        T = np.stack([np.kron(R, R) for R in Rs])
         P = sparse.kron(_prolongation_1d(yn), _prolongation_1d(xn), format="csr")
-        for arr in (children, T):
-            arr.flags.writeable = False
-        steps.append(Coarsening(coarse, P, P.T.tocsr(), children, T))
+        T.flags.writeable = False
+        steps.append(Coarsening(coarse, P, P.T.tocsr(), slices, T))
         grid = coarse
     return tuple(steps)
 
@@ -160,18 +150,19 @@ class VCycle:
         grid = a.grid
         self.steps = coarsenings(grid)
         self.operators = [K]
-        # each level's element matrices with the zero row the child tables
-        # point absent children to; on the finest level the element matrix of
-        # cell c is a_c * kref, so a_c stands in for it and kref joins T
-        elements = np.append(a.values, 0.0)[:, None]
+        # each level's element matrices as a (ny, nx, width) cell array; on
+        # the finest level the element matrix of cell c is a_c * kref, so a_c
+        # stands in for it and kref joins T
+        elements = a.values.reshape(grid.ny, grid.nx, 1)
         kref = reference_stiffness(grid.hx, grid.hy).ravel()
         for level, step in enumerate(self.steps):
             T = step.T.reshape(-1, 16) if level else kref @ step.T
-            n = step.coarse.n_cells
-            coarse = np.zeros((n + 1, 16))
-            np.matmul(elements[step.children].reshape(n, -1), T, out=coarse[:n])
-            elements = coarse
-            self.operators.append(assemble_elements(step.coarse, coarse[:n]))
+            c = step.coarse
+            children = np.zeros((c.ny, c.nx, len(step.slices), elements.shape[-1]))
+            for q, (cy, cx, fy, fx) in enumerate(step.slices):
+                children[cy, cx, q] = elements[fy, fx]
+            elements = (children.reshape(c.n_cells, -1) @ T).reshape(c.ny, c.nx, 16)
+            self.operators.append(assemble_elements(c, elements.reshape(-1, 16)))
         self.weights = [_jacobi_weights(A) for A in self.operators[:-1]]
         inverse = np.linalg.inv(_dense(self.operators[-1]))
         self.coarsest_inverse = 0.5 * (inverse + inverse.T)

@@ -67,8 +67,9 @@ class OptimizerConfig:
         return self.mass is not None
 
     def check_grid(self, grid: GridSpec) -> None:
-        # the barrier weight eps*(a-alpha)*(beta-a), summed over the cells, must
-        # stay finite; Python floats overflow to inf here without a warning
+        # barrier_eta forms eps*(a-alpha)*(beta-a), up to eps*(beta-alpha)^2/4,
+        # before it divides by beta-alpha: keep that product finite, also summed
+        # over the cells. Python floats overflow to inf here without a warning
         span = float(self.beta) - float(self.alpha)
         if not np.isfinite(max(float(self.eps), 1.0) * span * span * grid.n_cells):
             raise ValueError(
@@ -144,7 +145,8 @@ def project(
     kinks = np.sort(np.concatenate([to_beta[moving], to_alpha[moving]]))
 
     def step(gamma: float) -> np.ndarray:
-        return np.clip(a.values + eta * (g - gamma), alpha, beta)
+        with np.errstate(over="ignore"):  # an overflowing step is +-inf: clipped to its bound
+            return np.clip(a.values + eta * (g - gamma), alpha, beta)
 
     j = bisect_left(kinks, True, key=lambda k: integrate_cells(a.grid, step(k)) <= m)
     if j == len(kinks) or (j == 0 and integrate_cells(a.grid, step(kinks[0])) < m):
@@ -196,7 +198,9 @@ def update(
             trial, gamma = projected
         else:
             eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
-            trial = DensityField(a.grid, np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta))
+            with np.errstate(over="ignore"):  # as in project's step
+                stepped = np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta)
+            trial = DensityField(a.grid, stepped)
         if cfg.constrained and abs(trial.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
             continue  # a cell's two kinks rounded to one float: halve
         if evaluate(trial) < current_value:

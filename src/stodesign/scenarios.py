@@ -6,9 +6,12 @@ sum_k w_k * xi_k = 0 cell-wise, so the mean load stays f.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -158,40 +161,57 @@ def load_scenario_file(path: str | Path) -> ScenarioSet:
     1e-9; the tiny residual mean left by decimal round-trip is subtracted
     so downstream validation at the strict tolerance passes.
     """
-    tokens = []
+    tokens: list[str] = []
+    # line_starts[k]: tokens before line k + 1; an array, as a list's int objects
+    # among the tokens kept a 1 MB allocator arena resident through a design run
+    line_starts = array("q")
     for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
+        line_starts.append(len(tokens))
+        tokens.extend(line.split("#", 1)[0].split())
     pos = 0
 
-    def take(n: int) -> list[str]:
+    def error(i: int, message: object) -> ValueError:
+        """An error naming the file and the line of token i."""
+        return ValueError(f"{path}:{bisect_right(line_starts, i)}: {message}")
+
+    def take(n: int, convert: Callable[[str], Any] = str) -> list:
         nonlocal pos
         if pos + n > len(tokens):
             raise ValueError(f"scenario file {path} ended unexpectedly")
-        out = tokens[pos : pos + n]
+        out = []
+        try:
+            for token in tokens[pos : pos + n]:
+                out.append(convert(token))
+        except ValueError as exc:
+            raise error(pos + len(out), exc) from None
         pos += n
         return out
 
-    kw = take(1)[0]
-    if kw != "grid":
-        raise ValueError(f"scenario file must start with 'grid', got {kw!r}")
-    nx, ny = (int(t) for t in take(2))
-    grid = GridSpec(nx, ny)
+    if take(1) != ["grid"]:
+        raise error(0, f"scenario file must start with 'grid', got {tokens[0]!r}")
+    nx, ny = take(2, int)
+    try:
+        grid = GridSpec(nx, ny)
+    except ValueError as exc:
+        raise error(1, exc) from None
     n_cells = grid.n_cells
 
-    if take(1)[0] != "f":
-        raise ValueError("expected 'f' section after the grid line")
-    f = np.array([float(t) for t in take(n_cells)])
+    if take(1) != ["f"]:
+        raise error(pos - 1, "expected 'f' section after the grid line")
+    f = np.array(take(n_cells, float))
 
     scenarios = []
     while pos < len(tokens):
-        if take(1)[0] != "scenario":
-            raise ValueError("expected 'scenario <weight>' section")
-        weight = float(take(1)[0])
-        xi = np.array([float(t) for t in take(n_cells)])
-        scenarios.append(Scenario(xi, weight))
+        if take(1) != ["scenario"]:
+            raise error(pos - 1, "expected 'scenario <weight>' section")
+        (weight,) = take(1, float)
+        xi = np.array(take(n_cells, float))
+        try:
+            scenarios.append(Scenario(xi, weight))
+        except ValueError as exc:
+            raise error(pos - n_cells - 1, exc) from None  # the weight's line
     if not scenarios:
-        raise ValueError("scenario file declares no scenarios")
+        raise ValueError(f"scenario file {path} declares no scenarios")
 
     sset = ScenarioSet(grid, f, scenarios)
     problems = validate(sset, mean_tol=FILE_ZERO_MEAN_TOL, weight_tol=FILE_ZERO_MEAN_TOL)

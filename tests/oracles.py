@@ -7,9 +7,13 @@ reference form of `stodesign.gclosure.optimality_residual`;
 so that P^T A P checks the element-wise coarse operators. `eager_pcg`,
 `bincount_stiffness`, `map_assemble_elements`, `reduceat_jacobi_weights` and
 `einsum_grad_dot` are the earlier, CSR-based forms of the state solve's
-kernels, which the library's must match. The sampling, error-norm,
-boundary, tensor and log-reading helpers below them are used only by the
-tests.
+kernels, which the library's must match. `cell_node_ids` and
+`interior_node_ids` are the index tables the library once kept;
+`add_at_load`, `table_cell_averages`, `table_cell_gradients`,
+`table_grad_dot` and `table_coarse_elements` are the forms that read fields
+through them, which the library's slices must match bit for bit. The
+sampling, error-norm, boundary, tensor and log-reading helpers below them are
+used only by the tests.
 """
 from pathlib import Path
 from typing import Callable
@@ -30,8 +34,6 @@ from stodesign.fem import (
     cell_averages,
     cell_centers,
     cell_gradients,
-    cell_node_ids,
-    interior_node_ids,
     reference_stiffness,
 )
 from stodesign.gclosure import (
@@ -41,9 +43,27 @@ from stodesign.gclosure import (
     rank_one_laminate,
     volume_fraction,
 )
+from stodesign.mg import _CX, _CY, _HALVES, _WHOLE
 from stodesign.objective import Objective
 from stodesign.optimizer import ConvergenceRecord
 from stodesign.scenarios import ScenarioSet, validate
+
+
+def cell_node_ids(grid: GridSpec) -> np.ndarray:
+    """(n_cells, 4) node indices per cell, corners ordered SW, SE, NE, NW."""
+    i = np.arange(grid.nx)
+    j = np.arange(grid.ny)
+    jj, ii = np.meshgrid(j, i, indexing="ij")
+    sw = (jj * (grid.nx + 1) + ii).ravel()
+    return np.stack([sw, sw + 1, sw + grid.nx + 2, sw + grid.nx + 1], axis=1)
+
+
+def interior_node_ids(grid: GridSpec) -> np.ndarray:
+    """Indices of nodes with 0 < i < nx and 0 < j < ny, row-major."""
+    i = np.arange(1, grid.nx)
+    j = np.arange(1, grid.ny)
+    jj, ii = np.meshgrid(j, i, indexing="ij")
+    return (jj * (grid.nx + 1) + ii).ravel()
 
 
 def expected_decomposition_check(
@@ -135,6 +155,12 @@ def loop_optimality_residual(
     return residual
 
 
+def _coarse_node_list(n: int) -> list[int]:
+    """Fine node index of each coarse node along a direction of n cells: the
+    even nodes plus node n when n > 8, every node otherwise."""
+    return list(range(n + 1)) if n <= 8 else sorted(set(range(0, n + 1, 2)) | {n})
+
+
 def _hat_prolongation(n: int) -> np.ndarray:
     """Interior-to-interior linear interpolation along a direction of n cells.
 
@@ -142,7 +168,7 @@ def _hat_prolongation(n: int) -> np.ndarray:
     when n is odd; one of at most 8 cells is not coarsened. Column k - 1 is the
     hat function of coarse node k, sampled at the interior fine nodes.
     """
-    coarse = list(range(n + 1)) if n <= 8 else sorted(set(range(0, n + 1, 2)) | {n})
+    coarse = _coarse_node_list(n)
     P = np.zeros((n - 1, len(coarse) - 2))
     for k in range(1, len(coarse) - 1):
         left, mid, right = coarse[k - 1], coarse[k], coarse[k + 1]
@@ -261,6 +287,89 @@ def einsum_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
     cu = u.values[cell_node_ids(grid)]
     cp = p.values[cell_node_ids(grid)]
     return np.einsum("ci,ij,cj->c", cu, kref, cp) / grid.cell_area
+
+
+def add_at_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
+    """The interior load vector scattered with np.add.at: each node sums its
+    corner shares from zero in cell order."""
+    contrib = g_cells * (grid.cell_area / 4.0)
+    nodal = np.zeros(grid.n_nodes)
+    np.add.at(nodal, cell_node_ids(grid).ravel(), np.repeat(contrib, 4))
+    return nodal[interior_node_ids(grid)]
+
+
+def table_cell_averages(u: NodalField) -> np.ndarray:
+    """Per-cell corner mean, the corners gathered through the table.
+
+    The row sum starts from +0.0, so a cell whose four corners are -0.0 gets
+    +0.0 here and -0.0 from `stodesign.fem.cell_averages`."""
+    return u.values[cell_node_ids(u.grid)].sum(axis=1) / 4.0
+
+
+def table_cell_gradients(u: NodalField) -> np.ndarray:
+    """(n_cells, 2) center gradients from table-gathered corners."""
+    grid = u.grid
+    c = u.values[cell_node_ids(grid)]  # (n_cells, 4): SW SE NE NW
+    gx = ((c[:, 1] + c[:, 2]) - (c[:, 0] + c[:, 3])) / (2.0 * grid.hx)
+    gy = ((c[:, 3] + c[:, 2]) - (c[:, 0] + c[:, 1])) / (2.0 * grid.hy)
+    return np.stack([gx, gy], axis=1)
+
+
+def table_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
+    """Per-cell u_c^T kref p_c / |cell|, one matmul and a row dot over
+    table-gathered corners."""
+    grid = u.grid
+    kref = reference_stiffness(grid.hx, grid.hy)
+    cu = u.values[cell_node_ids(grid)]
+    cp = p.values[cell_node_ids(grid)]
+    return np.einsum("ci,ci->c", cu @ kref, cp) / grid.cell_area
+
+
+def _child_groups(nodes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(R, fine cells, coarse cells) for each child position along one
+    direction: the whole children first, then the two halves."""
+    width = np.diff(nodes)
+    whole, split = np.flatnonzero(width == 1), np.flatnonzero(width == 2)
+    groups = [(_WHOLE, nodes[whole], whole)] if whole.size else []
+    if split.size:
+        groups += [(R, nodes[split] + i, split) for i, R in enumerate(_HALVES)]
+    return groups
+
+
+def table_coarse_elements(a: DensityField) -> list[np.ndarray]:
+    """Each coarse level's (n_cells, 16) element matrices, finest first.
+
+    A (coarse cells, positions) child table names the fine cell at each
+    position of each coarse cell, or the fine cell count when there is none,
+    which points at a zero row appended to the fine elements; the gathered
+    rows, laid side by side, times the stacked kron(R, R) are the coarse
+    element matrices. On the finest level a_c stands in for a_c * kref."""
+    grid = a.grid
+    nx, ny = grid.nx, grid.ny
+    elements = np.append(a.values, 0.0)[:, None]
+    kref = reference_stiffness(grid.hx, grid.hy).ravel()
+    levels = []
+    while nx > 8 or ny > 8:
+        xn, yn = np.array(_coarse_node_list(nx)), np.array(_coarse_node_list(ny))
+        cnx, cny = len(xn) - 1, len(yn) - 1
+        pairs = [(x, y) for x in _child_groups(xn) for y in _child_groups(yn)]
+        children = np.full((cnx * cny, len(pairs)), nx * ny)
+        T = np.empty((len(pairs), 16, 16))
+        for q, ((Rx, fx, cx), (Ry, fy, cy)) in enumerate(pairs):
+            R = Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)]
+            children[(cy[:, None] * cnx + cx).ravel(), q] = (fy[:, None] * nx + fx).ravel()
+            T[q] = np.kron(R, R)
+        T = T.reshape(-1, 16) if levels else kref @ T
+        coarse = np.zeros((cnx * cny + 1, 16))
+        np.matmul(elements[children].reshape(cnx * cny, -1), T, out=coarse[:-1])
+        levels.append(coarse[:-1])
+        elements, nx, ny = coarse, cnx, cny
+    return levels
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Same shape, dtype and bytes: signed zeros must match too."""
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def boundary_node_ids(grid: GridSpec) -> np.ndarray:

@@ -44,17 +44,19 @@ def test_run_outputs_bit_identical(tmp_path):
 
 
 def test_pgm_round_trips_from_csv(tmp_path):
-    out = tmp_path / "det"
-    assert run_cli(["run", *FAST, "--out", str(out)]) == 0
-    dens = read_density_csv(out / "density.csv")
-    ny, nx = dens.shape
-    lines = (out / "density.pgm").read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == f"{nx} {ny}"
-    assert lines[2] == "255"
-    pixels = np.array([[int(t) for t in line.split()] for line in lines[3:]])
-    expected = density_to_pixels(dens, 1.0, 2.0)[::-1]  # pgm stores top row first
-    assert np.array_equal(pixels, expected)
+    # 2x9 and 9x2 have one interior node row or column: a transposed field shows
+    for nx, ny in ((12, 12), (2, 9), (9, 2)):
+        out = tmp_path / f"det-{nx}x{ny}"
+        assert run_cli(["run", *FAST, "--nx", str(nx), "--ny", str(ny), "--out", str(out)]) == 0
+        dens = read_density_csv(out / "density.csv")
+        assert dens.shape == (ny, nx)
+        lines = (out / "density.pgm").read_text().splitlines()
+        assert lines[0] == "P2"
+        assert lines[1] == f"{nx} {ny}"
+        assert lines[2] == "255"
+        pixels = np.array([[int(t) for t in line.split()] for line in lines[3:]])
+        expected = density_to_pixels(dens, 1.0, 2.0)[::-1]  # pgm stores top row first
+        assert np.array_equal(pixels, expected)
 
 
 def test_convergence_log_round_trip(tmp_path):
@@ -89,12 +91,47 @@ def test_config_file_with_flag_override(tmp_path):
     assert "eps = 64.0" in echo
 
 
-def test_config_file_bad_key(tmp_path):
+def test_config_file_bad_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("volume = 0.5\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:1: unknown config key 'volume'")):
         parse_config_file(cfg)
     assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {cfg}:1: unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# grid\nnx = 12\nny = abc\n", ":3: invalid literal for int() with base 10: 'abc'"),
+        ("eps = 64\nmass\n", ":2: cannot parse config line: 'mass'"),
+    ],
+    ids=["bad-value", "no-value"],
+)
+def test_config_file_errors_name_file_and_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}{message}")):
+        parse_config_file(cfg)
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {cfg}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1.0 ", "abc ", ":3: could not convert string to float: 'abc'"),
+        ("grid 4 4", "grid two 4", ":1: invalid literal for int() with base 10: 'two'"),
+        ("scenario 0.5", "scenario 2.0", ":7: scenario weight must lie in (0, 1], got 2.0"),
+    ],
+    ids=["bad-value", "bad-int", "weight"],
+)
+def test_scenario_file_errors_name_file_and_line(tmp_path, capsys, old, new, message):
+    path = tmp_path / "set.scn"
+    save_scenario_file(make_case1(GridSpec(4, 4)), path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    assert run_cli(["run", "--preset", f"file:{path}", "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {path}{message}" in capsys.readouterr().err
 
 
 def test_scenario_file_preset(tmp_path):
@@ -186,17 +223,40 @@ def test_subnormal_alpha_exits_one_before_any_solve(tmp_path, no_state_solve, ca
     assert "error: phase bounds" in capsys.readouterr().err
 
 
+ENERGY_16 = ["--nx", "16", "--ny", "16", "--objective", "energy"]
+
+
 @pytest.mark.parametrize(
-    "alpha, quantity", [("1e-100", "the stationarity"), ("1e-200", "the gradient density")]
+    "flags, quantity, contrast",
+    [
+        # energy designs drive u and |grad u|^2 up like 1/alpha
+        pytest.param(
+            [*ENERGY_16, "--alpha", "1e-100"], "the stationarity", 2e100, id="1e-100-the stationarity"
+        ),
+        pytest.param(
+            [*ENERGY_16, "--alpha", "1e-200"],
+            "the gradient density",
+            2e200,
+            id="1e-200-the gradient density",
+        ),
+        # eps*(g - gamma) overflows in the trial step itself
+        pytest.param(
+            ["--nx", "8", "--ny", "8", "--alpha", "1e-300", "--beta", "1e-100"]
+            + ["--mass", "5e-101", "--eps", "1e300"],
+            "the stationarity",
+            1e200,
+            id="overflowing-trial-step",
+        ),
+    ],
 )
-def test_overflowing_phase_contrast_exits_one_with_a_clear_error(tmp_path, capsys, alpha, quantity):
-    # energy designs drive u and |grad u|^2 up like 1/alpha; past the float
-    # range the run must stop with an error line, not a RuntimeWarning
-    argv = ["run", "--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", alpha]
-    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 1
+def test_overflowing_phase_contrast_exits_one_with_a_clear_error(
+    tmp_path, capsys, flags, quantity, contrast
+):
+    # past the float range the run must stop with an error line, not a RuntimeWarning
+    assert run_cli(["run", *flags, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert re.search(rf"error: {quantity} is not finite at iterate \d+: the phase contrast", err)
-    assert f"beta/alpha = {2.0 / float(alpha):.3g}" in err
+    assert f"beta/alpha = {contrast:.3g}" in err
 
 
 def test_large_finite_phase_contrast_still_stagnates(tmp_path, capsys):

@@ -7,16 +7,28 @@ from stodesign.fem import (
     NodalField,
     assemble_load,
     assemble_stiffness,
+    cell_averages,
     cell_centers,
     cell_gradients,
     cell_grad_dot,
-    cell_node_ids,
     integrate_cells,
-    interior_node_ids,
     reference_stiffness,
 )
 
-from oracles import bincount_stiffness, einsum_grad_dot, l2_error, sample_cells, sample_nodes
+from oracles import (
+    add_at_load,
+    bincount_stiffness,
+    cell_node_ids,
+    einsum_grad_dot,
+    interior_node_ids,
+    l2_error,
+    same_bits,
+    sample_cells,
+    sample_nodes,
+    table_cell_averages,
+    table_cell_gradients,
+    table_grad_dot,
+)
 
 
 def test_grid_counts():
@@ -173,8 +185,6 @@ def test_load_indicator_support():
         (c[:, 0] >= 0.25) & (c[:, 0] <= 0.75) & (c[:, 1] >= 0.25) & (c[:, 1] <= 0.75)
     ).astype(float)
     b = assemble_load(g, chi)
-    from stodesign.fem import interior_node_ids
-
     full = np.zeros(g.n_nodes)
     full[interior_node_ids(g)] = b
     b_grid = full.reshape(g.ny + 1, g.nx + 1)
@@ -182,6 +192,28 @@ def test_load_indicator_support():
     nz = np.argwhere(b_grid != 0.0)
     assert nz[:, 0].min() == 2 and nz[:, 0].max() == 6
     assert nz[:, 1].min() == 2 and nz[:, 1].max() == 6
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (2, 9), (9, 2), (3, 5), (37, 23), (64, 64)])
+def test_slices_match_index_tables_bitwise(nx, ny):
+    g = GridSpec(nx, ny, 0.0, 0.0, 2.0, 0.5)
+    rng = np.random.default_rng(nx * 100 + ny)
+    load = rng.standard_normal(g.n_cells)
+    load.reshape(ny, nx)[:2, :2] = -0.0  # np.add.at sums node (1, 1)'s shares from +0.0
+    assert same_bits(assemble_load(g, load), add_at_load(g, load))
+    x = rng.standard_normal(g.n_interior)
+    full = np.zeros(g.n_nodes)
+    full[interior_node_ids(g)] = x
+    u = NodalField.from_interior(g, x)
+    assert same_bits(u.values, full)
+    assert same_bits(u.interior(), x)
+    p = NodalField(g, rng.standard_normal(g.n_nodes))
+    assert same_bits(p.interior(), p.values[interior_node_ids(g)])
+    for f in (u, p):
+        assert same_bits(cell_averages(f), table_cell_averages(f))
+        assert same_bits(cell_gradients(f), table_cell_gradients(f))
+    for left, right in ((u, p), (p, u), (u, u)):
+        assert same_bits(cell_grad_dot(left, right), table_grad_dot(left, right))
 
 
 def test_gradients_exact_for_linear():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stodesign.fem import DensityField, GridSpec, cell_node_ids
+from stodesign.fem import DensityField, GridSpec
 from stodesign.gclosure import (
     PhasePair,
     SymmetricTensor2,
@@ -14,7 +14,7 @@ from stodesign.gclosure import (
 )
 from stodesign.objective import Objective
 
-from oracles import as_array, loop_optimality_residual
+from oracles import as_array, cell_node_ids, loop_optimality_residual
 
 PHASES = PhasePair(1.0, 2.0)
 

@@ -19,7 +19,13 @@ from stodesign.fem import (
 from stodesign.mg import VCycle, coarsenings
 from stodesign.scenarios import make_case1
 
-from oracles import map_assemble_elements, prolongation_oracle, reduceat_jacobi_weights
+from oracles import (
+    map_assemble_elements,
+    prolongation_oracle,
+    reduceat_jacobi_weights,
+    same_bits,
+    table_coarse_elements,
+)
 
 
 def _density(g: GridSpec, kind: str, seed: int = 0) -> DensityField:
@@ -67,6 +73,24 @@ def test_coarse_operators_match_map_assembly_bitwise(nx, ny, monkeypatch):
             x = rng.standard_normal(grid.n_interior)
             assert np.array_equal(A @ x, ref @ x)
     assert np.array_equal(mg._dense(M.operators[-1]), M.operators[-1].toarray())
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (255, 257), (2, 9)])
+def test_coarse_elements_match_child_table_gather_bitwise(nx, ny, monkeypatch):
+    g = GridSpec(nx, ny)
+    a = _density(g, "random")
+    levels = []
+
+    def recorded(grid, elements):
+        levels.append(elements.copy())
+        return assemble_elements(grid, elements)
+
+    monkeypatch.setattr(mg, "assemble_elements", recorded)
+    VCycle(a, assemble_stiffness(a))
+    ref = table_coarse_elements(a)
+    assert len(levels) == len(ref) >= 1
+    for elements, expected in zip(levels, ref):
+        assert same_bits(elements, expected)
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (256, 96)])

@@ -117,6 +117,44 @@ def test_file_rejects_non_finite_load(tmp_path):
         load_scenario_file(path)
 
 
+# a valid 2x2 set; each case below edits one line of it
+SMALL_FILE = """# two scenarios on a 2x2 grid
+grid 2 2
+f
+1 1
+1 1
+scenario 0.5
+1 -1
+0 0
+scenario 0.5
+-1 1
+0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("0 0\nscenario", "0 abc\nscenario", ":8: could not convert string to float: 'abc'"),
+        ("grid 2 2", "grid two 2", ":2: invalid literal for int() with base 10: 'two'"),
+        ("grid 2 2", "grid 1 2", ":2: grid needs at least 2 cells per direction"),
+        ("grid 2 2", "gird 2 2", ":2: scenario file must start with 'grid', got 'gird'"),
+        ("f\n", "g\n", ":3: expected 'f' section after the grid line"),
+        ("scenario 0.5\n-1", "scenario 2.0\n-1", ":9: scenario weight must lie in (0, 1], got 2.0"),
+        ("0 0\nscenario", "0 0\nweight", ":9: expected 'scenario <weight>' section"),
+    ],
+    ids=["bad-value", "bad-int", "small-grid", "no-grid", "no-f", "weight", "no-scenario"],
+)
+def test_file_errors_name_file_and_line(tmp_path, old, new, message):
+    path = tmp_path / "set.scn"
+    path.write_text(SMALL_FILE)
+    assert len(load_scenario_file(path).scenarios) == 2
+    path.write_text(SMALL_FILE.replace(old, new, 1))
+    with pytest.raises(ValueError) as info:
+        load_scenario_file(path)
+    assert str(info.value) == f"{path}{message}"
+
+
 def test_scenario_weight_range_enforced():
     with pytest.raises(ValueError):
         Scenario(np.zeros(4), 0.0)
