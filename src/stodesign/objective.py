@@ -1,6 +1,6 @@
 """Expected cost and the descent gradient density.
 
-The expectation over scenarios is an exact weighted sum; nothing is sampled.
+The expectation over scenarios is a sum over state solutions; nothing is sampled.
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Projected gradient descent on the coefficient field.
 
-Each iteration solves all scenarios, forms the expected gradient density g
+Each iteration solves the 1 + r loads of a `LoadBasis`, forms the gradient g
 and moves a_new = clip(a + eta * (g - gamma), alpha, beta) with the barrier
 factor eta = eps * (a - alpha) * (beta - a) / (beta - alpha), which vanishes
 at the phase bounds. In constrained mode gamma is the exact root of the mass
@@ -18,7 +18,7 @@ import numpy as np
 from .fem import DensityField, GridSpec, integrate_cells
 from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
-from .solve import ScenarioSolution, solve_state
+from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
 
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a constrained trial misses the mass target by at most this, relative
@@ -107,7 +107,7 @@ class RunResult:
     density: DensityField
     history: list[ConvergenceRecord]
     stop_reason: str  # converged | stagnated | max_iters
-    solutions: list[ScenarioSolution]
+    solutions: list[ScenarioSolution]  # per scenario, of the final density
 
 
 def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.ndarray:
@@ -240,12 +240,13 @@ def run(
         if not np.all((a0.values >= cfg.alpha) & (a0.values <= cfg.beta)):
             raise ValueError("initial density violates the phase bounds")
         a = a0.copy()
+    basis = load_basis(sset)
 
     def solve(
         field: DensityField, warm: list[np.ndarray] | None = None
     ) -> tuple[list[ScenarioSolution], float, float]:
         """States, cost and merit of a density."""
-        s = solve_state(field, sset, tol=SOLVE_TOL, warm_starts=warm)
+        s = solve_state(field, basis, tol=SOLVE_TOL, warm_starts=warm)
         c = cost(field, s, kind)
         return s, c, c if cfg.constrained else c + cfg.gamma_pen * field.mass()
 
@@ -307,4 +308,4 @@ def run(
         converged = abs(trial[2] - merit_now) <= cfg.eps1 * merit_scale
         sols, cost_now, merit_now = trial
 
-    return RunResult(a, history, stop_reason, sols)
+    return RunResult(a, history, stop_reason, scenario_states(basis, sols))

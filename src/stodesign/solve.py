@@ -1,15 +1,14 @@
-"""State solves per scenario.
+"""State solves for the loads that carry a scenario set's expectations.
 
-The stiffness matrix depends only on the coefficient field, so it and its
-multigrid hierarchy (`stodesign.mg.VCycle`, the CG preconditioner) are built
-once per call and shared by all scenarios. The state map is linear, so only
-linearly independent loads need a CG solve from the caller's warm start; a
-load within the solver tolerance of the span of earlier loads starts from the
-same combination of their states, which CG then certifies in zero or a few
-iterations. For the two supported cost kinds the adjoint is the state itself
-up to sign (p = u for compliance, p = -u for energy), so both the energy form
-of the cost and the gradient density are weighted sums of one per-cell field,
-grad(u).grad(u), which each state carries.
+Both supported costs are quadratic in the state and the perturbations have
+zero mean, so the expected cost and its gradient depend on the scenarios only
+through the mean load f and the weighted covariance sum_k w_k xi_k xi_k^T.
+`load_basis` factors the covariance once per set (the Karhunen-Loeve view), and
+a design costs 1 + r solves whatever the number of scenarios. They share one
+stiffness matrix and its multigrid hierarchy (`stodesign.mg.VCycle`, the CG
+preconditioner). For both cost kinds the adjoint is the state up to sign, so
+the energy form of the cost and the gradient density are sums of one per-cell
+field, grad(u).grad(u), which each state carries.
 """
 from __future__ import annotations
 
@@ -20,6 +19,7 @@ import numpy as np
 from .cg import cg_solve
 from .fem import (
     DensityField,
+    GridSpec,
     NodalField,
     assemble_load,
     assemble_stiffness,
@@ -31,11 +31,12 @@ from .scenarios import ScenarioSet, validate
 
 @dataclass
 class ScenarioSolution:
-    """State solution of one scenario and its per-cell energy density.
+    """State solution of one load and its per-cell energy density.
 
-    `load` is the per-cell right-hand side f + xi_k, kept so cost evaluation
-    does not need the scenario set again. `energy` is the per-cell mean of
-    grad(u).grad(u) under the assembly quadrature.
+    `load` is the per-cell right-hand side, kept so cost evaluation does not
+    need the scenario set again. `weight` is 1 for a `LoadBasis` load and w_k
+    for scenario k. `energy` is the per-cell mean of grad(u).grad(u) under the
+    assembly quadrature.
     """
 
     u: NodalField
@@ -45,74 +46,77 @@ class ScenarioSolution:
     energy: np.ndarray
 
 
-def solve_state(
-    a: DensityField,
-    sset: ScenarioSet,
-    tol: float = 1e-10,
-    warm_starts: list[np.ndarray] | None = None,
-) -> list[ScenarioSolution]:
-    """Solve the state equation for every scenario of the set.
+@dataclass(frozen=True)
+class LoadBasis:
+    """Unit-weight loads whose states sum to a scenario set's expectations.
 
-    Loads are taken in scenario order. A load b_k whose distance to the span
-    of the earlier independent loads is at most tol * ||b_k|| is dependent:
-    CG starts from the same combination of their states and its warm start is
-    not used. Every other load starts from warm_starts[k]. Either way each
-    state meets the relative residual tol.
-
-    Raises RuntimeError naming the scenario if CG does not converge.
+    Row 0 of `loads` is f, row j >= 1 is sigma_j U_j of the thin SVD
+    [sqrt(w_k) xi_k] = U diag(sigma) V^T with sigma_j > 1e-10 sigma_1, the
+    directions kept. Scenario k's load f + xi_k is coefficients[k] @ loads.
     """
+
+    grid: GridSpec
+    loads: np.ndarray  # (1 + r, n_cells)
+    coefficients: np.ndarray  # (K, 1 + r)
+    weights: np.ndarray  # (K,)
+
+
+def load_basis(sset: ScenarioSet) -> LoadBasis:
+    """Validate a scenario set and factor its weighted perturbations."""
     problems = validate(sset)
     if problems:
         raise ValueError("invalid scenario set: " + "; ".join(problems))
-    grid = a.grid
-    if sset.grid != grid:
+    root_w = np.sqrt(sset.weights())[:, None]
+    # rows: sqrt(w_k) xi_k = sum_j v[k, j] sigma_j U_j, with U_j = u_t[j]
+    v, sigma, u_t = np.linalg.svd(root_w * [s.xi for s in sset.scenarios], full_matrices=False)
+    r = int(np.count_nonzero(sigma > 1e-10 * sigma[0]))
+    loads = np.vstack([sset.f, sigma[:r, None] * u_t[:r]])
+    coefficients = np.hstack([np.ones_like(root_w), v[:, :r] / root_w])
+    return LoadBasis(sset.grid, loads, coefficients, sset.weights())
+
+
+def solve_state(
+    a: DensityField,
+    basis: LoadBasis | ScenarioSet,
+    tol: float = 1e-10,
+    warm_starts: list[np.ndarray] | None = None,
+) -> list[ScenarioSolution]:
+    """Solve the state equation for every load of the basis, to relative residual tol.
+
+    A ScenarioSet is passed through `load_basis` first; a design loop does that
+    once. Load i starts from warm_starts[i]. Raises RuntimeError naming the
+    load if CG does not converge.
+    """
+    if isinstance(basis, ScenarioSet):
+        basis = load_basis(basis)
+    if basis.grid != a.grid:
         raise ValueError("scenario set and coefficient live on different grids")
-    if warm_starts is not None and len(warm_starts) != len(sset.scenarios):
-        raise ValueError(
-            f"got {len(warm_starts)} warm starts for {len(sset.scenarios)} scenarios"
-        )
+    n = len(basis.loads)
+    if warm_starts is not None and len(warm_starts) != n:
+        raise ValueError(f"got {len(warm_starts)} warm starts for {n} loads")
 
     K = assemble_stiffness(a)
     M = VCycle(a, K)
-    n = K.shape[0]
-    # Rows of Q: orthonormal basis of the independent loads so far (incremental
-    # Gram-Schmidt, reorthogonalized once). Rows of Y: the matching
-    # combinations of their states, so K @ Y[i] ~= Q[i].
-    Q = np.empty((0, n))
-    Y = np.empty((0, n))
     solutions = []
-    for k, scenario in enumerate(sset.scenarios):
-        load = sset.f + scenario.xi
-        b = assemble_load(grid, load)
-        h = Q @ b
-        w = b - h @ Q
-        h2 = Q @ w
-        w -= h2 @ Q
-        h += h2
-        w_norm = float(np.linalg.norm(w))
-        dependent = w_norm <= tol * float(np.linalg.norm(b))
-        if dependent:
-            x0 = h @ Y
-        else:
-            x0 = warm_starts[k] if warm_starts is not None else None
-        x, report = cg_solve(K, b, tol=tol, x0=x0, M=M)
+    for i, load in enumerate(basis.loads):
+        x0 = warm_starts[i] if warm_starts is not None else None
+        x, report = cg_solve(K, assemble_load(a.grid, load), tol=tol, x0=x0, M=M)
         if not report.converged:
+            which = f"perturbation direction {i} of {n - 1}" if i else "the mean load f"
             raise RuntimeError(
-                f"CG did not converge for scenario {k} "
-                f"(relative residual {report.relative_residual:.3e} "
-                f"after {report.iterations} iterations)"
+                f"CG did not converge for {which} (relative residual "
+                f"{report.relative_residual:.3e} after {report.iterations} iterations)"
             )
-        if not dependent:
-            Q = np.vstack([Q, w / w_norm])
-            Y = np.vstack([Y, (x - h @ Y) / w_norm])
-        u = NodalField.from_interior(grid, x)
-        solutions.append(
-            ScenarioSolution(
-                u=u,
-                weight=scenario.weight,
-                load=load,
-                solve_tol=tol,
-                energy=cell_grad_dot(u, u),
-            )
-        )
+        u = NodalField.from_interior(a.grid, x)
+        solutions.append(ScenarioSolution(u, 1.0, load, tol, cell_grad_dot(u, u)))
     return solutions
+
+
+def scenario_states(basis: LoadBasis, sols: list[ScenarioSolution]) -> list[ScenarioSolution]:
+    """Scenario k's state as coefficients[k] @ the basis states: no solve."""
+    states = np.stack([sol.u.values for sol in sols])
+    out = []
+    for c, w in zip(basis.coefficients, basis.weights):
+        u = NodalField(basis.grid, c @ states)
+        out.append(ScenarioSolution(u, w, c @ basis.loads, sols[0].solve_tol, cell_grad_dot(u, u)))
+    return out

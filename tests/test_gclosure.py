@@ -193,11 +193,12 @@ def test_residual_zero_gradient_cells():
 
 def test_residual_finite_for_two_scenarios():
     from stodesign.scenarios import make_case1
-    from stodesign.solve import solve_state
+    from stodesign.solve import load_basis, scenario_states, solve_state
 
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
-    sols = solve_state(a, make_case1(g))
+    basis = load_basis(make_case1(g))
+    sols = scenario_states(basis, solve_state(a, basis))
     res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
     assert np.all(np.isfinite(res))
     assert np.all(res >= 0.0)
@@ -205,7 +206,7 @@ def test_residual_finite_for_two_scenarios():
 
 def test_residual_matches_loop_oracle_four_scenarios():
     from stodesign.scenarios import Scenario, ScenarioSet
-    from stodesign.solve import solve_state
+    from stodesign.solve import load_basis, scenario_states, solve_state
 
     g = GridSpec(16, 12)
     rng = np.random.default_rng(21)
@@ -217,7 +218,8 @@ def test_residual_matches_loop_oracle_four_scenarios():
     )
     a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
     a.values[:3] = [1.0, 2.0, 1.0]  # pure-phase cells
-    sols = solve_state(a, sset)
+    basis = load_basis(sset)
+    sols = scenario_states(basis, solve_state(a, basis))
     zero = [0, 17, 100]
     for sol in sols:  # equal corner values give a zero cell gradient
         sol.u.values[cell_node_ids(g)[zero]] = 0.0

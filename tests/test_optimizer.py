@@ -382,5 +382,5 @@ def test_initial_cg_failure_aborts_run(monkeypatch):
 
     monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
     g = GridSpec(16, 16)
-    with pytest.raises(RuntimeError, match="scenario 0"):
+    with pytest.raises(RuntimeError, match=r"^CG did not converge for the mean load f \("):
         run(OptimizerConfig(), make_case1(g), Objective.COMPLIANCE)

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 import stodesign.solve as solve_module
 from stodesign.fem import DensityField, GridSpec, cell_centers
 from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot
+from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import (
     Scenario,
@@ -17,7 +18,7 @@ from stodesign.scenarios import (
     make_case2,
     make_deterministic,
 )
-from stodesign.solve import solve_state
+from stodesign.solve import load_basis, scenario_states, solve_state
 
 from oracles import boundary_node_ids, sample_cells
 
@@ -131,22 +132,38 @@ def test_coefficient_scaling():
 
 
 def test_stiffness_shared_across_scenarios():
+    # case1's two loads f +- chi are carried by f and one direction, of unit weight
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
+    basis = load_basis(make_case1(g))
+    sols = solve_state(DensityField.constant(g, 1.5), basis)
     assert len(sols) == 2
-    assert sols[0].weight == sols[1].weight == 0.5
+    assert sols[0].weight == sols[1].weight == 1.0
+    states = scenario_states(basis, sols)
+    assert len(states) == 2
+    assert states[0].weight == states[1].weight == 0.5
 
 
 def test_cg_failure_names_scenario(monkeypatch):
-    from stodesign.cg import SolveReport
+    from stodesign.cg import SolveReport, cg_solve
 
     def stalled(K, b, tol, x0=None, M=None):
         return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
     g = GridSpec(16, 16)
-    with pytest.raises(RuntimeError, match="scenario 0"):
+    with pytest.raises(RuntimeError, match=r"^CG did not converge for the mean load f \("):
         solve_state(DensityField.constant(g, 1.0), make_case1(g))
+
+    calls = []
+
+    def second_stalls(K, b, tol, x0=None, M=None):
+        calls.append(b)
+        return stalled(K, b, tol) if len(calls) == 2 else cg_solve(K, b, tol=tol, x0=x0, M=M)
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", second_stalls)
+    sset = _pm_pair_set(g, 3, 2, 1)  # f and two directions
+    with pytest.raises(RuntimeError, match=r"^CG did not converge for perturbation direction 1 of 2 \("):
+        solve_state(DensityField.constant(g, 1.0), sset)
 
 
 def test_non_finite_load_rejected_before_cg():
@@ -169,9 +186,9 @@ def test_warm_start_count_must_match_scenarios():
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.0)
     x = np.zeros((g.nx - 1) * (g.ny - 1))
-    with pytest.raises(ValueError, match="got 1 warm starts for 2 scenarios"):
+    with pytest.raises(ValueError, match="got 1 warm starts for 2 loads"):
         solve_state(a, make_case1(g), warm_starts=[x])
-    with pytest.raises(ValueError, match="got 3 warm starts for 2 scenarios"):
+    with pytest.raises(ValueError, match="got 3 warm starts for 2 loads"):
         solve_state(a, make_case1(g), warm_starts=[x, x, x])
 
 
@@ -235,6 +252,14 @@ def _rel(x, ref) -> float:
     return float(np.linalg.norm(np.asarray(x) - ref) / np.linalg.norm(ref))
 
 
+def _cold_states(a: DensityField, sset: ScenarioSet, tol: float) -> list:
+    """Each scenario's state by its own cold solve, with the scenario's weight."""
+    return [
+        replace(solve_state(a, make_deterministic(a.grid, load), tol=tol)[0], weight=w)
+        for load, w in zip(sset.loads(), sset.weights())
+    ]
+
+
 @pytest.mark.parametrize(
     "make_set",
     [
@@ -246,19 +271,23 @@ def _rel(x, ref) -> float:
     ids=["duplicate", "scaled-copy", "pm-pairs-rank2", "pm-pairs-rank3"],
 )
 def test_dependent_loads_match_cold_solves(make_set):
+    # the basis carries rank-deficient sets: its 1 + r states give the cost and
+    # gradient of the K per-scenario solves, and combine into their states
     g = GridSpec(16, 16)
     rng = np.random.default_rng(7)
     a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
     sset = make_set(g)
     tol = 1e-10
-    sols = solve_state(a, sset, tol=tol)
-    cold = [
-        replace(solve_state(a, make_deterministic(g, sol.load), tol=tol)[0], weight=sol.weight)
-        for sol in sols
-    ]
-    for sol, ref in zip(sols, cold):
+    basis = load_basis(sset)
+    assert len(basis.loads) < len(sset.scenarios) + 1
+    sols = solve_state(a, basis, tol=tol)
+    cold = _cold_states(a, sset, tol)
+    for sol in sols:
         assert _true_relative_residual(a, sol) <= tol
-        assert _rel(sol.energy, ref.energy) <= 1e-8
+    for state, ref in zip(scenario_states(basis, sols), cold):
+        assert _rel(state.load, ref.load) <= 1e-12
+        assert _rel(state.u.values, ref.u.values) <= 1e-8
+        assert _rel(state.energy, ref.energy) <= 1e-8
     for kind in Objective:
         c, c_ref = cost(a, sols, kind), cost(a, cold, kind)  # both cross-checks pass
         assert abs(c - c_ref) <= 1e-8 * abs(c_ref)
@@ -271,71 +300,99 @@ def test_dependent_loads_match_cold_solves(make_set):
 def test_independent_loads_get_caller_warm_starts_bitwise(monkeypatch, make_set):
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
-    sset = make_set(g)
+    basis = load_basis(make_set(g))
+    assert len(basis.loads) == len(basis.weights)  # the presets keep their solve counts
     calls = _spy_cg(monkeypatch)
-    solve_state(a, sset)
-    assert [x0 for x0, _ in calls] == [None] * len(sset.scenarios)
+    solve_state(a, basis)
+    assert [x0 for x0, _ in calls] == [None] * len(basis.loads)
     rng = np.random.default_rng(0)
-    warm = [rng.standard_normal((g.nx - 1) * (g.ny - 1)) for _ in sset.scenarios]
+    warm = [rng.standard_normal((g.nx - 1) * (g.ny - 1)) for _ in basis.loads]
     calls.clear()
-    solve_state(a, sset, warm_starts=warm)
+    solve_state(a, basis, warm_starts=warm)
     assert len(calls) == len(warm)
     for (x0, _), w in zip(calls, warm):
         assert x0.tobytes() == w.tobytes()
 
 
-def test_dependent_loads_cost_no_iterations_at_rank():
-    # 16 loads of rank 1 + 3: loads 0, 1, 2 and 4 span them; the rest start
-    # from the combination of those states, so each needs fewer iterations
-    # than any independent load's full solve. On a non-uniform coefficient the
-    # combination can miss tol by a little; CG then runs a few iterations
+@pytest.mark.parametrize(
+    "pairs, rank",
+    [(1, 1), (10, 1), (10, 3), (100, 1), (100, 3)],
+    ids=["K2-r1", "K20-r1", "K20-r3", "K200-r1", "K200-r3"],
+)
+def test_solves_per_call_are_one_plus_rank(monkeypatch, pairs, rank):
+    # K = 2 * pairs scenarios of perturbation rank r cost 1 + r CG solves per
+    # call, cold or warm-started, whatever K
     g = GridSpec(16, 16)
-    sset = _pm_pair_set(g, 8, 3, 3)
-    coefficients = [
-        DensityField.constant(g, 1.5),
-        DensityField(g, np.random.default_rng(0).uniform(1.0, 2.0, g.n_cells)),
-    ]
-    for a in coefficients:
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _spy_cg(mp)
-            sols = solve_state(a, sset)
-        independent = [k for k, (x0, _) in enumerate(calls) if x0 is None]
-        assert independent == [0, 1, 2, 4]
-        iters = [report.iterations for _, report in calls]
-        dependent = [it for k, it in enumerate(iters) if k not in independent]
-        assert max(dependent) < min(iters[k] for k in independent)
-        assert max(dependent) <= 5
-        assert all(_true_relative_residual(a, sol) <= 1e-10 for sol in sols)
-
-
-def test_load_near_the_span_is_solved_as_independent(monkeypatch):
-    # load 2 lies 1e-6 (relative) off the span of loads 0 and 1; load 3 is in
-    # the span of loads 0, 1 and 2
-    g = GridSpec(16, 16)
-    a = DensityField(g, np.random.default_rng(1).uniform(1.0, 2.0, g.n_cells))
-    phi, eta = _sine_modes(g, 2)
-    f = np.ones(g.n_cells)
-    eps = 1e-6 * np.linalg.norm(f + phi) / np.linalg.norm(eta)
-    xi2 = phi + eps * eta
-    sset = ScenarioSet(g, f, [Scenario(xi, 0.25) for xi in (phi, -phi, xi2, -xi2)])
-    b = [assemble_load(g, load) for load in sset.loads()]
-    q, _ = np.linalg.qr(np.stack(b[:2], axis=1))
-    off = np.linalg.norm(b[2] - q @ (q.T @ b[2])) / np.linalg.norm(b[2])
-    assert 1e-7 < off < 1e-5
-
+    a = DensityField(g, np.random.default_rng(4).uniform(1.0, 2.0, g.n_cells))
+    basis = load_basis(_pm_pair_set(g, pairs, rank, 5))
     calls = _spy_cg(monkeypatch)
-    sols = solve_state(a, sset)
-    assert [x0 is None for x0, _ in calls] == [True, True, True, False]
-    assert calls[2][1].converged and calls[2][1].iterations > 0
-    assert all(_true_relative_residual(a, sol) <= 1e-10 for sol in sols)
+    sols = solve_state(a, basis)
+    assert len(calls) == 1 + rank
+    calls.clear()
+    solve_state(a, basis, warm_starts=[s.u.interior() for s in sols])
+    assert len(calls) == 1 + rank
+
+
+def test_zero_perturbations_cost_one_solve(monkeypatch):
+    g = GridSpec(16, 16)
+    zero = np.zeros(g.n_cells)
+    sset = ScenarioSet(g, np.ones(g.n_cells), [Scenario(zero, 0.5), Scenario(zero, 0.5)])
+    calls = _spy_cg(monkeypatch)
+    sols = solve_state(DensityField.constant(g, 1.5), sset)
+    assert len(calls) == len(sols) == 1
+
+
+@pytest.mark.parametrize(
+    "ratio, kept", [(1e-6, True), (1e-14, False)], ids=["kept-1e-6", "dropped-1e-14"]
+)
+def test_direction_cutoff(monkeypatch, ratio, kept):
+    # two orthonormal perturbation directions with sigma_2 = ratio * sigma_1:
+    # kept above the cutoff 1e-10 * sigma_1, dropped below it
+    g = GridSpec(16, 16)
+    q, _ = np.linalg.qr(_sine_modes(g, 2).T)
+    phi, eta = q.T
+    f = np.ones(g.n_cells)
+    xis = (phi, -phi, ratio * eta, -ratio * eta)
+    sset = ScenarioSet(g, f, [Scenario(xi, 0.25) for xi in xis])
+    basis = load_basis(sset)
+    sigma = [np.linalg.norm(load) for load in basis.loads[1:]]
+    assert sigma[0] == pytest.approx(np.sqrt(0.5), rel=1e-14)
+    assert len(sigma) == (2 if kept else 1)
+    if kept:
+        assert sigma[1] == pytest.approx(ratio * np.sqrt(0.5), rel=1e-8)
+    combined = basis.coefficients @ basis.loads
+    missed = [np.max(np.abs(c - load)) for c, load in zip(combined, sset.loads())]
+    assert max(missed) <= (1e-14 if kept else 2 * ratio * np.max(np.abs(eta)))
+    calls = _spy_cg(monkeypatch)
+    solve_state(DensityField(g, np.random.default_rng(1).uniform(1.0, 2.0, g.n_cells)), basis)
+    assert len(calls) == len(basis.loads)
+
+
+@pytest.mark.parametrize(
+    "make_set",
+    [make_case1, make_case2, lambda g: _pm_pair_set(g, 8, 3, 3)],
+    ids=["case1", "case2", "pm-pairs-k16"],
+)
+def test_residual_from_combined_states_matches_cold_solves(make_set):
+    g = GridSpec(16, 16)
+    a = DensityField(g, np.random.default_rng(11).uniform(1.0, 2.0, g.n_cells))
+    sset = make_set(g)
+    basis = load_basis(sset)
+    states = scenario_states(basis, solve_state(a, basis))
+    cold = _cold_states(a, sset, 1e-10)
+    for kind in Objective:
+        res = optimality_residual(a, states, kind, PhasePair(1.0, 2.0))
+        ref = optimality_residual(a, cold, kind, PhasePair(1.0, 2.0))
+        assert np.max(np.abs(res - ref)) <= 1e-8
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_energy_is_cell_grad_dot_of_state_property(data):
     # random small grids, densities in [1, 2] and +-pair scenario sets, some
-    # scenarios duplicated (the weight split in two), so some loads are
-    # dependent and start from a combination of earlier states
+    # scenarios duplicated (the weight split in two), so the set has fewer
+    # covariance directions than scenarios; the combined scenario states
+    # carry their energy too
     g = GridSpec(data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9)))
     a = DensityField(g, data.draw(arrays(float, g.n_cells, elements=st.floats(1.0, 2.0))))
     f = data.draw(arrays(float, g.n_cells, elements=st.floats(-2.0, 2.0)))
@@ -350,7 +407,8 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
         s = scenarios[k]
         scenarios[k] = Scenario(s.xi, 0.5 * s.weight)
         scenarios.append(Scenario(s.xi.copy(), 0.5 * s.weight))
-    sols = solve_state(a, ScenarioSet(g, f, scenarios))
-    for sol in sols:
+    basis = load_basis(ScenarioSet(g, f, scenarios))
+    sols = solve_state(a, basis)
+    for sol in sols + scenario_states(basis, sols):
         assert np.array_equal(sol.energy, cell_grad_dot(sol.u, sol.u))
     cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
