@@ -53,7 +53,8 @@ def cg_solve(
     Returns:
         (x, SolveReport). A non-converged solve returns the last iterate with
         converged=False; the caller decides how to proceed. A residual norm
-        that is not finite ends the solve at once, not converged.
+        that is not finite ends the solve at once, not converged. Arithmetic
+        past the float range raises no numpy warning: the report shows it.
 
     M is applied only to a residual that fails the tolerance test, once per
     iteration: a solve of `iterations` steps applies it that many times, and
@@ -89,17 +90,19 @@ def cg_solve(
     r_norm = float(np.linalg.norm(r))
     p = rz = None
     it = 0
-    # the preconditioner runs only on a residual that failed the test
-    while r_norm > tol * b_norm and np.isfinite(r_norm) and it < max_iter:
-        z = M(r)
-        rz_new = float(r @ z)
-        p = z.copy() if p is None else z + (rz_new / rz) * p
-        rz = rz_new
-        Kp = K @ p
-        alpha = rz / float(p @ Kp)
-        x += alpha * p
-        r -= alpha * Kp
-        r_norm = float(np.linalg.norm(r))
-        it += 1
+    # the preconditioner runs only on a residual that failed the test. Past
+    # the float range the report shows the failure, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while r_norm > tol * b_norm and np.isfinite(r_norm) and it < max_iter:
+            z = M(r)
+            rz_new = float(r @ z)
+            p = z.copy() if p is None else z + (rz_new / rz) * p
+            rz = rz_new
+            Kp = K @ p
+            alpha = rz / float(p @ Kp)
+            x += alpha * p
+            r -= alpha * Kp
+            r_norm = float(np.linalg.norm(r))
+            it += 1
 
     return x, SolveReport(it, r_norm / b_norm, r_norm <= tol * b_norm)

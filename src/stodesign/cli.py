@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from .objective import Objective
 from .optimizer import ConvergenceRecord, OptimizerConfig, RunResult, run
 from .scenarios import (
     ScenarioSet,
+    center_square_mask,
     load_scenario_file,
     make_case1,
     make_case2,
@@ -26,46 +26,25 @@ from .scenarios import (
 )
 
 PRESETS = ("deterministic", "case1", "case2")
-CONFIG_KEYS = {
-    "preset": str,
-    "objective": str,
-    "nx": int,
-    "ny": int,
-    "alpha": float,
-    "beta": float,
-    "mass": float,
-    "penalty": float,
-    "eps": float,
-    "eps1": float,
-    "max_iters": int,
-    "out": str,
+_DEFAULTS = OptimizerConfig()
+# Every run parameter, in config.txt order: its type, default and help. Each
+# becomes a `run` flag (max_iters -> --max-iters) and a --config key.
+PARAMS = {
+    "preset": (str, "deterministic", "deterministic | case1 | case2 | file:<scenario file>"),
+    "objective": (str, "compliance", "compliance | energy"),
+    "nx": (int, 64, "cells in x"),
+    "ny": (int, 64, "cells in y"),
+    "alpha": (float, _DEFAULTS.alpha, "lower phase value"),
+    "beta": (float, _DEFAULTS.beta, "upper phase value"),
+    "mass": (float, _DEFAULTS.mass, "mass target, constrained mode"),
+    "penalty": (float, None, "fixed mass multiplier, penalized mode; replaces the mass"),
+    "eps": (float, _DEFAULTS.eps, "base step scale"),
+    "eps1": (float, _DEFAULTS.eps1, "relative stopping tolerance"),
+    "max_iters": (int, _DEFAULTS.max_iters, "iteration cap"),
+    "out": (str, "stodesign_out", "output directory"),
 }
 CORNER_BLOCK_SIDE = 0.125  # side of the four corner squares used in region metrics
 CROSS_BAND_HALFWIDTH = 0.125  # half-width of the center cross bands
-
-
-@dataclass
-class RunConfig:
-    """Resolved run configuration; exactly one of mass and penalty is set."""
-
-    preset: str = "deterministic"
-    objective: str = "compliance"
-    nx: int = 64
-    ny: int = 64
-    alpha: float = 1.0
-    beta: float = 2.0
-    mass: float | None = None
-    penalty: float | None = None
-    eps: float = 64.0
-    eps1: float = 1e-6
-    max_iters: int = 500
-    out: str = "stodesign_out"
-
-    def finalize(self) -> None:
-        if self.mass is not None and self.penalty is not None:
-            raise ValueError("set at most one of mass and penalty")
-        if self.mass is None and self.penalty is None:
-            self.mass = 1.5  # reference problem default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,26 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one optimization and write artifacts")
-    p_run.add_argument("--config", help="key = value file; flags override it")
-    p_run.add_argument(
-        "--preset",
-        help="deterministic | case1 | case2 | file:<path to scenario file>",
-    )
-    p_run.add_argument("--objective", help="compliance | energy")
-    p_run.add_argument("--nx", type=int, help="cells in x (default 64)")
-    p_run.add_argument("--ny", type=int, help="cells in y (default 64)")
-    p_run.add_argument("--alpha", type=float, help="lower phase value (default 1)")
-    p_run.add_argument("--beta", type=float, help="upper phase value (default 2)")
-    p_run.add_argument("--mass", type=float, help="mass target (constrained mode)")
-    p_run.add_argument(
-        "--penalty", type=float, help="fixed mass multiplier (penalized mode)"
-    )
-    p_run.add_argument("--eps", type=float, help="base step scale (default 64)")
-    p_run.add_argument(
-        "--eps1", type=float, help="relative stopping tolerance (default 1e-6)"
-    )
-    p_run.add_argument("--max-iters", type=int, dest="max_iters")
-    p_run.add_argument("--out", help="output directory (default stodesign_out)")
+    p_run.add_argument("--config", help="key = value file of the settings below; flags override it")
+    for key, (kind, default, text) in PARAMS.items():
+        if default is not None:
+            text += f" (default {default})"
+        p_run.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
 
     p_cmp = sub.add_parser("compare", help="compare the densities of two run dirs")
     p_cmp.add_argument("dir_a")
@@ -120,44 +84,47 @@ def parse_config_file(path: str | Path) -> dict:
                     raise ValueError(f"cannot parse config line: {raw!r}")
                 key, val = parts
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in PARAMS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = CONFIG_KEYS[key](val.strip())
+            values[key] = PARAMS[key][0](val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values = parse_config_file(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
-        if key in file_values:
-            setattr(cfg, key, file_values[key])
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    cfg.finalize()
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, then the --config file, then the flags given.
+
+    Mass and penalty are one setting: a layer that sets either replaces both.
+    """
+    cfg = {key: default for key, (_, default, _) in PARAMS.items()}
+    flags = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
+    for layer in (parse_config_file(args.config) if args.config else {}, flags):
+        mode = layer.keys() & {"mass", "penalty"}
+        if len(mode) == 2:
+            raise ValueError("set at most one of mass and penalty")
+        if mode:
+            cfg["mass"] = cfg["penalty"] = None
+        cfg.update(layer)
     return cfg
 
 
-def _build_scenarios(cfg: RunConfig) -> ScenarioSet:
-    if cfg.preset == "deterministic":
-        grid = GridSpec(cfg.nx, cfg.ny)
-        return make_deterministic(grid, np.ones(grid.n_cells))
-    if cfg.preset == "case1":
-        return make_case1(GridSpec(cfg.nx, cfg.ny))
-    if cfg.preset == "case2":
-        return make_case2(GridSpec(cfg.nx, cfg.ny))
-    if cfg.preset.startswith("file:"):
-        sset = load_scenario_file(cfg.preset[5:])
-        cfg.nx, cfg.ny = sset.grid.nx, sset.grid.ny
+def _build_scenarios(cfg: dict) -> ScenarioSet:
+    preset = cfg["preset"]
+    if preset.startswith("file:"):
+        sset = load_scenario_file(preset[5:])
+        cfg["nx"], cfg["ny"] = sset.grid.nx, sset.grid.ny
         return sset
-    raise ValueError(
-        f"unknown preset {cfg.preset!r}; expected one of "
-        f"{', '.join(PRESETS)} or file:<path>"
-    )
+    if preset not in PRESETS:
+        raise ValueError(
+            f"unknown preset {preset!r}; expected one of {', '.join(PRESETS)} or file:<path>"
+        )
+    grid = GridSpec(cfg["nx"], cfg["ny"])
+    if preset == "case1":
+        return make_case1(grid)
+    if preset == "case2":
+        return make_case2(grid)
+    return make_deterministic(grid, np.ones(grid.n_cells))
 
 
 # ----------------------------------------------------------------- regions
@@ -174,12 +141,7 @@ def region_masks(grid: GridSpec) -> dict[str, np.ndarray]:
     c = cell_centers(grid)
     x, y = c[:, 0], c[:, 1]
     wx, wy = grid.x1 - grid.x0, grid.y1 - grid.y0
-    d0 = (
-        (x >= grid.x0 + 0.25 * wx)
-        & (x <= grid.x1 - 0.25 * wx)
-        & (y >= grid.y0 + 0.25 * wy)
-        & (y <= grid.y1 - 0.25 * wy)
-    )
+    d0 = center_square_mask(grid)
     near_x = (x < grid.x0 + CORNER_BLOCK_SIDE * wx) | (x > grid.x1 - CORNER_BLOCK_SIDE * wx)
     near_y = (y < grid.y0 + CORNER_BLOCK_SIDE * wy) | (y > grid.y1 - CORNER_BLOCK_SIDE * wy)
     corners = near_x & near_y
@@ -274,8 +236,8 @@ def write_convergence_log(path: Path, history: list[ConvergenceRecord]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_config_echo(path: Path, cfg: RunConfig) -> None:
-    lines = [f"{key} = {getattr(cfg, key)}" for key in CONFIG_KEYS]
+def write_config_echo(path: Path, cfg: dict) -> None:
+    lines = [f"{key} = {cfg[key]}" for key in PARAMS]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -319,27 +281,26 @@ def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> No
 # ----------------------------------------------------------------- commands
 
 
-def run_command(cfg: RunConfig) -> int:
+def run_command(cfg: dict) -> int:
     sset = _build_scenarios(cfg)
-    kind = Objective.parse(cfg.objective)
+    kind = Objective.parse(cfg["objective"])
+    alpha, beta = cfg["alpha"], cfg["beta"]
     opt = OptimizerConfig(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        mass=cfg.mass,
-        gamma_pen=cfg.penalty,
-        eps=cfg.eps,
-        eps1=cfg.eps1,
-        max_iters=cfg.max_iters,
+        alpha=alpha,
+        beta=beta,
+        mass=cfg["mass"],
+        gamma_pen=cfg["penalty"],
+        eps=cfg["eps"],
+        eps1=cfg["eps1"],
+        max_iters=cfg["max_iters"],
     )
     result = run(opt, sset, kind)
-    residual = optimality_residual(
-        result.density, result.solutions, kind, PhasePair(cfg.alpha, cfg.beta)
-    )
+    residual = optimality_residual(result.density, result.solutions, kind, PhasePair(alpha, beta))
 
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_cell_csv(out / "density.csv", result.density.grid, result.density.values)
-    write_density_pgm(out / "density.pgm", result.density, cfg.alpha, cfg.beta)
+    write_density_pgm(out / "density.pgm", result.density, alpha, beta)
     write_cell_csv(out / "residual.csv", result.density.grid, residual)
     write_convergence_log(out / "convergence.log", result.history)
     write_diagnostics(out / "diagnostics.txt", result, residual)

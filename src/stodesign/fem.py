@@ -111,14 +111,11 @@ class NodalField:
         return self.values.reshape(self.grid.ny + 1, self.grid.nx + 1)[1:-1, 1:-1].ravel()
 
 
-@lru_cache(maxsize=64)
 def cell_centers(grid: GridSpec) -> np.ndarray:
     cx = grid.x0 + (np.arange(grid.nx) + 0.5) * grid.hx
     cy = grid.y0 + (np.arange(grid.ny) + 0.5) * grid.hy
     yy, xx = np.meshgrid(cy, cx, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    pts.flags.writeable = False
-    return pts
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
 
 @lru_cache(maxsize=64)

@@ -41,7 +41,8 @@ def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> fl
     Compliance is sum_k w_k * integral (f + xi_k) u_k; energy is its negation.
     The load-pairing value is cross-checked against the stiffness-energy form
     sum_k w_k * integral a |grad u_k|^2, which must agree within 10x the solver
-    tolerance; a larger gap indicates an assembly or bookkeeping bug.
+    tolerance; a larger gap, or a side that is not finite, indicates an
+    assembly or bookkeeping bug or an overflow.
     """
     area = a.grid.cell_area
     pairing = sum(
@@ -50,7 +51,7 @@ def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> fl
     energy = sum(sol.weight * (float(a.values @ sol.energy) * area) for sol in sols)
     tol = 10.0 * max(sol.solve_tol for sol in sols)
     gap = abs(pairing - energy)
-    if gap > tol * max(abs(pairing), abs(energy)) + 1e-14:
+    if not np.isfinite(gap) or gap > tol * max(abs(pairing), abs(energy)) + 1e-14:
         raise ArithmeticError(
             f"load-pairing cost {pairing!r} and stiffness-energy cost {energy!r} "
             f"disagree by {gap:.3e}; assembly and solutions are inconsistent"

@@ -219,15 +219,17 @@ def run(
     Starts from a0 (default: the uniform density meeting the mass target) and
     iterates until the merit decrease falls below eps1 times the initial merit
     magnitude, until no decreasing step exists (stagnation), or until
-    max_iters. A constrained design saturated at the phase bounds cannot move
-    and counts as converged. In constrained mode the merit is the plain cost:
+    max_iters. A design saturated at the phase bounds cannot move and counts
+    as converged. In constrained mode the merit is the plain cost:
     the mass term of the penalized functional is constant on the mass manifold
     the iterates stay on, so the recorded penalized cost equals the cost. In
     penalized mode the merit is cost + gamma_pen * mass.
 
     Raises ArithmeticError, naming the iterate and beta/alpha, when the
-    gradient density or the stationarity of an iterate is not finite, as a
-    tiny alpha makes them on the energy kind.
+    energy density, the gradient density or the stationarity of an iterate is
+    not finite, as a tiny alpha or beta makes them. A trial whose solve fails,
+    whose energy density is not finite or whose cost cross-check fails is
+    rejected and the step halved.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -245,8 +247,10 @@ def run(
     def solve(
         field: DensityField, warm: list[np.ndarray] | None = None
     ) -> tuple[list[ScenarioSolution], float, float]:
-        """States, cost and merit of a density."""
+        """States, cost and merit of a density; both inf where an energy overflows."""
         s = solve_state(field, basis, tol=SOLVE_TOL, warm_starts=warm)
+        if not all(np.isfinite(sol.energy).all() for sol in s):
+            return s, np.inf, np.inf
         c = cost(field, s, kind)
         return s, c, c if cfg.constrained else c + cfg.gamma_pen * field.mass()
 
@@ -255,12 +259,14 @@ def run(
         nonlocal trial
         try:
             trial = solve(field, warm)
-        except RuntimeError:
-            return np.inf  # CG failed on this trial: reject it, the step is halved
-        return trial[2]
+        except (RuntimeError, ArithmeticError):
+            # CG failed, or a phase contrast too wide for the solve tolerance
+            # broke the cost cross-check: reject the trial, the step is halved
+            return np.inf
+        return trial[2]  # inf, and so rejected, where an energy overflowed
 
     def require_finite(name: str, value: np.ndarray | float, k: int) -> None:
-        """Stop with an error where a tiny alpha overflows the gradient arithmetic."""
+        """Stop with an error where a tiny coefficient overflows the arithmetic."""
         if not np.all(np.isfinite(value)):
             raise ArithmeticError(
                 f"{name} is not finite at iterate {k}: the phase contrast "
@@ -272,11 +278,12 @@ def run(
     history: list[ConvergenceRecord] = []
     converged = False
     for k in range(cfg.max_iters + 1):
+        require_finite("the energy density", cost_now, k)
         with np.errstate(over="ignore", invalid="ignore"):
             g = gradient_density(sols, kind)
         require_finite("the gradient density", g, k)
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
-        saturated, gamma, projected = False, cfg.gamma_pen, None
+        saturated, gamma, projected = not np.any(eta > 0.0), cfg.gamma_pen, None
         if cfg.constrained:
             projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
             saturated = projected is None
@@ -291,7 +298,7 @@ def run(
         elif k == cfg.max_iters:
             stop_reason = "max_iters"
         elif saturated:
-            stop_reason = "converged"  # every cell sits at a bound: nothing can move
+            stop_reason = "converged"  # no cell can move (constrained: toward the mass)
         else:
             warm = [s.u.interior() for s in sols]
             a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now, projected)

@@ -9,13 +9,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from .fem import GridSpec
+from .fem import GridSpec, cell_centers
 
 WEIGHT_SUM_TOL = 1e-12
 ZERO_MEAN_TOL = 1e-12
@@ -70,17 +69,20 @@ def _require_unit_square(grid: GridSpec):
         raise ValueError("built-in perturbation cases are defined on the unit square")
 
 
-@lru_cache(maxsize=64)
 def center_square_mask(grid: GridSpec) -> np.ndarray:
-    """Cells whose center lies in the middle quarter-area square [1/4,3/4]^2."""
-    from .fem import cell_centers
+    """Cells whose center lies in the middle quarter-area square of the domain.
 
+    On the unit square that is [1/4, 3/4]^2.
+    """
     c = cell_centers(grid)
-    mask = (
-        (c[:, 0] >= 0.25) & (c[:, 0] <= 0.75) & (c[:, 1] >= 0.25) & (c[:, 1] <= 0.75)
+    x, y = c[:, 0], c[:, 1]
+    wx, wy = grid.x1 - grid.x0, grid.y1 - grid.y0
+    return (
+        (x >= grid.x0 + 0.25 * wx)
+        & (x <= grid.x1 - 0.25 * wx)
+        & (y >= grid.y0 + 0.25 * wy)
+        & (y <= grid.y1 - 0.25 * wy)
     )
-    mask.flags.writeable = False
-    return mask
 
 
 def make_case1(grid: GridSpec) -> ScenarioSet:

@@ -108,7 +108,9 @@ def solve_state(
                 f"{report.relative_residual:.3e} after {report.iterations} iterations)"
             )
         u = NodalField.from_interior(a.grid, x)
-        solutions.append(ScenarioSolution(u, 1.0, load, tol, cell_grad_dot(u, u)))
+        with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
+            energy = cell_grad_dot(u, u)
+        solutions.append(ScenarioSolution(u, 1.0, load, tol, energy))
     return solutions
 
 

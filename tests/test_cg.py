@@ -126,6 +126,14 @@ def test_non_finite_residual_stops_at_once():
     assert (report.iterations, report.converged) == (2, False)
 
 
+def test_overflow_is_reported_not_warned():
+    # K @ p overflows to inf and the residual turns NaN: the solve must end
+    # not converged, not emit a RuntimeWarning (an error in this suite)
+    K = sparse.identity(4, format="csr") * 1e300
+    _, report = cg_solve(K, np.full(4, 1e10))
+    assert (report.iterations, report.converged) == (1, False)
+
+
 class _Counted:
     """Preconditioner stand-in that counts its applications."""
 

@@ -73,11 +73,52 @@ def test_unknown_preset_exits_one(tmp_path):
     assert run_cli(["run", "--preset", "nope", "--out", str(tmp_path / "x")]) == 1
 
 
-def test_mass_and_penalty_conflict(tmp_path):
+def test_mass_and_penalty_conflict(tmp_path, capsys):
     rc = run_cli(
         ["run", *FAST, "--mass", "1.5", "--penalty", "0.1", "--out", str(tmp_path / "x")]
     )
     assert rc == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mass = 1.5\npenalty = 0.1\n")
+    assert run_cli(["run", *FAST, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 1
+    assert capsys.readouterr().err.count("error: set at most one of mass and penalty") == 2
+
+
+@pytest.mark.parametrize(
+    "in_file, flag, echo",
+    [
+        ("penalty = 0.02", ["--mass", "1.5"], "mass = 1.5\npenalty = None\n"),
+        ("mass = 1.5", ["--penalty", "0.02"], "mass = None\npenalty = 0.02\n"),
+    ],
+    ids=["file-penalty-flag-mass", "file-mass-flag-penalty"],
+)
+def test_mass_and_penalty_flag_replaces_both_file_values(tmp_path, in_file, flag, echo):
+    # mass and penalty are one setting: a flag for either overrides the file's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(in_file + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", *FAST, "--config", str(cfg), *flag, "--out", str(out)]) in (0, 2)
+    assert echo in (out / "config.txt").read_text()
+    drift = max(abs(r.mass - 1.5) for r in read_convergence_log(out / "convergence.log"))
+    assert (drift <= 1e-10 * 1.5) == (flag[0] == "--mass")  # penalized: the mass moves
+
+
+def test_run_help_lists_every_default(capsys):
+    assert run_cli(["run", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in [
+        ("--preset", "deterministic"),
+        ("--objective", "compliance"),
+        ("--nx", "64"),
+        ("--alpha", "1.0"),
+        ("--beta", "2.0"),
+        ("--mass", "1.5"),
+        ("--eps", "64.0"),
+        ("--eps1", "1e-06"),
+        ("--max-iters", "500"),
+        ("--out", "stodesign_out"),
+    ]:
+        assert re.search(rf"{flag} \S+ [^(]*\(default {re.escape(default)}\)", text), flag
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -233,11 +274,21 @@ ENERGY_16 = ["--nx", "16", "--ny", "16", "--objective", "energy"]
         pytest.param(
             [*ENERGY_16, "--alpha", "1e-100"], "the stationarity", 2e100, id="1e-100-the stationarity"
         ),
+        # each load's energy density is finite, their sum is not: the window
+        # for a uniform density at 16^2 is 2.29e-155 < mass < 2.41e-155
         pytest.param(
-            [*ENERGY_16, "--alpha", "1e-200"],
+            [*ENERGY_16, "--preset", "case1", "--alpha", "1e-200", "--mass", "2.35e-155"],
             "the gradient density",
             2e200,
             id="1e-200-the gradient density",
+        ),
+        # a coefficient below about 1e-154 overflows grad(u).grad(u) itself
+        pytest.param(
+            ["--preset", "case1", "--nx", "8", "--ny", "8", "--alpha", "1e-200"]
+            + ["--beta", "1e-156", "--mass", "5e-157"],
+            "the energy density",
+            1e44,
+            id="tiny-beta-the energy density",
         ),
         # eps*(g - gamma) overflows in the trial step itself
         pytest.param(
@@ -260,9 +311,11 @@ def test_overflowing_phase_contrast_exits_one_with_a_clear_error(
 
 
 def test_large_finite_phase_contrast_still_stagnates(tmp_path, capsys):
-    argv = ["run", "--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", "1e-20"]
-    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().out.startswith("stagnated:")
+    # at 1e-200 the trials that overflow an energy density are rejected
+    for alpha in ("1e-20", "1e-200"):
+        argv = ["run", "--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", alpha]
+        assert run_cli([*argv, "--out", str(tmp_path / alpha)]) == 2
+        assert capsys.readouterr().out.startswith("stagnated:")
 
 
 @pytest.mark.parametrize("eps", ["1e20", "1e300"])

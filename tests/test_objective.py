@@ -58,6 +58,19 @@ def test_cross_check_catches_corrupted_solution():
         cost(a, sols, Objective.COMPLIANCE)
 
 
+@pytest.mark.parametrize("cells", [slice(None), slice(5, 6)], ids=["every-cell", "one-cell"])
+@pytest.mark.parametrize("kind", list(Objective))
+def test_cross_check_rejects_non_finite_energy(cells, kind):
+    # inf > tol * inf is false: the check must not pass on an overflowed side
+    g = GridSpec(8, 8)
+    a = DensityField.constant(g, 1.5)
+    sols = solve_state(a, make_case1(g))
+    for sol in sols:
+        sol.energy[cells] = np.inf
+    with pytest.raises(ArithmeticError, match="disagree"):
+        cost(a, sols, kind)
+
+
 def test_gradient_density_requires_adjoint():
     # the adjoint is kind.sign * u, so the cost kind must be given
     g = GridSpec(8, 8)

@@ -1,6 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -229,6 +232,88 @@ def test_run_saturated_design_declares_convergence():
     assert np.array_equal(res.density.values, a0.values)
 
 
+def test_run_saturated_penalized_design_declares_convergence(monkeypatch):
+    # a large penalty clips every cell to alpha in one step: the barrier is
+    # zero everywhere after it, as in constrained mode nothing can move
+    import stodesign.optimizer
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(stodesign.optimizer, "solve_state", counting)
+    g = GridSpec(16, 16)
+    res = run(OptimizerConfig(mass=None, gamma_pen=1e3), make_case1(g), Objective.COMPLIANCE)
+    assert len(calls) == 2
+    assert res.stop_reason == "converged"
+    assert len(res.history) == 2
+    assert np.all(res.density.values == 1.0)
+
+
+@st.composite
+def _edge_cases(draw):
+    """Phase bounds, step scale and mass or penalty, log-uniform over the float range."""
+    rng = draw(st.randoms(use_true_random=True))  # hypothesis's own floats crowd the ends
+    alpha = 10.0 ** rng.uniform(-300, 100)
+    beta = alpha * 10.0 ** rng.uniform(0, 300)
+    params = {"alpha": alpha, "beta": beta, "eps": 10.0 ** rng.uniform(-300, 300)}
+    if draw(st.booleans()):
+        params["mass"] = alpha + rng.random() * (beta - alpha)  # the unit square's area is 1
+    else:
+        params.update(mass=None, gamma_pen=draw(st.booleans()) * 10.0 ** rng.uniform(-300, 300))
+    return params
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(Objective), params=_edge_cases())
+# grad(u).grad(u) overflows in the initial solve
+@example(kind=Objective.COMPLIANCE, params={"alpha": 1e-200, "beta": 1e-156, "mass": 5e-157, "eps": 64.0})
+# CG's curvature p.Kp overflows in a backtracking trial
+@example(
+    kind=Objective.COMPLIANCE,
+    params={
+        "alpha": 4.6141420726839634e-237,
+        "beta": 3.21216822443908e-52,
+        "mass": 1.63173803611735e-53,
+        "eps": 3.6571470571898835e-98,
+    },
+)
+# the initial energy density of a penalized design overflows
+@example(
+    kind=Objective.ENERGY,
+    params={
+        "alpha": 2.9585901550409207e-159,
+        "beta": 1.1066398638507436e-155,
+        "mass": None,
+        "gamma_pen": 1e3,
+        "eps": 8.80063882775729e257,
+    },
+)
+def test_edge_case_sweep_fails_cleanly_or_holds_the_contract(kind, params):
+    # every case is rejected as a config, stops with an error naming the
+    # iterate and beta/alpha, or ends in a finite, feasible history
+    g = _grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cfg = OptimizerConfig(max_iters=20, **params)
+            cfg.check_grid(g)
+        except ValueError:
+            return
+        try:
+            res = run(cfg, make_case1(g), kind)
+        except ArithmeticError as exc:
+            assert re.search(r"not finite at iterate \d+: the phase contrast beta/alpha = ", str(exc))
+            return
+    for r in res.history:
+        assert np.all(np.isfinite([r.cost, r.penalized_cost, r.mass, r.gamma, r.step_eps, r.stationarity]))
+        if cfg.constrained:
+            assert abs(r.mass - cfg.mass) <= 1e-10 * cfg.mass
+    assert np.all((res.density.values >= cfg.alpha) & (res.density.values <= cfg.beta))
+
+
 @pytest.mark.parametrize("beta", [1e20, 1e40, 1e80, 1e150])
 def test_run_wide_bounds_converges(beta):
     # the barrier is divided by the phase span, so the base step does not grow
@@ -370,6 +455,26 @@ def test_trial_cg_failure_rejects_only_that_trial(monkeypatch):
     cfg = OptimizerConfig(eps1=1e-5)
     res = run(cfg, sset, Objective.COMPLIANCE)
     assert starts[len(sset.scenarios)] is not None  # the failed solve was warm-started
+    assert res.stop_reason == "converged"
+    assert res.history[0].step_eps == cfg.eps / 2
+
+
+def test_trial_cost_cross_check_failure_rejects_only_that_trial(monkeypatch):
+    # as with a CG failure: a phase contrast too wide for the solve tolerance
+    # breaks the cross-check of a trial, not the run
+    import stodesign.optimizer
+
+    calls = []
+
+    def second_call_disagrees(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the first trial
+            raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
+        return cost(*args, **kwargs)
+
+    monkeypatch.setattr(stodesign.optimizer, "cost", second_call_disagrees)
+    cfg = OptimizerConfig(eps1=1e-5)
+    res = run(cfg, make_case1(GridSpec(16, 16)), Objective.COMPLIANCE)
     assert res.stop_reason == "converged"
     assert res.history[0].step_eps == cfg.eps / 2
 
