@@ -1,7 +1,10 @@
 """Preconditioned conjugate gradient solver for sparse SPD systems.
 
 The state solves pass the multigrid V-cycle of `stodesign.mg` as the
-preconditioner; without one, this is plain CG.
+preconditioner; without one, this is plain CG. A design loop starts each
+solve from the best combination of its load's last accepted states
+(projection of previous solutions: Fischer, Comput. Methods Appl. Mech.
+Engrg. 163, 1998).
 """
 from __future__ import annotations
 
@@ -46,22 +49,28 @@ def cg_solve(
         b: right-hand side.
         tol: relative tolerance on the true residual, ||Kx - b|| <= tol*||b||.
         max_iter: iteration cap, defaults to 20*n.
-        x0: optional starting guess (zero if omitted).
+        x0: optional start (zero if omitted): a vector, or an (h, n) stack of
+            solutions of nearby systems, row 0 the preferred one. A stack
+            starts from row 0 if that meets tol, else from the point of its
+            span nearest the solution in the K-norm (`_best_start`), which is
+            never farther than row 0.
         M: SPD preconditioner r -> z, an approximation of K^-1 r; the
             identity if omitted.
 
     Returns:
         (x, SolveReport). A non-converged solve returns the last iterate with
         converged=False; the caller decides how to proceed. A residual norm
-        that is not finite ends the solve at once, not converged. Arithmetic
-        past the float range raises no numpy warning: the report shows it.
+        that is not finite ends the solve at once, not converged, and so does
+        an x that is not finite. Arithmetic past the float range raises no
+        numpy warning: the report shows it.
 
     M is applied only to a residual that fails the tolerance test, once per
     iteration: a solve of `iterations` steps applies it that many times, and
     an x0 that already meets tol costs no application at all.
 
-    Raises ValueError for a non-positive tol, or a b or x0 that is not a
-    finite vector of length n.
+    Raises ValueError for a non-positive tol, a b that is not a finite
+    vector of length n, or an x0 that is not a finite vector or stack of
+    vectors of length n.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -72,9 +81,10 @@ def cg_solve(
     _require_finite("rhs", b)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
-        _require_finite("x0", x0)
+        if x0.shape[-1:] != (n,) or x0.ndim > 2 or len(x0) == 0:
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or (h, {n})")
+        for j, row in enumerate(x0 if x0.ndim == 2 else [x0]):
+            _require_finite("x0" if x0.ndim == 1 else f"x0 row {j}", row)
     if max_iter is None:
         max_iter = 20 * n
 
@@ -85,9 +95,13 @@ def cg_solve(
     if M is None:
         M = np.copy
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n) if x0 is None else np.array(x0 if x0.ndim == 1 else x0[0], dtype=float)
     r = b - (K @ x)
     r_norm = float(np.linalg.norm(r))
+    # a row 0 that meets tol is kept: an unchanged system keeps its solution
+    if x0 is not None and x0.ndim == 2 and r_norm > tol * b_norm:
+        x, r = _best_start(K, b, x0, r)
+        r_norm = float(np.linalg.norm(r))
     p = rz = None
     it = 0
     # the preconditioner runs only on a residual that failed the test. Past
@@ -105,4 +119,39 @@ def cg_solve(
             r_norm = float(np.linalg.norm(r))
             it += 1
 
-    return x, SolveReport(it, r_norm / b_norm, r_norm <= tol * b_norm)
+    # x += alpha*p can overflow while r lands on zero: that x solves nothing
+    converged = r_norm <= tol * b_norm and bool(np.isfinite(x).all())
+    return x, SolveReport(it, r_norm / b_norm, converged)
+
+
+def _best_start(
+    K: sparse.spmatrix, b: np.ndarray, X: np.ndarray, r0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The point of the span of X's rows nearest K^-1 b in the K-norm, and its residual.
+
+    With Q an orthonormal basis of the span, that point is Q^T c with
+    (Q K Q^T) c = Q b; G = Q K Q^T is SPD, its condition no worse than K's up
+    to the rounding of Q's orthonormality, even where X's rows are nearly
+    parallel. Q = R^-T X, with R from the QR factorization of X^T. X[0] lies
+    in the span, so the point is never farther than X[0]: where the
+    projection is not finite, G is not positive definite or rounding makes
+    the point farther, the start is X[0] with its residual r0.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            Q = np.linalg.inv(np.linalg.qr(X.T, mode="r")).T @ X
+            G = np.empty((len(Q), len(Q)))
+            for j, q in enumerate(Q):  # one row at a time: no (h, n) product
+                G[:, j] = Q @ (K @ q)
+            G = 0.5 * (G + G.T)
+            np.linalg.cholesky(G)  # raises unless G is positive definite
+            x = np.linalg.solve(G, Q @ b) @ Q
+            r = b - K @ x
+            # x.Kx - 2 b.x, the squared K-norm error up to a constant, is -x.(b + r);
+            # it is finite only where x is
+            gain = x @ (b + r)
+            if np.isfinite(gain) and gain >= X[0] @ (b + r0):
+                return x, r
+        except np.linalg.LinAlgError:
+            pass
+    return np.array(X[0]), r0

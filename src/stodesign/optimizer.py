@@ -23,6 +23,7 @@ from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a constrained trial misses the mass target by at most this, relative
 SOLVE_TOL = 1e-10  # relative CG residual of every state solve
+HISTORY = 5  # accepted states per load whose span starts the next solve of that load
 
 
 @dataclass
@@ -230,6 +231,10 @@ def run(
     not finite, as a tiny alpha or beta makes them. A trial whose solve fails,
     whose energy density is not finite or whose cost cross-check fails is
     rejected and the step halved.
+
+    Each load's solve starts from the best combination of that load's last
+    HISTORY accepted states (`cg_solve` with a stack of starts); rejected
+    trials leave that history as it was.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -273,6 +278,8 @@ def run(
                 f"beta/alpha = {cfg.beta / cfg.alpha:.3g} overflows the arithmetic"
             )
 
+    # each load's last HISTORY accepted states, preallocated, newest in row 0
+    starts = np.empty((len(basis.loads), HISTORY, grid.n_interior))
     sols, cost_now, merit_now = trial = solve(a)
     merit_scale = abs(merit_now)
     history: list[ConvergenceRecord] = []
@@ -300,7 +307,11 @@ def run(
         elif saturated:
             stop_reason = "converged"  # no cell can move (constrained: toward the mass)
         else:
-            warm = [s.u.interior() for s in sols]
+            for stack, sol in zip(starts, sols):
+                if k:  # the old row 0 replaces the oldest state: no row shifts
+                    stack[1 + (k - 1) % (HISTORY - 1)] = stack[0]
+                stack[0] = sol.u.interior()
+            warm = list(starts[:, : min(k + 1, HISTORY)])
             a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"

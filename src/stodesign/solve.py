@@ -84,8 +84,9 @@ def solve_state(
     """Solve the state equation for every load of the basis, to relative residual tol.
 
     A ScenarioSet is passed through `load_basis` first; a design loop does that
-    once. Load i starts from warm_starts[i]. Raises RuntimeError naming the
-    load if CG does not converge.
+    once. Load i starts from warm_starts[i], a state or an (h, n_interior)
+    stack of states passed to `cg_solve` as its x0. Raises RuntimeError
+    naming the load if CG does not converge.
     """
     if isinstance(basis, ScenarioSet):
         basis = load_basis(basis)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -180,3 +182,108 @@ def test_matches_eager_preconditioning_bitwise():
         assert np.array_equal(x, x_ref)
         assert report == ref
         assert report.converged and report.iterations > 1
+
+
+def test_non_finite_solution_is_not_converged():
+    # x += alpha*p overflows to inf while r -= alpha*Kp lands exactly on zero
+    x, report = cg_solve(1e-300 * _identity(4), np.full(4, 1e10))
+    assert not np.isfinite(x).all()
+    assert report.relative_residual == 0.0
+    assert not report.converged
+
+
+def _k_error(K, b, x):
+    e = x - np.linalg.solve(K.toarray(), b)
+    return float(np.sqrt(e @ (K @ e)))
+
+
+def _start(K, b, x0):
+    """The point cg_solve starts from: its result after no iteration."""
+    x, report = cg_solve(K, b, x0=x0, max_iter=0)
+    assert report.iterations == 0
+    return x
+
+
+def _random_spd(rng, n):
+    A = rng.standard_normal((n, n))
+    return sparse.csr_matrix(A @ A.T + 0.1 * n * np.eye(n))
+
+
+def _stiffness_states(nx=37, ny=23, h=5):
+    """K and b of one design, and the states of h designs along a path to it, newest first."""
+    g = GridSpec(nx, ny)
+    rng = np.random.default_rng(11)
+    a0, da = rng.uniform(1.0, 2.0, g.n_cells), rng.uniform(-0.1, 0.1, g.n_cells)
+    b = assemble_load(g, make_case1(g).f)
+    states = []
+    for t in range(h + 1):
+        K = assemble_stiffness(DensityField(g, a0 + 0.02 * t * da))
+        states.append(cg_solve(K, b, tol=1e-12)[0])
+    return K, b, np.array(states[-2::-1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_start_is_no_farther_than_row_zero(seed):
+    rng = np.random.default_rng(seed)
+    n, h = 40, 1 + seed % 5
+    K, b = _random_spd(rng, n), rng.standard_normal(n)
+    x_star = np.linalg.solve(K.toarray(), b)
+    X = x_star + rng.standard_normal((h, n)) * rng.uniform(1e-3, 1.0, (h, 1))
+    kept = X.copy()
+    assert _k_error(K, b, _start(K, b, X)) <= _k_error(K, b, X[0]) * (1 + 1e-12)
+    assert np.array_equal(X, kept)  # the caller's stack is left as it was
+
+
+def test_stacked_start_on_stiffness_states():
+    K, b, X = _stiffness_states()
+    err0 = _k_error(K, b, X[0])
+    for h in range(1, len(X) + 1):
+        err = _k_error(K, b, _start(K, b, X[:h]))
+        assert err <= err0 * (1 + 1e-12)
+    # five states along the path predict the next one far better than the last alone
+    assert err < 1e-3 * err0
+
+
+def test_stack_of_one_row_starts_from_its_best_multiple():
+    # a 1-D x0 keeps its path bitwise: test_matches_eager_preconditioning_bitwise
+    K, b, M = _v_cycle_system()
+    x_cold, _ = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M)
+    warm = 0.9 * x_cold + 0.01
+    _, report = cg_solve(K, b, tol=1e-10, x0=warm, M=M)
+    _, stacked = cg_solve(K, b, tol=1e-10, x0=warm[None, :], M=M)
+    assert stacked.converged and stacked.iterations <= report.iterations
+    assert _k_error(K, b, _start(K, b, warm[None, :])) <= _k_error(K, b, warm)
+
+
+def test_stack_whose_row_zero_meets_tol_starts_there():
+    K, b, X = _stiffness_states()
+    x, _ = cg_solve(K, b, tol=1e-10, x0=X[:1])
+    X = np.vstack([x, X])
+    again, report = cg_solve(K, b, tol=1e-10, x0=X)
+    assert report.iterations == 0 and np.array_equal(again, x)
+
+
+@pytest.mark.parametrize("rows", ["duplicate", "collinear", "zero"])
+def test_degenerate_stack_still_converges(rows):
+    K, b, X = _stiffness_states()
+    stack = {
+        "duplicate": np.vstack([X[0], X[0], X[1], X[1]]),
+        "collinear": np.vstack([X[0], 2.0 * X[0], -0.5 * X[0]]),
+        "zero": np.vstack([X[0], np.zeros_like(X[0]), X[1]]),
+    }[rows]
+    assert _k_error(K, b, _start(K, b, stack)) <= _k_error(K, b, X[0]) * (1 + 1e-12)
+    x, report = cg_solve(K, b, tol=1e-10, x0=stack)
+    assert report.converged
+    assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_rejects_bad_stack_of_starts():
+    K = _identity(4)
+    bad = np.ones((3, 4))
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"x0 row 1 holds 1 non-finite values, first nan at index 2"):
+        cg_solve(K, np.ones(4), x0=bad)
+    for shape in [(2, 5), (0, 4), (1, 2, 4)]:
+        expected = re.escape(f"x0 has shape {shape}, expected (4,) or (h, 4)")
+        with pytest.raises(ValueError, match=expected):
+            cg_solve(K, np.ones(4), x0=np.zeros(shape))

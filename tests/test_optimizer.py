@@ -489,3 +489,62 @@ def test_initial_cg_failure_aborts_run(monkeypatch):
     g = GridSpec(16, 16)
     with pytest.raises(RuntimeError, match=r"^CG did not converge for the mean load f \("):
         run(OptimizerConfig(), make_case1(g), Objective.COMPLIANCE)
+
+
+def _spy_cg(monkeypatch):
+    """Record each state solve's start (copied: the run reuses its buffer), result and report."""
+    from stodesign.cg import cg_solve
+
+    calls = []
+
+    def spy(K, b, tol, x0=None, M=None):
+        x, report = cg_solve(K, b, tol=tol, x0=x0, M=M)
+        calls.append((None if x0 is None else np.array(x0), x, report))
+        return x, report
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", spy)
+    return calls
+
+
+def test_history_starts_cut_cg_iterations(monkeypatch):
+    # case1 37x23 compliance at the defaults: 74 iterates and 148 solves as
+    # before, and 1,351 CG iterations when each load started from its last
+    # state alone (588 from its last five)
+    calls = _spy_cg(monkeypatch)
+    res = run(OptimizerConfig(), make_case1(GridSpec(37, 23)), Objective.COMPLIANCE)
+    assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 74, 148)
+    assert sum(report.iterations for _, _, report in calls) <= 0.65 * 1351
+
+
+def test_rejected_trial_state_never_enters_the_history(monkeypatch):
+    import stodesign.optimizer
+    from stodesign.optimizer import HISTORY
+
+    costs = []
+
+    def second_call_disagrees(*args, **kwargs):
+        costs.append(1)
+        if len(costs) == 2:  # the first trial
+            raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
+        return cost(*args, **kwargs)
+
+    monkeypatch.setattr(stodesign.optimizer, "cost", second_call_disagrees)
+    calls = _spy_cg(monkeypatch)
+    cfg = OptimizerConfig(eps1=1e-5)
+    res = run(cfg, make_case1(GridSpec(16, 16)), Objective.COMPLIANCE)
+    assert res.stop_reason == "converged" and res.history[0].step_eps == cfg.eps / 2
+    # two loads per design, solved in turn: calls 0-1 solve the initial
+    # design and 2-3 the rejected first trial; each later start stacks
+    # earlier results of its own load, never the rejected ones
+    assert [x0 is None for x0, _, _ in calls[:2]] == [True, True]
+    rejected = [x for _, x, _ in calls[2:4]]
+    for c in (2, 3, 4, 5):  # both trials of iterate 0 start from the initial state
+        assert np.array_equal(calls[c][0], calls[c % 2][1][None, :])
+    for c in range(2, len(calls)):
+        x0 = calls[c][0]
+        earlier = [x for _, x, _ in calls[c % 2 : c : 2]]
+        assert 1 <= len(x0) <= HISTORY
+        for row in x0:
+            assert any(np.array_equal(row, x) for x in earlier)
+            assert not any(np.array_equal(row, x) for x in rejected)
+    assert max(len(x0) for x0, _, _ in calls[2:]) == HISTORY
