@@ -49,11 +49,11 @@ def cg_solve(
         b: right-hand side.
         tol: relative tolerance on the true residual, ||Kx - b|| <= tol*||b||.
         max_iter: iteration cap, defaults to 20*n.
-        x0: optional start (zero if omitted): a vector, or an (h, n) stack of
-            solutions of nearby systems, row 0 the preferred one. A stack
-            starts from row 0 if that meets tol, else from the point of its
-            span nearest the solution in the K-norm (`_best_start`), which is
-            never farther than row 0.
+        x0: optional start (zero if omitted): an (h, n) stack of solutions
+            of nearby systems, row 0 the preferred one; a vector is a stack
+            of one row. The solve starts from row 0 if that meets tol, else
+            from the point of the stack's span nearest the solution in the
+            K-norm (`_best_start`), which is never farther than row 0.
         M: SPD preconditioner r -> z, an approximation of K^-1 r; the
             identity if omitted.
 
@@ -83,8 +83,9 @@ def cg_solve(
         x0 = np.asarray(x0, dtype=float)
         if x0.shape[-1:] != (n,) or x0.ndim > 2 or len(x0) == 0:
             raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or (h, {n})")
-        for j, row in enumerate(x0 if x0.ndim == 2 else [x0]):
-            _require_finite("x0" if x0.ndim == 1 else f"x0 row {j}", row)
+        x0 = x0.reshape(-1, n)
+        for j, row in enumerate(x0):
+            _require_finite(f"x0 row {j}", row)
     if max_iter is None:
         max_iter = 20 * n
 
@@ -95,11 +96,11 @@ def cg_solve(
     if M is None:
         M = np.copy
 
-    x = np.zeros(n) if x0 is None else np.array(x0 if x0.ndim == 1 else x0[0], dtype=float)
+    x = np.zeros(n) if x0 is None else np.array(x0[0])
     r = b - (K @ x)
     r_norm = float(np.linalg.norm(r))
     # a row 0 that meets tol is kept: an unchanged system keeps its solution
-    if x0 is not None and x0.ndim == 2 and r_norm > tol * b_norm:
+    if x0 is not None and r_norm > tol * b_norm:
         x, r = _best_start(K, b, x0, r)
         r_norm = float(np.linalg.norm(r))
     p = rz = None

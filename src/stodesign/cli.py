@@ -237,7 +237,7 @@ def write_convergence_log(path: Path, history: list[ConvergenceRecord]) -> None:
 
 
 def write_config_echo(path: Path, cfg: dict) -> None:
-    lines = [f"{key} = {cfg[key]}" for key in PARAMS]
+    lines = [f"{key} = {cfg[key]}" for key in PARAMS if cfg[key] is not None]
     path.write_text("\n".join(lines) + "\n")
 
 

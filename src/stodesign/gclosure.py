@@ -120,9 +120,7 @@ def _inv_or_inf(x: float) -> float:
     return np.inf if x <= 0.0 else 1.0 / x
 
 
-def in_gclosure(
-    M: SymmetricTensor2, theta: float, phases: PhasePair, tol: float = 1e-10
-) -> bool:
+def in_gclosure(M: SymmetricTensor2, theta: float, phases: PhasePair) -> bool:
     """Membership test for the set of effective tensors at fraction theta.
 
     Checks the eigenvalue bracket [harmonic, arithmetic] and the two trace
@@ -131,10 +129,11 @@ def in_gclosure(
         sum_i 1/(lam_i - alpha) <= 1/(lam_minus - alpha) + 1/(lam_plus - alpha)
         sum_i 1/(beta - lam_i)  <= 1/(beta - lam_minus) + 1/(beta - lam_plus)
 
-    within `tol`. A denominator at zero counts as +inf, so tensors touching a
+    within 1e-10. A denominator at zero counts as +inf, so tensors touching a
     pure phase fail unless the fraction is the matching endpoint, where the
     set degenerates to that single isotropic tensor.
     """
+    tol = 1e-10
     theta = _check_theta(theta)
     lam_minus = harmonic_mean(theta, phases)
     lam_plus = arithmetic_mean(theta, phases)
@@ -210,11 +209,7 @@ def volume_fraction(a, kind: Objective, phases: PhasePair):
 
 
 def optimality_residual(
-    a_final: DensityField,
-    sols,
-    kind: Objective,
-    phases: PhasePair,
-    floor: float = RESIDUAL_FLOOR,
+    a_final: DensityField, sols, kind: Objective, phases: PhasePair
 ) -> np.ndarray:
     """Cell-wise alignment residual of the converged design.
 
@@ -223,7 +218,7 @@ def optimality_residual(
     direction transverse to the layers for compliance, along them for
     energy). The residual is
 
-        sum_k w_k ||M* grad(u_k) - a grad(u_k)|| / (sum_k w_k ||grad(u_k)|| + floor)
+        sum_k w_k ||M* grad(u_k) - a grad(u_k)|| / (sum_k w_k ||grad(u_k)|| + RESIDUAL_FLOOR)
 
     which vanishes wherever one direction serves every scenario, in
     particular for a single deterministic scenario. With several scenarios it
@@ -248,4 +243,4 @@ def optimality_residual(
     for sol, grad in zip(sols, grads):
         err = M.matvec(grad) - a[:, None] * grad
         num += sol.weight * np.hypot(err[:, 0], err[:, 1])
-    return num / (norm_sum + floor)
+    return num / (norm_sum + RESIDUAL_FLOOR)

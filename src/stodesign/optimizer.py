@@ -22,7 +22,6 @@ from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
 
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a constrained trial misses the mass target by at most this, relative
-SOLVE_TOL = 1e-10  # relative CG residual of every state solve
 HISTORY = 5  # accepted states per load whose span starts the next solve of that load
 
 
@@ -217,10 +216,11 @@ def run(
 ) -> RunResult:
     """Full descent loop.
 
-    Starts from a0 (default: the uniform density meeting the mass target) and
-    iterates until the merit decrease falls below eps1 times the initial merit
-    magnitude, until no decreasing step exists (stagnation), or until
-    max_iters. A design saturated at the phase bounds cannot move and counts
+    Starts from a0 (default: the uniform density meeting the mass target),
+    which must lie within the phase bounds and, in constrained mode, meet the
+    mass target within MASS_REL_TOL (else ValueError). Iterates until the
+    merit decrease falls below eps1 times the initial merit magnitude, until
+    no decreasing step exists (stagnation), or until max_iters. A design saturated at the phase bounds cannot move and counts
     as converged. In constrained mode the merit is the plain cost:
     the mass term of the penalized functional is constant on the mass manifold
     the iterates stay on, so the recorded penalized cost equals the cost. In
@@ -246,14 +246,18 @@ def run(
     else:
         if not np.all((a0.values >= cfg.alpha) & (a0.values <= cfg.beta)):
             raise ValueError("initial density violates the phase bounds")
+        if cfg.constrained and abs(a0.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
+            raise ValueError(
+                f"initial density has mass {a0.mass()!r}, the target is {cfg.mass!r}"
+            )
         a = a0.copy()
     basis = load_basis(sset)
 
     def solve(
-        field: DensityField, warm: list[np.ndarray] | None = None
+        field: DensityField, warm: np.ndarray | None = None
     ) -> tuple[list[ScenarioSolution], float, float]:
         """States, cost and merit of a density; both inf where an energy overflows."""
-        s = solve_state(field, basis, tol=SOLVE_TOL, warm_starts=warm)
+        s = solve_state(field, basis, warm_starts=warm)
         if not all(np.isfinite(sol.energy).all() for sol in s):
             return s, np.inf, np.inf
         c = cost(field, s, kind)
@@ -311,7 +315,7 @@ def run(
                 if k:  # the old row 0 replaces the oldest state: no row shifts
                     stack[1 + (k - 1) % (HISTORY - 1)] = stack[0]
                 stack[0] = sol.u.interior()
-            warm = list(starts[:, : min(k + 1, HISTORY)])
+            warm = starts[:, : min(k + 1, HISTORY)]
             a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"

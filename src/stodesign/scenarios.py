@@ -16,9 +16,8 @@ import numpy as np
 
 from .fem import GridSpec, cell_centers
 
-WEIGHT_SUM_TOL = 1e-12
-ZERO_MEAN_TOL = 1e-12
-FILE_ZERO_MEAN_TOL = 1e-9  # looser: decimal round-trip noise
+INVARIANT_TOL = 1e-12  # on the weight sum and the perturbation mean
+FILE_INVARIANT_TOL = 1e-9  # looser: decimal round-trip noise
 
 
 @dataclass
@@ -49,10 +48,6 @@ class ScenarioSet:
         for s in self.scenarios:
             if s.xi.shape != self.f.shape:
                 raise ValueError("scenario field size does not match the grid")
-
-    def loads(self) -> list[np.ndarray]:
-        """Per-scenario total right-hand side f + xi_k."""
-        return [self.f + s.xi for s in self.scenarios]
 
     def weights(self) -> np.ndarray:
         return np.array([s.weight for s in self.scenarios])
@@ -101,12 +96,8 @@ def make_case2(grid: GridSpec) -> ScenarioSet:
     return ScenarioSet(grid, f, [Scenario(chi, 0.5), Scenario(-chi, 0.5)])
 
 
-def validate(
-    sset: ScenarioSet,
-    weight_tol: float = WEIGHT_SUM_TOL,
-    mean_tol: float = ZERO_MEAN_TOL,
-) -> list[str]:
-    """Check finiteness and the probability-sum and zero-mean invariants.
+def validate(sset: ScenarioSet, tol: float = INVARIANT_TOL) -> list[str]:
+    """Check finiteness and the probability-sum and zero-mean invariants, within tol.
 
     Returns a list of violation messages; an empty list means the set is valid.
     Violations are data, not exceptions.
@@ -121,16 +112,14 @@ def validate(
         if not np.all(np.isfinite(s.xi)):
             violations.append(f"scenario {k} holds non-finite values")
     wsum = float(sum(s.weight for s in sset.scenarios))
-    if abs(wsum - 1.0) > weight_tol:
-        violations.append(f"weights sum to {wsum!r}, expected 1 within {weight_tol}")
+    if abs(wsum - 1.0) > tol:
+        violations.append(f"weights sum to {wsum!r}, expected 1 within {tol}")
     mean = np.zeros(sset.grid.n_cells)
     for s in sset.scenarios:
         mean += s.weight * s.xi
     worst = float(np.max(np.abs(mean))) if mean.size else 0.0
-    if worst > mean_tol:
-        violations.append(
-            f"perturbation mean reaches {worst:.3e}, expected 0 within {mean_tol}"
-        )
+    if worst > tol:
+        violations.append(f"perturbation mean reaches {worst:.3e}, expected 0 within {tol}")
     return violations
 
 
@@ -216,7 +205,7 @@ def load_scenario_file(path: str | Path) -> ScenarioSet:
         raise ValueError(f"scenario file {path} declares no scenarios")
 
     sset = ScenarioSet(grid, f, scenarios)
-    problems = validate(sset, mean_tol=FILE_ZERO_MEAN_TOL, weight_tol=FILE_ZERO_MEAN_TOL)
+    problems = validate(sset, FILE_INVARIANT_TOL)
     if problems:
         raise ValueError(f"invalid scenario file {path}: " + "; ".join(problems))
 

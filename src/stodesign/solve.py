@@ -77,21 +77,18 @@ def load_basis(sset: ScenarioSet) -> LoadBasis:
 
 def solve_state(
     a: DensityField,
-    basis: LoadBasis | ScenarioSet,
+    basis: LoadBasis,
     tol: float = 1e-10,
-    warm_starts: list[np.ndarray] | None = None,
+    warm_starts: np.ndarray | list[np.ndarray] | None = None,
 ) -> list[ScenarioSolution]:
     """Solve the state equation for every load of the basis, to relative residual tol.
 
-    A ScenarioSet is passed through `load_basis` first; a design loop does that
-    once. Load i starts from warm_starts[i], a state or an (h, n_interior)
-    stack of states passed to `cg_solve` as its x0. Raises RuntimeError
-    naming the load if CG does not converge.
+    Load i starts from warm_starts[i], a state or an (h, n_interior) stack of
+    states passed to `cg_solve` as its x0. Raises RuntimeError naming the
+    load if CG does not converge.
     """
-    if isinstance(basis, ScenarioSet):
-        basis = load_basis(basis)
     if basis.grid != a.grid:
-        raise ValueError("scenario set and coefficient live on different grids")
+        raise ValueError("load basis and coefficient live on different grids")
     n = len(basis.loads)
     if warm_starts is not None and len(warm_starts) != n:
         raise ValueError(f"got {len(warm_starts)} warm starts for {n} loads")

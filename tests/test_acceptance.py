@@ -37,7 +37,7 @@ from stodesign.scenarios import (
     make_deterministic,
     validate,
 )
-from stodesign.solve import solve_state
+from stodesign.solve import load_basis, solve_state
 
 from oracles import (
     expected_decomposition_check,
@@ -81,7 +81,7 @@ def test_criterion_01_discretization_order():
         f = sample_cells(
             g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         )
-        sols = solve_state(DensityField.constant(g, 1.0), make_deterministic(g, f))
+        sols = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
         return l2_error(sols[0].u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
     ratio = l2_at(32) / l2_at(64)
@@ -98,7 +98,7 @@ def test_criterion_02_compliance_value():
         g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     )
     a = DensityField.constant(g, 1.0)
-    value = cost(a, solve_state(a, make_deterministic(g, f)), Objective.COMPLIANCE)
+    value = cost(a, solve_state(a, load_basis(make_deterministic(g, f))), Objective.COMPLIANCE)
     elapsed = time.perf_counter() - start
     exact = np.pi**2 / 2.0
     rel = abs(value - exact) / exact
@@ -113,10 +113,10 @@ def test_criterion_03_adjoint_gradient():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a0 = DensityField.constant(g, 1.5)
     tol = 1e-12
-    grad = gradient_density(solve_state(a0, sset, tol=tol), Objective.COMPLIANCE)
+    grad = gradient_density(solve_state(a0, load_basis(sset), tol=tol), Objective.COMPLIANCE)
 
     def compliance(a):
-        return cost(a, solve_state(a, sset, tol=tol), Objective.COMPLIANCE)
+        return cost(a, solve_state(a, load_basis(sset), tol=tol), Objective.COMPLIANCE)
 
     delta = 1e-5
     rng = np.random.default_rng(2024)
@@ -174,7 +174,7 @@ def test_criterion_07_linearity_decomposition():
     assert gap <= 1e-8
     det = cost(
         a,
-        solve_state(a, make_deterministic(g, np.ones(g.n_cells))),
+        solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells)))),
         Objective.COMPLIANCE,
     )
     assert lhs >= det
@@ -190,7 +190,7 @@ def test_criterion_08_gclosure_suite():
     assert arithmetic_mean(0.5, PHASES) == pytest.approx(1.5, abs=1e-14)
 
     M = SymmetricTensor2.diag(4.0 / 3.0, 1.5)
-    assert in_gclosure(M, 0.5, PHASES, tol=1e-10)
+    assert in_gclosure(M, 0.5, PHASES)
     lam = M.eigenvalues()
     assert sum(1.0 / (li - 1.0) for li in lam) == pytest.approx(5.0, abs=1e-10)
     assert sum(1.0 / (2.0 - li) for li in lam) == pytest.approx(3.5, abs=1e-10)
@@ -209,7 +209,7 @@ def test_criterion_08_gclosure_suite():
         theta = float(rng.uniform(0.0, 1.0))
         angle = float(rng.uniform(0.0, 2 * np.pi))
         M = rank_one_laminate(theta, PHASES, np.array([np.cos(angle), np.sin(angle)]))
-        assert in_gclosure(M, theta, PHASES, tol=1e-10)
+        assert in_gclosure(M, theta, PHASES)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(8, f"bounds, membership, round trip and laminates pass ({elapsed:.2f}s)")
@@ -284,7 +284,7 @@ def test_criterion_11_mesh_convergence():
         a = DensityField(
             g, sample_cells(g, lambda x, y: 1.5 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
         )
-        sols = solve_state(a, make_deterministic(g, np.ones(g.n_cells)))
+        sols = solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells))))
         costs.append(cost(a, sols, Objective.COMPLIANCE))
     c = np.array(costs)
     orders = np.log2((c[:-2] - c[1:-1]) / (c[1:-1] - c[2:]))

@@ -99,7 +99,7 @@ def test_rejects_non_finite_rhs_and_bad_x0():
         cg_solve(K, np.array([1.0, 1.0, np.inf, 1.0]))
     with pytest.raises(ValueError, match=r"x0 has shape \(5,\), expected \(4,\)"):
         cg_solve(K, np.ones(4), x0=np.zeros(5))
-    with pytest.raises(ValueError, match=r"x0 holds 4 non-finite values, first nan at index 0"):
+    with pytest.raises(ValueError, match=r"x0 row 0 holds 4 non-finite values, first nan at index 0"):
         cg_solve(K, np.ones(4), x0=np.full(4, np.nan))
 
 
@@ -172,13 +172,15 @@ def test_preconditioner_runs_once_per_iteration():
 
 
 def test_matches_eager_preconditioning_bitwise():
-    # applying M only to residuals that fail the test changes no number
+    # applying M only to residuals that fail the test changes no number; a
+    # start is compared from the point cg_solve moves it to
     K, b, M = _v_cycle_system()
     x_cold, _ = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M)
     warm = 0.9 * x_cold + 0.01
     for x0 in (None, warm):
         x, report = cg_solve(K, b, tol=1e-10, x0=x0, M=M)
-        x_ref, ref = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M, x0=x0)
+        start = None if x0 is None else _start(K, b, x0)
+        x_ref, ref = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M, x0=start)
         assert np.array_equal(x, x_ref)
         assert report == ref
         assert report.converged and report.iterations > 1
@@ -245,14 +247,18 @@ def test_stacked_start_on_stiffness_states():
 
 
 def test_stack_of_one_row_starts_from_its_best_multiple():
-    # a 1-D x0 keeps its path bitwise: test_matches_eager_preconditioning_bitwise
+    # a vector x0 is a stack of one row: both give the same bits
     K, b, M = _v_cycle_system()
     x_cold, _ = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M)
     warm = 0.9 * x_cold + 0.01
-    _, report = cg_solve(K, b, tol=1e-10, x0=warm, M=M)
-    _, stacked = cg_solve(K, b, tol=1e-10, x0=warm[None, :], M=M)
-    assert stacked.converged and stacked.iterations <= report.iterations
+    for x0 in (warm, x_cold):  # x_cold meets tol: it is returned unchanged
+        x, report = cg_solve(K, b, tol=1e-10, x0=x0, M=M)
+        x_stacked, stacked = cg_solve(K, b, tol=1e-10, x0=x0[None, :], M=M)
+        assert x.tobytes() == x_stacked.tobytes() and report == stacked
+        assert report.converged
+    assert x.tobytes() == x_cold.tobytes() and report.iterations == 0
     assert _k_error(K, b, _start(K, b, warm[None, :])) <= _k_error(K, b, warm)
+    assert _k_error(K, b, _start(K, b, warm)) < _k_error(K, b, warm)
 
 
 def test_stack_whose_row_zero_meets_tol_starts_there():

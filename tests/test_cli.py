@@ -18,6 +18,8 @@ from stodesign.scenarios import make_case1, save_scenario_file
 from oracles import read_convergence_log
 
 FAST = ["--nx", "12", "--ny", "12", "--eps1", "1e-4", "--eps", "64"]
+# every artifact but config.txt, which echoes the output directory
+ARTIFACTS = ["density.csv", "density.pgm", "residual.csv", "convergence.log", "diagnostics.txt"]
 
 
 def test_run_writes_six_files(tmp_path):
@@ -87,20 +89,27 @@ def test_mass_and_penalty_conflict(tmp_path, capsys):
 @pytest.mark.parametrize(
     "in_file, flag, echo",
     [
-        ("penalty = 0.02", ["--mass", "1.5"], "mass = 1.5\npenalty = None\n"),
-        ("mass = 1.5", ["--penalty", "0.02"], "mass = None\npenalty = 0.02\n"),
+        ("penalty = 0.02", ["--mass", "1.5"], "beta = 2.0\nmass = 1.5\neps = "),
+        ("mass = 1.5", ["--penalty", "0.02"], "beta = 2.0\npenalty = 0.02\neps = "),
     ],
     ids=["file-penalty-flag-mass", "file-mass-flag-penalty"],
 )
 def test_mass_and_penalty_flag_replaces_both_file_values(tmp_path, in_file, flag, echo):
-    # mass and penalty are one setting: a flag for either overrides the file's
+    # mass and penalty are one setting: a flag for either overrides the file's,
+    # and the echo leaves the unset one out
     cfg = tmp_path / "run.cfg"
     cfg.write_text(in_file + "\n")
     out = tmp_path / "out"
-    assert run_cli(["run", *FAST, "--config", str(cfg), *flag, "--out", str(out)]) in (0, 2)
+    rc = run_cli(["run", *FAST, "--config", str(cfg), *flag, "--out", str(out)])
+    assert rc in (0, 2)
     assert echo in (out / "config.txt").read_text()
     drift = max(abs(r.mass - 1.5) for r in read_convergence_log(out / "convergence.log"))
     assert (drift <= 1e-10 * 1.5) == (flag[0] == "--mass")  # penalized: the mass moves
+    # the echo is a --config file that replays the run
+    replay = tmp_path / "replay"
+    assert run_cli(["run", "--config", str(out / "config.txt"), "--out", str(replay)]) == rc
+    for name in ARTIFACTS:
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_run_help_lists_every_default(capsys):

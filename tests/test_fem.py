@@ -288,11 +288,11 @@ def test_field_size_validation():
 
 def _manufactured_l2(n: int) -> float:
     from stodesign.scenarios import make_deterministic
-    from stodesign.solve import solve_state
+    from stodesign.solve import load_basis, solve_state
 
     g = GridSpec(n, n)
     f = sample_cells(g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    sols = solve_state(DensityField.constant(g, 1.0), make_deterministic(g, f))
+    sols = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
     return l2_error(sols[0].u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
 

@@ -156,7 +156,7 @@ import stodesign
 from stodesign.objective import Objective
 from stodesign.scenarios import make_case1
 g = stodesign.GridSpec(37, 23)
-stodesign.solve_state(stodesign.DensityField.constant(g, 1.5), make_case1(g))
+stodesign.solve_state(stodesign.DensityField.constant(g, 1.5), stodesign.load_basis(make_case1(g)))
 stodesign.run(stodesign.OptimizerConfig(max_iters=2), make_case1(g), Objective.COMPLIANCE)
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]
              or m.split(".")[:3] == ["scipy", "sparse", "linalg"]))

@@ -4,13 +4,13 @@ import pytest
 from stodesign.fem import DensityField, GridSpec
 from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import make_case1, make_case2, make_deterministic
-from stodesign.solve import solve_state
+from stodesign.solve import load_basis, solve_state
 
 from oracles import expected_decomposition_check, sample_cells
 
 
 def _compliance(a, sset, tol=1e-10):
-    sols = solve_state(a, sset, tol=tol)
+    sols = solve_state(a, load_basis(sset), tol=tol)
     return cost(a, sols, Objective.COMPLIANCE)
 
 
@@ -45,14 +45,14 @@ def test_energy_is_negated_compliance():
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
     sset = make_case1(g)
-    sols = solve_state(a, sset)
+    sols = solve_state(a, load_basis(sset))
     assert cost(a, sols, Objective.ENERGY) == -cost(a, sols, Objective.COMPLIANCE)
 
 
 def test_cross_check_catches_corrupted_solution():
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.5)
-    sols = solve_state(a, make_deterministic(g, np.ones(g.n_cells)))
+    sols = solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells))))
     sols[0].u.values *= 1.001  # breaks the pairing/energy identity
     with pytest.raises(ArithmeticError):
         cost(a, sols, Objective.COMPLIANCE)
@@ -64,7 +64,7 @@ def test_cross_check_rejects_non_finite_energy(cells, kind):
     # inf > tol * inf is false: the check must not pass on an overflowed side
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.5)
-    sols = solve_state(a, make_case1(g))
+    sols = solve_state(a, load_basis(make_case1(g)))
     for sol in sols:
         sol.energy[cells] = np.inf
     with pytest.raises(ArithmeticError, match="disagree"):
@@ -74,7 +74,8 @@ def test_cross_check_rejects_non_finite_energy(cells, kind):
 def test_gradient_density_requires_adjoint():
     # the adjoint is kind.sign * u, so the cost kind must be given
     g = GridSpec(8, 8)
-    sols = solve_state(DensityField.constant(g, 1.5), make_deterministic(g, np.ones(g.n_cells)))
+    basis = load_basis(make_deterministic(g, np.ones(g.n_cells)))
+    sols = solve_state(DensityField.constant(g, 1.5), basis)
     with pytest.raises(TypeError):
         gradient_density(sols)
     with pytest.raises(ValueError, match="no scenario solutions"):
@@ -85,7 +86,7 @@ def test_gradient_density_signs():
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
     sset = make_case1(g)
-    sols = solve_state(a, sset)
+    sols = solve_state(a, load_basis(sset))
     g_comp = gradient_density(sols, Objective.COMPLIANCE)
     g_en = gradient_density(sols, Objective.ENERGY)
     assert np.all(g_comp >= 0.0)
@@ -97,7 +98,7 @@ def test_gradient_zero_for_zero_load():
     g = GridSpec(8, 8)
     sols = solve_state(
         DensityField.constant(g, 1.0),
-        make_deterministic(g, np.zeros(g.n_cells)),
+        load_basis(make_deterministic(g, np.zeros(g.n_cells))),
     )
     assert np.all(gradient_density(sols, Objective.COMPLIANCE) == 0.0)
 
@@ -107,7 +108,7 @@ def test_adjoint_gradient_matches_finite_differences():
     g = GridSpec(8, 8)
     sset = make_deterministic(g, np.ones(g.n_cells))
     a0 = DensityField.constant(g, 1.5)
-    sols = solve_state(a0, sset, tol=1e-12)
+    sols = solve_state(a0, load_basis(sset), tol=1e-12)
     grad = gradient_density(sols, Objective.COMPLIANCE)
     delta = 1e-5
     rng = np.random.default_rng(42)

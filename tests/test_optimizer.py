@@ -17,7 +17,7 @@ from stodesign.optimizer import (
     update,
 )
 from stodesign.scenarios import make_case1, make_deterministic
-from stodesign.solve import solve_state
+from stodesign.solve import load_basis, solve_state
 
 
 def _grid(n=8):
@@ -155,7 +155,7 @@ def test_penalized_descent_derivative_identity():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a = DensityField.constant(g, 1.5)
     kind = Objective.COMPLIANCE
-    sols = solve_state(a, sset, tol=1e-12)
+    sols = solve_state(a, load_basis(sset), tol=1e-12)
     from stodesign.objective import gradient_density
 
     gd = gradient_density(sols, kind)
@@ -166,7 +166,7 @@ def test_penalized_descent_derivative_identity():
     assert expected_rate <= 0.0
 
     def penalized(field):
-        s = solve_state(field, sset, tol=1e-12)
+        s = solve_state(field, load_basis(sset), tol=1e-12)
         return cost(field, s, kind) + gamma * field.mass()
 
     step = 1e-6
@@ -340,6 +340,11 @@ def test_run_invalid_a0_rejected():
     bad = DensityField.constant(g, 2.5)
     with pytest.raises(ValueError, match="bounds"):
         run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=bad)
+    # within the bounds, but off the mass target 1.5: 1.2, and alpha itself
+    for value in (1.2, 1.0):
+        off = DensityField.constant(g, value)
+        with pytest.raises(ValueError, match=rf"mass {value}, the target is 1.5"):
+            run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=off)
 
 
 def test_run_nan_a0_rejected_before_any_solve():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stodesign.fem import GridSpec, cell_centers, integrate_cells
+from stodesign.fem import GridSpec, cell_centers
 from stodesign.scenarios import (
     Scenario,
     ScenarioSet,
@@ -202,15 +202,6 @@ def test_file_recenters_roundtrip_noise(tmp_path):
     save_scenario_file(sset, path)
     loaded = load_scenario_file(path)
     assert validate(loaded) == []
-
-
-def test_loads_are_f_plus_xi():
-    g = GridSpec(8, 8)
-    sset = make_case1(g)
-    loads = sset.loads()
-    assert np.array_equal(loads[0], sset.f + sset.scenarios[0].xi)
-    assert np.array_equal(loads[1], sset.f + sset.scenarios[1].xi)
-    assert integrate_cells(g, loads[0] + loads[1]) == pytest.approx(2.0)
 
 
 @st.composite

@@ -30,7 +30,7 @@ def _center_node(g: GridSpec) -> int:
 def test_manufactured_center_value():
     g = GridSpec(64, 64)
     f = sample_cells(g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    sols = solve_state(DensityField.constant(g, 1.0), make_deterministic(g, f))
+    sols = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
     assert abs(sols[0].u.values[_center_node(g)] - 1.0) < 1e-3
 
 
@@ -51,7 +51,8 @@ def _poisson_center_series() -> float:
 
 def test_unit_load_center_value_vs_series():
     g = GridSpec(128, 128)
-    sols = solve_state(DensityField.constant(g, 1.0), make_deterministic(g, np.ones(g.n_cells)))
+    basis = load_basis(make_deterministic(g, np.ones(g.n_cells)))
+    sols = solve_state(DensityField.constant(g, 1.0), basis)
     oracle = _poisson_center_series()
     assert oracle == pytest.approx(0.07367135, abs=1e-6)
     assert abs(sols[0].u.values[_center_node(g)] - oracle) < 5e-4
@@ -59,13 +60,14 @@ def test_unit_load_center_value_vs_series():
 
 def test_zero_load_zero_solution():
     g = GridSpec(8, 8)
-    sols = solve_state(DensityField.constant(g, 1.0), make_deterministic(g, np.zeros(g.n_cells)))
+    basis = load_basis(make_deterministic(g, np.zeros(g.n_cells)))
+    sols = solve_state(DensityField.constant(g, 1.0), basis)
     assert np.all(sols[0].u.values == 0.0)
 
 
 def test_boundary_values_exactly_zero():
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
+    sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
     for sol in sols:
         assert np.all(sol.u.values[boundary_node_ids(g)] == 0.0)
 
@@ -73,7 +75,7 @@ def test_boundary_values_exactly_zero():
 def test_adjoint_compliance_is_state():
     # compliance is self-adjoint: its gradient is built from p = u
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
+    sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
     g_comp = gradient_density(sols, Objective.COMPLIANCE)
     expected = np.zeros(g.n_cells)
     for sol in sols:
@@ -84,7 +86,7 @@ def test_adjoint_compliance_is_state():
 def test_adjoint_energy_is_negated_state():
     # the energy adjoint is p = -u, so its gradient is the exact negation
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), make_case1(g))
+    sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
     g_comp = gradient_density(sols, Objective.COMPLIANCE)
     g_en = gradient_density(sols, Objective.ENERGY)
     assert np.array_equal(g_en, -g_comp)
@@ -94,7 +96,7 @@ def test_compliance_gradient_product_nonnegative():
     g = GridSpec(16, 16)
     sols = solve_state(
         DensityField.constant(g, 1.0),
-        make_deterministic(g, np.ones(g.n_cells)),
+        load_basis(make_deterministic(g, np.ones(g.n_cells))),
     )
     assert np.all(gradient_density(sols, Objective.COMPLIANCE) >= 0.0)
 
@@ -106,9 +108,9 @@ def test_linearity_in_load():
     xi = np.zeros(g.n_cells)
     xi[:40] = 0.7
     xi[40:80] = -0.7
-    u_f = solve_state(a, make_deterministic(g, f), tol=1e-12)[0].u.values
-    u_xi = solve_state(a, make_deterministic(g, xi), tol=1e-12)[0].u.values
-    u_sum = solve_state(a, make_deterministic(g, f + xi), tol=1e-12)[0].u.values
+    u_f = solve_state(a, load_basis(make_deterministic(g, f)), tol=1e-12)[0].u.values
+    u_xi = solve_state(a, load_basis(make_deterministic(g, xi)), tol=1e-12)[0].u.values
+    u_sum = solve_state(a, load_basis(make_deterministic(g, f + xi)), tol=1e-12)[0].u.values
     assert np.max(np.abs(u_sum - u_f - u_xi)) < 1e-11
 
 
@@ -118,16 +120,16 @@ def test_sign_symmetry_exact():
     a = DensityField.constant(g, 1.5)
     xi = np.zeros(g.n_cells)
     xi[10:30] = 2.0
-    u_plus = solve_state(a, make_deterministic(g, xi))[0].u.values
-    u_minus = solve_state(a, make_deterministic(g, -xi))[0].u.values
+    u_plus = solve_state(a, load_basis(make_deterministic(g, xi)))[0].u.values
+    u_minus = solve_state(a, load_basis(make_deterministic(g, -xi)))[0].u.values
     assert np.max(np.abs(u_plus + u_minus)) == 0.0
 
 
 def test_coefficient_scaling():
     g = GridSpec(16, 16)
     sset = make_deterministic(g, np.ones(g.n_cells))
-    u1 = solve_state(DensityField.constant(g, 1.0), sset, tol=1e-12)[0].u.values
-    u3 = solve_state(DensityField.constant(g, 3.0), sset, tol=1e-12)[0].u.values
+    u1 = solve_state(DensityField.constant(g, 1.0), load_basis(sset), tol=1e-12)[0].u.values
+    u3 = solve_state(DensityField.constant(g, 3.0), load_basis(sset), tol=1e-12)[0].u.values
     assert np.max(np.abs(u3 - u1 / 3.0)) < 1e-11
 
 
@@ -152,7 +154,7 @@ def test_cg_failure_names_scenario(monkeypatch):
     monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
     g = GridSpec(16, 16)
     with pytest.raises(RuntimeError, match=r"^CG did not converge for the mean load f \("):
-        solve_state(DensityField.constant(g, 1.0), make_case1(g))
+        solve_state(DensityField.constant(g, 1.0), load_basis(make_case1(g)))
 
     calls = []
 
@@ -163,7 +165,7 @@ def test_cg_failure_names_scenario(monkeypatch):
     monkeypatch.setattr("stodesign.solve.cg_solve", second_stalls)
     sset = _pm_pair_set(g, 3, 2, 1)  # f and two directions
     with pytest.raises(RuntimeError, match=r"^CG did not converge for perturbation direction 1 of 2 \("):
-        solve_state(DensityField.constant(g, 1.0), sset)
+        solve_state(DensityField.constant(g, 1.0), load_basis(sset))
 
 
 def test_non_finite_load_rejected_before_cg():
@@ -171,7 +173,7 @@ def test_non_finite_load_rejected_before_cg():
     sset = make_case1(g)
     sset.scenarios[0].xi[3] = np.nan
     with pytest.raises(ValueError, match="scenario 0 holds non-finite"):
-        solve_state(DensityField.constant(g, 1.0), sset)
+        solve_state(DensityField.constant(g, 1.0), load_basis(sset))
 
 
 def test_invalid_set_rejected():
@@ -179,7 +181,14 @@ def test_invalid_set_rejected():
     xi = np.ones(g.n_cells)
     bad = ScenarioSet(g, np.ones(g.n_cells), [Scenario(xi, 1.0)])
     with pytest.raises(ValueError, match="invalid scenario set"):
-        solve_state(DensityField.constant(g, 1.0), bad)
+        solve_state(DensityField.constant(g, 1.0), load_basis(bad))
+
+
+def test_scenario_set_is_not_a_basis():
+    # a design loop factors its set once with load_basis; a set has no loads
+    g = GridSpec(8, 8)
+    with pytest.raises(AttributeError, match="loads"):
+        solve_state(DensityField.constant(g, 1.0), make_case1(g))
 
 
 def test_warm_start_count_must_match_scenarios():
@@ -187,9 +196,9 @@ def test_warm_start_count_must_match_scenarios():
     a = DensityField.constant(g, 1.0)
     x = np.zeros((g.nx - 1) * (g.ny - 1))
     with pytest.raises(ValueError, match="got 1 warm starts for 2 loads"):
-        solve_state(a, make_case1(g), warm_starts=[x])
+        solve_state(a, load_basis(make_case1(g)), warm_starts=[x])
     with pytest.raises(ValueError, match="got 3 warm starts for 2 loads"):
-        solve_state(a, make_case1(g), warm_starts=[x, x, x])
+        solve_state(a, load_basis(make_case1(g)), warm_starts=[x, x, x])
 
 
 def _true_relative_residual(a: DensityField, sol) -> float:
@@ -253,11 +262,12 @@ def _rel(x, ref) -> float:
 
 
 def _cold_states(a: DensityField, sset: ScenarioSet, tol: float) -> list:
-    """Each scenario's state by its own cold solve, with the scenario's weight."""
-    return [
-        replace(solve_state(a, make_deterministic(a.grid, load), tol=tol)[0], weight=w)
-        for load, w in zip(sset.loads(), sset.weights())
-    ]
+    """Each scenario's state by its own cold solve of f + xi_k, with the scenario's weight."""
+    states = []
+    for s in sset.scenarios:
+        basis = load_basis(make_deterministic(a.grid, sset.f + s.xi))
+        states.append(replace(solve_state(a, basis, tol=tol)[0], weight=s.weight))
+    return states
 
 
 @pytest.mark.parametrize(
@@ -338,7 +348,7 @@ def test_zero_perturbations_cost_one_solve(monkeypatch):
     zero = np.zeros(g.n_cells)
     sset = ScenarioSet(g, np.ones(g.n_cells), [Scenario(zero, 0.5), Scenario(zero, 0.5)])
     calls = _spy_cg(monkeypatch)
-    sols = solve_state(DensityField.constant(g, 1.5), sset)
+    sols = solve_state(DensityField.constant(g, 1.5), load_basis(sset))
     assert len(calls) == len(sols) == 1
 
 
@@ -361,7 +371,7 @@ def test_direction_cutoff(monkeypatch, ratio, kept):
     if kept:
         assert sigma[1] == pytest.approx(ratio * np.sqrt(0.5), rel=1e-8)
     combined = basis.coefficients @ basis.loads
-    missed = [np.max(np.abs(c - load)) for c, load in zip(combined, sset.loads())]
+    missed = [np.max(np.abs(c - (sset.f + s.xi))) for c, s in zip(combined, sset.scenarios)]
     assert max(missed) <= (1e-14 if kept else 2 * ratio * np.max(np.abs(eta)))
     calls = _spy_cg(monkeypatch)
     solve_state(DensityField(g, np.random.default_rng(1).uniform(1.0, 2.0, g.n_cells)), basis)
