@@ -1,13 +1,17 @@
 """Geometric multigrid V-cycle, the preconditioner of every state solve.
 
-One symmetric V(2,2) cycle (Briggs, Henson & McCormick, *A Multigrid
-Tutorial*, SIAM 2000): two weighted-Jacobi sweeps, the residual restricted by
-P^T, the cycle on the next coarser level, the correction prolonged by P, two
-more sweeps; a dense inverse on the coarsest level. Each direction is
-coarsened while it has more than COARSEST cells, with coarse nodes at the
-even fine nodes plus the last node when the cell count is odd, so the last
-coarse cell of an odd direction spans one fine cell. P is bilinear
-interpolation between interior nodes, kron(P1y, P1x).
+One symmetric V(1,1) cycle (Briggs, Henson & McCormick, *A Multigrid
+Tutorial*, SIAM 2000): one weighted-Jacobi sweep, the residual restricted by
+P^T, the cycle on the next coarser level, the correction prolonged by P, one
+more sweep; a dense inverse on the coarsest level. The Jacobi weight is 8/9
+on square cells, the smoothing-optimal one for the Q1 stencil (Trottenberg,
+Oosterlee & Schueller, *Multigrid*, 2001), and a Gershgorin bound scales it
+so that the cycle stays positive definite on any cell aspect ratio and
+contrast (OMEGA_G). Each direction is coarsened while it has more than
+COARSEST cells, with coarse nodes at the even fine nodes plus the last node
+when the cell count is odd, so the last coarse cell of an odd direction
+spans one fine cell. P is bilinear interpolation between interior nodes,
+kron(P1y, P1x).
 
 The coarse operators are Galerkin, P^T A P, formed element by element: the
 coarse element matrix of a cell is sum over its children of R^T E R, with E
@@ -32,7 +36,13 @@ from scipy import sparse
 from .fem import DensityField, GridSpec, assemble_elements, reference_stiffness
 
 COARSEST = 8  # a direction with more cells than this is coarsened
-SWEEPS = 2  # weighted-Jacobi sweeps before and after each coarse correction
+# The Jacobi weight is OMEGA_G / G, with G the Gershgorin bound of D^-1 A.
+# On square Q1 cells G = 2 and the high-frequency eigenvalues of D^-1 A fill
+# [3/4, 3/2], so omega = 8/9 minimizes max |1 - omega*lambda| there (to 1/3).
+# G >= lambda_max(D^-1 A) on any grid, so omega*lambda_max <= 16/9 < 2: that
+# keeps 2D/omega - A positive definite, and the symmetric cycle SPD, at any
+# aspect ratio or contrast.
+OMEGA_G = 16.0 / 9.0
 
 # 1D interpolation from a coarse cell's (left, right) node values to a child's
 _HALVES = (np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.0, 1.0]]))
@@ -113,15 +123,17 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
 
 
 def _jacobi_weights(A: sparse.dia_matrix) -> np.ndarray:
-    """omega / diag(A), with omega = 1 / a Gershgorin bound of D^-1 A.
+    """omega / diag(A), with omega = OMEGA_G / G for a Gershgorin bound G of D^-1 A.
 
-    The bound, the largest column sum of |A D^-1| (similar to D^-1 A), is at
-    least lambda_max(D^-1 A), so the sweep contracts in the A norm and the
-    cycle stays positive definite, on any cell aspect ratio. Column j of A is
-    data[:, j]: `stodesign.fem` leaves the slots outside the matrix at 0.
+    G, the largest column sum of |A D^-1| (similar to D^-1 A), is 2 on square
+    cells, where omega is the smoothing-optimal 8/9, and at least
+    lambda_max(D^-1 A) on any grid, so omega*lambda_max <= 16/9 < 2: the sweep
+    contracts in the A norm and the cycle stays positive definite, on any
+    cell aspect ratio. Column j of A is data[:, j]: `stodesign.fem` leaves the
+    slots outside the matrix at 0.
     """
     diag = A.data[np.searchsorted(A.offsets, 0)]
-    return 1.0 / (diag * np.max(np.abs(A.data).sum(axis=0) / diag))
+    return OMEGA_G / (diag * np.max(np.abs(A.data).sum(axis=0) / diag))
 
 
 def _dense(A: sparse.dia_matrix) -> np.ndarray:
@@ -138,7 +150,7 @@ def _dense(A: sparse.dia_matrix) -> np.ndarray:
 
 
 class VCycle:
-    """The V(2,2) preconditioner r -> z for the stiffness matrix K of `a`.
+    """The V(1,1) preconditioner r -> z for the stiffness matrix K of `a`.
 
     K is the DIA matrix of `stodesign.fem.assemble_stiffness`; the cycle
     only multiplies by it, the weights and the coarsest matrix read its
@@ -176,9 +188,6 @@ class VCycle:
         A, w = self.operators[level], self.weights[level]
         P, PT = self.steps[level].P, self.steps[level].PT
         x = w * b
-        for _ in range(SWEEPS - 1):
-            x += w * (b - A @ x)
         x += P @ self._cycle(level + 1, PT @ (b - A @ x))
-        for _ in range(SWEEPS):
-            x += w * (b - A @ x)
+        x += w * (b - A @ x)
         return x

@@ -274,10 +274,10 @@ def map_assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.csr_ma
 
 
 def reduceat_jacobi_weights(A: sparse.csr_matrix) -> np.ndarray:
-    """omega / diag(A), omega = 1 / max_i (sum_j |A_ij|) / A_ii, from CSR row sums."""
+    """omega / diag(A), omega = (16/9) / max_i (sum_j |A_ij|) / A_ii, from CSR row sums."""
     diag = A.diagonal()
     row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
-    return 1.0 / (diag * np.max(row_sums / diag))
+    return (16.0 / 9.0) / (diag * np.max(row_sums / diag))
 
 
 def einsum_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
