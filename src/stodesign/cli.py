@@ -181,8 +181,8 @@ def _fmt(x: float) -> str:
 
 def write_cell_csv(path: Path, grid: GridSpec, values: np.ndarray) -> None:
     """One line per cell row (bottom row first), comma separated, full precision."""
-    rows = values.reshape(grid.ny, grid.nx)
-    lines = [",".join(_fmt(v) for v in row) for row in rows]
+    rows = values.reshape(grid.ny, grid.nx).tolist()
+    lines = [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -209,10 +209,7 @@ def read_density_csv(path: Path) -> np.ndarray:
 
 
 def density_to_pixels(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    if beta > alpha:
-        scaled = (values - alpha) / (beta - alpha)
-    else:
-        scaled = np.zeros_like(values)
+    scaled = (values - alpha) / (beta - alpha)
     return np.rint(np.clip(scaled, 0.0, 1.0) * 255).astype(int)
 
 

@@ -6,8 +6,8 @@ the harmonic and arithmetic means of the phases and satisfy two trace
 bounds. Rank-one laminates realize the extreme points: eigenvalue equal to
 the harmonic mean across the layers, arithmetic mean along them.
 
-The fraction, mean, eigen and laminate formulas take scalars or per-cell
-arrays alike, so the optimality residual evaluates them once for all cells.
+The fraction and mean formulas take scalars or per-cell arrays alike, so the
+optimality residual evaluates them once for all cells.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ class PhasePair:
 
 @dataclass(frozen=True)
 class SymmetricTensor2:
-    """2x2 symmetric matrix stored as (a11, a22, a12), scalars or per-cell arrays."""
+    """2x2 symmetric tensor stored as (a11, a22, a12); the entries may be per-cell arrays."""
 
     a11: float
     a22: float
@@ -60,28 +60,6 @@ class SymmetricTensor2:
         mid = 0.5 * (self.a11 + self.a22)
         rad = np.hypot(0.5 * (self.a11 - self.a22), self.a12)
         return mid - rad, mid + rad
-
-    def principal_direction(self) -> np.ndarray:
-        """Unit eigenvector of the larger eigenvalue, shape (..., 2).
-
-        Of the two closed forms, each orthogonal to one row of M - lam I, the
-        longer is used; a zero matrix gets (1, 0).
-        """
-        lam = self.eigenvalues()[1]
-        v1 = np.stack([self.a12, lam - self.a11], axis=-1)
-        v2 = np.stack([lam - self.a22, self.a12], axis=-1)
-        n1 = np.hypot(v1[..., 0], v1[..., 1])
-        n2 = np.hypot(v2[..., 0], v2[..., 1])
-        v = np.where((n1 >= n2)[..., None], v1, v2)
-        norm = np.maximum(n1, n2)[..., None]
-        unit = v / np.where(norm > 0.0, norm, 1.0)
-        return np.where(norm > 0.0, unit, [1.0, 0.0])
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """M v for v of shape (..., 2)."""
-        v = np.asarray(v, dtype=float)
-        x, y = v[..., 0], v[..., 1]
-        return np.stack([self.a11 * x + self.a12 * y, self.a12 * x + self.a22 * y], axis=-1)
 
 
 def _first_bad(values, ok) -> str:
@@ -213,14 +191,22 @@ def optimality_residual(
 ) -> np.ndarray:
     """Cell-wise alignment residual of the converged design.
 
-    For each cell the best single lamination direction is taken from the
-    weighted second-moment matrix of the scenario gradients (its principal
-    direction transverse to the layers for compliance, along them for
-    energy). The residual is
+    Per cell, the best single lamination direction is the dominant direction
+    d = (cos phi, sin phi), phi = atan2(2 S12, S11 - S22) / 2, of the weighted
+    second moment S = sum_k w_k grad(u_k) grad(u_k)^T (d = (1, 0) when S = 0);
+    the layers run along d for compliance and across it for energy. The
+    residual of that rank-one laminate M* is
 
         sum_k w_k ||M* grad(u_k) - a grad(u_k)|| / (sum_k w_k ||grad(u_k)|| + RESIDUAL_FLOOR)
 
-    which vanishes wherever one direction serves every scenario, in
+    in closed form. The fraction makes a one of M*'s eigenvalues, so the
+    defect has one component. For compliance a is the arithmetic mean, the
+    normal n is orthogonal to d and M* v - a v = (lam_minus - a)(n.v) n; for
+    energy a is the harmonic mean, n = d and M* v - a v = (lam_plus - a)(v -
+    (d.v) d). Both have norm |gap| |d_perp . v|, gap being the other mean
+    minus a.
+
+    The residual vanishes wherever one direction serves every scenario, in
     particular for a single deterministic scenario. With several scenarios it
     quantifies how far the per-cell gradients are from sharing a direction.
     """
@@ -233,14 +219,14 @@ def optimality_residual(
         s22 += sol.weight * (gy * gy)
         s12 += sol.weight * (gx * gy)
         norm_sum += sol.weight * np.hypot(gx, gy)
-    dominant = SymmetricTensor2(s11, s22, s12).principal_direction()
+    phi = 0.5 * np.arctan2(2.0 * s12, s11 - s22)
+    dx, dy = np.cos(phi), np.sin(phi)
+    theta = volume_fraction(a, kind, phases)
     if kind is Objective.COMPLIANCE:
-        normal = np.stack([-dominant[:, 1], dominant[:, 0]], axis=1)
+        gap = a - harmonic_mean(theta, phases)
     else:
-        normal = dominant
-    M = rank_one_laminate(volume_fraction(a, kind, phases), phases, normal)
-    num = 0.0
+        gap = arithmetic_mean(theta, phases) - a
+    across = 0.0
     for sol, grad in zip(sols, grads):
-        err = M.matvec(grad) - a[:, None] * grad
-        num += sol.weight * np.hypot(err[:, 0], err[:, 1])
-    return num / (norm_sum + RESIDUAL_FLOOR)
+        across += sol.weight * np.abs(dx * grad[:, 1] - dy * grad[:, 0])
+    return np.abs(gap) * across / (norm_sum + RESIDUAL_FLOOR)

@@ -149,7 +149,7 @@ def loop_optimality_residual(
         num = 0.0
         for w, gv in zip(weights, grads):
             v = gv[c]
-            err = M.matvec(v) - a_final.values[c] * v
+            err = as_array(M) @ v - a_final.values[c] * v
             num += w * float(np.hypot(err[0], err[1]))
         residual[c] = num / (norm_sum + floor)
     return residual

@@ -14,7 +14,7 @@ from stodesign.gclosure import (
 )
 from stodesign.objective import Objective
 
-from oracles import as_array, cell_node_ids, loop_optimality_residual
+from oracles import as_array, cell_node_ids, loop_optimality_residual, sample_nodes
 
 PHASES = PhasePair(1.0, 2.0)
 
@@ -228,3 +228,38 @@ def test_residual_matches_loop_oracle_four_scenarios():
         ref = loop_optimality_residual(a, sols, kind, PHASES)
         assert np.max(np.abs(res - ref)) <= 1e-14
         assert np.all(res[zero] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "states, share",
+    [
+        # u = 30x and u = 30y at weight 1/2 each: d = (0, 1) would give the same
+        (((30.0, 0.0, 0.5), (0.0, 30.0, 0.5)), 0.5),
+        # u = 60x at weight 1/4 and u = 30y at weight 1: d = (0, 1) gives 1/3
+        (((60.0, 0.0, 0.25), (0.0, 30.0, 1.0)), 2.0 / 3.0),
+    ],
+    ids=["x-and-y", "unequal"],
+)
+def test_residual_isotropic_second_moment_tie_break(states, share):
+    # the nodal values are integers, so every cell gradient is exact and S is
+    # exactly isotropic in every cell: with no dominant direction both
+    # residuals must fall back to d = (1, 0), leaving |gap| times the share of
+    # the gradient norm along y
+    from stodesign.fem import cell_gradients
+    from stodesign.solve import ScenarioSolution
+
+    g = GridSpec(6, 5)
+    zeros = np.zeros(g.n_cells)
+    sols = []
+    for gx, gy, w in states:
+        u = sample_nodes(g, lambda x, y: np.rint(gx * x + gy * y))
+        assert np.all(cell_gradients(u) == [gx, gy])
+        sols.append(ScenarioSolution(u, w, zeros, 0.0, zeros))
+    a = DensityField(g, np.random.default_rng(5).uniform(1.0, 2.0, g.n_cells))
+    for kind in Objective:
+        res = optimality_residual(a, sols, kind, PHASES)
+        ref = loop_optimality_residual(a, sols, kind, PHASES)
+        assert np.max(np.abs(res - ref)) <= 1e-14
+        theta = volume_fraction(a.values, kind, PHASES)
+        gap = arithmetic_mean(theta, PHASES) - harmonic_mean(theta, PHASES)
+        np.testing.assert_allclose(res, share * gap, rtol=1e-12)

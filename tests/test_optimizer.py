@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stodesign.fem import DensityField, GridSpec, integrate_cells
+from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.objective import Objective, cost
 from stodesign.optimizer import (
     OptimizerConfig,
@@ -293,7 +294,8 @@ def _edge_cases(draw):
 )
 def test_edge_case_sweep_fails_cleanly_or_holds_the_contract(kind, params):
     # every case is rejected as a config, stops with an error naming the
-    # iterate and beta/alpha, or ends in a finite, feasible history
+    # iterate and beta/alpha, or ends in a finite, feasible history whose
+    # laminate residual is finite and non-negative
     g = _grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -307,6 +309,8 @@ def test_edge_case_sweep_fails_cleanly_or_holds_the_contract(kind, params):
         except ArithmeticError as exc:
             assert re.search(r"not finite at iterate \d+: the phase contrast beta/alpha = ", str(exc))
             return
+        residual = optimality_residual(res.density, res.solutions, kind, PhasePair(cfg.alpha, cfg.beta))
+    assert np.all(np.isfinite(residual) & (residual >= 0.0))
     for r in res.history:
         assert np.all(np.isfinite([r.cost, r.penalized_cost, r.mass, r.gamma, r.step_eps, r.stationarity]))
         if cfg.constrained:
