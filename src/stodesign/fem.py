@@ -135,10 +135,10 @@ def reference_stiffness(hx: float, hy: float) -> np.ndarray:
     return K
 
 
-# The corner (SW, SE, NE, NW = 0..3) a node is of the cell at [sy, sx] from
+# The corner (SW, SE, NE, NW = 0..3) a node is of the cell at [sy][sx] from
 # it, above it when sy = 1 and right of it when sx = 1; `_CELLS` lists those
 # cells by increasing cell index.
-_NODE_CORNER = np.array([[2, 3], [1, 0]])
+_NODE_CORNER = ((2, 3), (1, 0))
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -154,22 +154,23 @@ def _offsets(m: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, where
 
 
-def _stencil(grid: GridSpec, terms) -> sparse.dia_matrix:
+def _stencil(grid: GridSpec, entry) -> sparse.dia_matrix:
     """Sum element matrices into the nine diagonals of the interior matrix.
 
-    Interior node (q, p) is column q*m + p, m = nx - 1. For each (sy, sx) of
-    `_CELLS` in turn, `terms` yields a (2, 2, ny - 1, m) array: [by, bx, q, p]
-    is the entry (row corner _NODE_CORNER[by, bx], column corner
-    _NODE_CORNER[sy, sx]) of the cell at (sy, sx) from node (q, p), which
-    couples it to the node dy = by - sy rows up and dx = bx - sx right. So each
-    entry is summed from zero in cell order, as adding the element matrices
-    cell by cell does. data[d, j] holds A[j - offsets[d], j]; a slot whose row
-    lies off the grid or wraps to another grid row is exactly 0.
+    Interior node (q, p) is column q*m + p, m = nx - 1. entry(sy, sx, by, bx)
+    is the (ny - 1, m) array whose [q, p] is the entry (row corner
+    _NODE_CORNER[by][bx], column corner _NODE_CORNER[sy][sx]) of the cell at
+    (sy, sx) from node (q, p), which couples it to the node dy = by - sy rows
+    up and dx = bx - sx right; it is added before the next call. Each entry is
+    summed from zero in `_CELLS` order, as adding the element matrices cell by
+    cell does. data[d, j] holds A[j - offsets[d], j]; a slot whose row lies
+    off the grid or wraps to another grid row is exactly 0.
     """
     m, r = grid.nx - 1, grid.ny - 1
     data = np.zeros((3, 3, r, m))  # [dy + 1, dx + 1, q, p]
-    for (sy, sx), term in zip(_CELLS, terms):
-        data[1 - sy : 3 - sy, 1 - sx : 3 - sx] += term
+    for sy, sx in _CELLS:
+        for by, bx in _CELLS:
+            data[1 + by - sy, 1 + bx - sx] += entry(sy, sx, by, bx)
     # neighbours off the grid: these sums read cells the two nodes do not share
     data[:, 0, :, -1] = data[:, 2, :, 0] = 0.0
     data[0, :, -1, :] = data[2, :, 0, :] = 0.0
@@ -180,14 +181,6 @@ def _stencil(grid: GridSpec, terms) -> sparse.dia_matrix:
         np.add.at(merged, where, data)
         data = merged
     return sparse.dia_matrix((data, offsets), shape=(r * m, r * m))
-
-
-@lru_cache(maxsize=64)
-def _corner_blocks(hx: float, hy: float) -> np.ndarray:
-    """kref[_NODE_CORNER[by, bx], _NODE_CORNER[sy, sx]] at [sy, sx, by, bx, 0, 0]."""
-    blocks = reference_stiffness(hx, hy)[_NODE_CORNER, _NODE_CORNER[:, :, None, None]]
-    blocks.flags.writeable = False
-    return blocks[..., None, None]
 
 
 def assemble_stiffness(a: DensityField) -> sparse.dia_matrix:
@@ -204,23 +197,28 @@ def assemble_stiffness(a: DensityField) -> sparse.dia_matrix:
     grid = a.grid
     m, r = grid.nx - 1, grid.ny - 1
     cells = a.values.reshape(grid.ny, grid.nx)
-    # the cell at (sy, sx) from each node, one contiguous copy per (sy, sx)
-    windows = np.stack([cells[sy : sy + r, sx : sx + m] for sy, sx in _CELLS])
-    blocks = _corner_blocks(grid.hx, grid.hy)
-    return _stencil(grid, (blocks[c] * window for c, window in zip(_CELLS, windows)))
+    windows = [[cells[sy : sy + r, sx : sx + m] for sx in (0, 1)] for sy in (0, 1)]
+    kref = reference_stiffness(grid.hx, grid.hy)
+    scratch = np.empty((r, m))
+
+    def entry(sy, sx, by, bx):  # a_c * kref entry of the cells at (sy, sx)
+        # numpy buffers a strided operand: scaling a contiguous copy is faster
+        scratch[...] = windows[sy][sx]
+        return np.multiply(scratch, kref[_NODE_CORNER[by][bx], _NODE_CORNER[sy][sx]], scratch)
+
+    return _stencil(grid, entry)
 
 
 def assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.dia_matrix:
     """Sum per-cell element matrices, (n_cells, 16) row-major, into a DIA
     matrix of the interior stencil's nine diagonals (`_stencil`)."""
     m, r = grid.nx - 1, grid.ny - 1
-    entries = elements.T.reshape(4, 4, grid.ny, grid.nx)  # [row, column, cell y, cell x]
+    entries = elements.reshape(grid.ny, grid.nx, 4, 4)  # [cell y, cell x, row, column]
     return _stencil(
         grid,
-        (
-            entries[_NODE_CORNER, _NODE_CORNER[sy, sx], sy : sy + r, sx : sx + m]
-            for sy, sx in _CELLS
-        ),
+        lambda sy, sx, by, bx: entries[
+            sy : sy + r, sx : sx + m, _NODE_CORNER[by][bx], _NODE_CORNER[sy][sx]
+        ],
     )
 
 
@@ -268,7 +266,7 @@ def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
         raise ValueError("fields live on different grids")
     kref = reference_stiffness(grid.hx, grid.hy)
     cu = np.stack(_corners(u), axis=-1).reshape(-1, 4)
-    cp = np.stack(_corners(p), axis=-1).reshape(-1, 4)
+    cp = cu if p is u else np.stack(_corners(p), axis=-1).reshape(-1, 4)
     return np.einsum("ci,ci->c", cu @ kref, cp) / grid.cell_area
 
 

@@ -10,8 +10,12 @@ so that the cycle stays positive definite on any cell aspect ratio and
 contrast (OMEGA_G). Each direction is coarsened while it has more than
 COARSEST cells, with coarse nodes at the even fine nodes plus the last node
 when the cell count is odd, so the last coarse cell of an odd direction
-spans one fine cell. P is bilinear interpolation between interior nodes,
-kron(P1y, P1x).
+spans one fine cell. On stretched cells the point smoother leaves errors
+smooth only along the strongly coupled direction, the one of shorter
+spacing, so a direction whose spacing is at least twice the other's stays
+whole while the other is coarsened (semicoarsening, Trottenberg et al.);
+that also makes the coarse cells squarer. P is bilinear interpolation
+between interior nodes, kron(P1y, P1x).
 
 The coarse operators are Galerkin, P^T A P, formed element by element: the
 coarse element matrix of a cell is sum over its children of R^T E R, with E
@@ -75,9 +79,9 @@ class Coarsening:
     T: np.ndarray
 
 
-def _coarse_nodes(n: int) -> np.ndarray:
-    """Fine node index of each coarse node along a direction of n cells."""
-    return np.arange(n + 1) if n <= COARSEST else np.append(np.arange(0, n, 2), n)
+def _coarse_nodes(n: int, keep: bool) -> np.ndarray:
+    """Fine node index of each coarse node along a direction of n cells, kept whole if `keep`."""
+    return np.arange(n + 1) if keep else np.append(np.arange(0, n, 2), n)
 
 
 def _prolongation_1d(nodes: np.ndarray) -> sparse.csr_matrix:
@@ -95,9 +99,9 @@ def _prolongation_1d(nodes: np.ndarray) -> sparse.csr_matrix:
     )
 
 
-def _children_1d(n: int) -> list[tuple[np.ndarray, slice, slice]]:
+def _children_1d(n: int, keep: bool) -> list[tuple[np.ndarray, slice, slice]]:
     """(R, fine cells, coarse cells) per child position along n cells, whole first."""
-    if n <= COARSEST:
+    if keep:
         return [(_WHOLE, slice(None), slice(None))]
     split = n // 2  # as in _coarse_nodes: coarse cells 0 .. split - 1 span two fine cells
     whole = [(_WHOLE, slice(n - 1, n), slice(split, split + 1))] if n % 2 else []
@@ -109,9 +113,16 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
     """The steps from `grid` down to the coarsest level, built once per grid."""
     steps = []
     while grid.nx > COARSEST or grid.ny > COARSEST:
-        xn, yn = _coarse_nodes(grid.nx), _coarse_nodes(grid.ny)
+        # semicoarsening: a direction at least twice as coarse as the other
+        # stays whole, but only while the other is coarsened, so that each
+        # step coarsens at least one direction
+        keep_x = grid.nx <= COARSEST or (grid.hx >= 2.0 * grid.hy and grid.ny > COARSEST)
+        keep_y = grid.ny <= COARSEST or (grid.hy >= 2.0 * grid.hx and grid.nx > COARSEST)
+        xn, yn = _coarse_nodes(grid.nx, keep_x), _coarse_nodes(grid.ny, keep_y)
         coarse = GridSpec(len(xn) - 1, len(yn) - 1, grid.x0, grid.y0, grid.x1, grid.y1)
-        pairs = [(x, y) for x in _children_1d(grid.nx) for y in _children_1d(grid.ny)]
+        pairs = [
+            (x, y) for x in _children_1d(grid.nx, keep_x) for y in _children_1d(grid.ny, keep_y)
+        ]
         slices = tuple((cy, cx, fy, fx) for (_, fx, cx), (_, fy, cy) in pairs)
         Rs = [Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)] for (Rx, _, _), (Ry, _, _) in pairs]
         T = np.stack([np.kron(R, R) for R in Rs])

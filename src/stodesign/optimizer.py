@@ -23,6 +23,11 @@ from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a constrained trial misses the mass target by at most this, relative
 HISTORY = 5  # accepted states per load whose span starts the next solve of that load
+# A trial's solve of a load stops after TRIAL_ITER_FACTOR times the CG
+# iterations the accepted iterate's solve of that load took, and at least
+# TRIAL_ITER_FLOOR: a trial that needs more is rejected, as at extreme contrast
+TRIAL_ITER_FACTOR = 4
+TRIAL_ITER_FLOOR = 50
 
 
 @dataclass
@@ -228,7 +233,8 @@ def run(
 
     Raises ArithmeticError, naming the iterate and beta/alpha, when the
     energy density, the gradient density or the stationarity of an iterate is
-    not finite, as a tiny alpha or beta makes them. A trial whose solve fails,
+    not finite, as a tiny alpha or beta makes them. A trial whose solve fails
+    or needs more CG iterations than its cap (TRIAL_ITER_FACTOR, TRIAL_ITER_FLOOR),
     whose energy density is not finite or whose cost cross-check fails is
     rejected and the step halved.
 
@@ -254,10 +260,10 @@ def run(
     basis = load_basis(sset)
 
     def solve(
-        field: DensityField, warm: np.ndarray | None = None
+        field: DensityField, warm: np.ndarray | None = None, caps: list[int] | None = None
     ) -> tuple[list[ScenarioSolution], float, float]:
         """States, cost and merit of a density; both inf where an energy overflows."""
-        s = solve_state(field, basis, warm_starts=warm)
+        s = solve_state(field, basis, warm_starts=warm, max_iter=caps)
         if not all(np.isfinite(sol.energy).all() for sol in s):
             return s, np.inf, np.inf
         c = cost(field, s, kind)
@@ -267,10 +273,11 @@ def run(
         """Merit of a trial density; keeps its solve in `trial` for acceptance."""
         nonlocal trial
         try:
-            trial = solve(field, warm)
+            trial = solve(field, warm, caps)
         except (RuntimeError, ArithmeticError):
-            # CG failed, or a phase contrast too wide for the solve tolerance
-            # broke the cost cross-check: reject the trial, the step is halved
+            # CG failed or hit its trial cap, or a phase contrast too wide for the
+            # solve tolerance broke the cost cross-check: reject the trial, the
+            # step is halved
             return np.inf
         return trial[2]  # inf, and so rejected, where an energy overflowed
 
@@ -316,6 +323,7 @@ def run(
                     stack[1 + (k - 1) % (HISTORY - 1)] = stack[0]
                 stack[0] = sol.u.interior()
             warm = starts[:, : min(k + 1, HISTORY)]
+            caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * sol.iterations) for sol in sols]
             a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"

@@ -36,7 +36,8 @@ class ScenarioSolution:
     `load` is the per-cell right-hand side, kept so cost evaluation does not
     need the scenario set again. `weight` is 1 for a `LoadBasis` load and w_k
     for scenario k. `energy` is the per-cell mean of grad(u).grad(u) under the
-    assembly quadrature.
+    assembly quadrature. `iterations` counts the CG iterations of the solve,
+    0 for a state combined from other states.
     """
 
     u: NodalField
@@ -44,6 +45,7 @@ class ScenarioSolution:
     load: np.ndarray
     solve_tol: float
     energy: np.ndarray
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,13 @@ def solve_state(
     basis: LoadBasis,
     tol: float = 1e-10,
     warm_starts: np.ndarray | list[np.ndarray] | None = None,
+    max_iter: list[int] | None = None,
 ) -> list[ScenarioSolution]:
     """Solve the state equation for every load of the basis, to relative residual tol.
 
     Load i starts from warm_starts[i], a state or an (h, n_interior) stack of
-    states passed to `cg_solve` as its x0. Raises RuntimeError naming the
+    states passed to `cg_solve` as its x0, and its CG stops after max_iter[i]
+    iterations (`cg_solve`'s cap when omitted). Raises RuntimeError naming the
     load if CG does not converge.
     """
     if basis.grid != a.grid:
@@ -92,13 +96,16 @@ def solve_state(
     n = len(basis.loads)
     if warm_starts is not None and len(warm_starts) != n:
         raise ValueError(f"got {len(warm_starts)} warm starts for {n} loads")
+    if max_iter is not None and len(max_iter) != n:
+        raise ValueError(f"got {len(max_iter)} iteration caps for {n} loads")
 
     K = assemble_stiffness(a)
     M = VCycle(a, K)
     solutions = []
     for i, load in enumerate(basis.loads):
         x0 = warm_starts[i] if warm_starts is not None else None
-        x, report = cg_solve(K, assemble_load(a.grid, load), tol=tol, x0=x0, M=M)
+        cap = max_iter[i] if max_iter is not None else None
+        x, report = cg_solve(K, assemble_load(a.grid, load), tol=tol, max_iter=cap, x0=x0, M=M)
         if not report.converged:
             which = f"perturbation direction {i} of {n - 1}" if i else "the mean load f"
             raise RuntimeError(
@@ -108,7 +115,7 @@ def solve_state(
         u = NodalField.from_interior(a.grid, x)
         with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
             energy = cell_grad_dot(u, u)
-        solutions.append(ScenarioSolution(u, 1.0, load, tol, energy))
+        solutions.append(ScenarioSolution(u, 1.0, load, tol, energy, report.iterations))
     return solutions
 
 

@@ -155,20 +155,28 @@ def loop_optimality_residual(
     return residual
 
 
-def _coarse_node_list(n: int) -> list[int]:
-    """Fine node index of each coarse node along a direction of n cells: the
-    even nodes plus node n when n > 8, every node otherwise."""
-    return list(range(n + 1)) if n <= 8 else sorted(set(range(0, n + 1, 2)) | {n})
+def _kept(grid: GridSpec, nx: int, ny: int) -> tuple[bool, bool]:
+    """Whether the x and y directions of an nx-by-ny grid on `grid`'s domain
+    stay whole: one of at most 8 cells does, and so does one whose cells are at
+    least twice as long as the other direction's while that one has more than 8."""
+    hx, hy = (grid.x1 - grid.x0) / nx, (grid.y1 - grid.y0) / ny
+    return nx <= 8 or (hx >= 2.0 * hy and ny > 8), ny <= 8 or (hy >= 2.0 * hx and nx > 8)
 
 
-def _hat_prolongation(n: int) -> np.ndarray:
+def _coarse_node_list(n: int, keep: bool) -> list[int]:
+    """Fine node index of each coarse node along a direction of n cells: every
+    node when the direction is kept whole, else the even nodes plus node n."""
+    return list(range(n + 1)) if keep else sorted(set(range(0, n + 1, 2)) | {n})
+
+
+def _hat_prolongation(n: int, keep: bool) -> np.ndarray:
     """Interior-to-interior linear interpolation along a direction of n cells.
 
-    A direction of more than 8 cells keeps the even fine nodes, plus node n
-    when n is odd; one of at most 8 cells is not coarsened. Column k - 1 is the
-    hat function of coarse node k, sampled at the interior fine nodes.
+    A coarsened direction keeps the even fine nodes, plus node n when n is
+    odd; a kept one every node. Column k - 1 is the hat function of coarse
+    node k, sampled at the interior fine nodes.
     """
-    coarse = _coarse_node_list(n)
+    coarse = _coarse_node_list(n, keep)
     P = np.zeros((n - 1, len(coarse) - 2))
     for k in range(1, len(coarse) - 1):
         left, mid, right = coarse[k - 1], coarse[k], coarse[k + 1]
@@ -183,7 +191,8 @@ def prolongation_oracle(grid: GridSpec) -> list[sparse.csr_matrix]:
     steps = []
     nx, ny = grid.nx, grid.ny
     while nx > 8 or ny > 8:
-        P1x, P1y = _hat_prolongation(nx), _hat_prolongation(ny)
+        keep_x, keep_y = _kept(grid, nx, ny)
+        P1x, P1y = _hat_prolongation(nx, keep_x), _hat_prolongation(ny, keep_y)
         steps.append(sparse.kron(sparse.csr_matrix(P1y), sparse.csr_matrix(P1x), format="csr"))
         nx, ny = P1x.shape[1] + 1, P1y.shape[1] + 1
     return steps
@@ -350,7 +359,8 @@ def table_coarse_elements(a: DensityField) -> list[np.ndarray]:
     kref = reference_stiffness(grid.hx, grid.hy).ravel()
     levels = []
     while nx > 8 or ny > 8:
-        xn, yn = np.array(_coarse_node_list(nx)), np.array(_coarse_node_list(ny))
+        keep_x, keep_y = _kept(grid, nx, ny)
+        xn, yn = np.array(_coarse_node_list(nx, keep_x)), np.array(_coarse_node_list(ny, keep_y))
         cnx, cny = len(xn) - 1, len(yn) - 1
         pairs = [(x, y) for x in _child_groups(xn) for y in _child_groups(yn)]
         children = np.full((cnx * cny, len(pairs)), nx * ny)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from stodesign.fem import (
     DensityField,
     GridSpec,
     NodalField,
+    assemble_elements,
     assemble_load,
     assemble_stiffness,
     cell_averages,
@@ -22,6 +25,7 @@ from oracles import (
     einsum_grad_dot,
     interior_node_ids,
     l2_error,
+    map_assemble_elements,
     same_bits,
     sample_cells,
     sample_nodes,
@@ -143,6 +147,45 @@ def test_stiffness_slots_outside_the_matrix_are_zero(nx, ny):
         inside = np.zeros(n, dtype=bool)
         inside[max(0, offset) : max(0, n + min(0, offset))] = True
         assert not np.any(diagonal[~inside])
+
+
+def test_stiffness_assembly_peak_memory():
+    # the nine diagonals, one scratch entry and nothing grid-sized besides
+    g = GridSpec(128, 128)
+    a = DensityField(g, np.random.default_rng(5).uniform(0.5, 3.0, g.n_cells))
+    assemble_stiffness(a)  # the cached reference matrix and offsets
+    tracemalloc.start()
+    try:
+        assemble_stiffness(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * g.n_interior * np.dtype(float).itemsize
+
+
+def _dia_dense(A):
+    """A as a dense array, each stored slot inside the matrix copied: signed zeros survive."""
+    n = A.shape[0]
+    dense = np.zeros((n, n))
+    for offset, diagonal in zip(A.offsets, A.data):
+        j = np.arange(max(0, offset), n + min(0, offset))
+        dense[j - offset, j] = diagonal[j]
+    return dense
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 5), (16, 16), (2, 9), (3, 5)])
+def test_element_assembly_sums_signed_zeros_from_zero(nx, ny):
+    # an entry whose terms are all -0.0 sums to +0.0 from zero, where copying
+    # the first term would keep -0.0
+    g = GridSpec(nx, ny)
+    elements = np.random.default_rng(nx * ny).choice([-0.0, 0.0, -1.5, 2.25], (g.n_cells, 16))
+    A = assemble_elements(g, elements)
+    ref = map_assemble_elements(g, elements).tocoo()
+    dense = np.zeros(ref.shape)
+    dense[ref.row, ref.col] = ref.data
+    negative_zero = lambda x: (x == 0.0) & np.signbit(x)
+    assert negative_zero(elements).any() and not negative_zero(dense).any()
+    assert same_bits(_dia_dense(A), dense)
 
 
 def test_stiffness_positive_definite():

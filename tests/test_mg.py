@@ -37,7 +37,7 @@ def _density(g: GridSpec, kind: str, seed: int = 0) -> DensityField:
     return DensityField(g, rng.choice([1.0, 2.0], g.n_cells))  # bang-bang
 
 
-@pytest.mark.parametrize("nx, ny", [(16, 16), (9, 9), (37, 23), (64, 8)])
+@pytest.mark.parametrize("nx, ny", [(16, 16), (9, 9), (37, 23), (64, 8), (128, 16)])
 def test_coarse_operators_are_galerkin(nx, ny):
     g = GridSpec(nx, ny)
     a = _density(g, "random")
@@ -54,7 +54,7 @@ def test_coarse_operators_are_galerkin(nx, ny):
     assert max(M.operators[-1].shape) <= 7 * 7
 
 
-@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8)])
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (128, 16)])
 def test_coarse_operators_match_map_assembly_bitwise(nx, ny, monkeypatch):
     g = GridSpec(nx, ny)
     a = _density(g, "random")
@@ -77,7 +77,7 @@ def test_coarse_operators_match_map_assembly_bitwise(nx, ny, monkeypatch):
     assert np.array_equal(mg._dense(M.operators[-1]), M.operators[-1].toarray())
 
 
-@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (255, 257), (2, 9)])
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (255, 257), (2, 9), (128, 16)])
 def test_coarse_elements_match_child_table_gather_bitwise(nx, ny, monkeypatch):
     g = GridSpec(nx, ny)
     a = _density(g, "random")
@@ -139,6 +139,35 @@ def test_v_cycle_is_symmetric_positive_definite(nx, ny, kind):
         assert Mx @ x > 0.0
 
 
+def test_semicoarsening_hierarchies_terminate():
+    # a direction at least twice as coarse as the other stays whole only while
+    # the other is coarsened: on the 100-wide domains the long cells' direction
+    # is coarsened once the other has at most COARSEST cells, so the loop ends
+    code = """
+from stodesign.fem import GridSpec
+from stodesign.mg import coarsenings
+grids = [GridSpec(256, 32), GridSpec(128, 16), GridSpec(256, 96), GridSpec(16, 4, x1=100.0),
+         GridSpec(4, 16, y1=100.0), GridSpec(64, 16, x1=100.0), GridSpec(1024, 8)]
+for g in grids:
+    print([(s.coarse.nx, s.coarse.ny) for s in coarsenings(g)])
+"""
+    src = str(Path(stodesign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "[(128, 32), (64, 32), (32, 32), (16, 16), (8, 8)]",
+        "[(64, 16), (32, 16), (16, 16), (8, 8)]",
+        "[(128, 96), (64, 48), (32, 24), (16, 12), (8, 6)]",
+        "[(8, 4)]",
+        "[(4, 8)]",
+        "[(64, 8), (32, 8), (16, 8), (8, 8)]",
+        "[(512, 8), (256, 8), (128, 8), (64, 8), (32, 8), (16, 8), (8, 8)]",
+    ]
+
+
 @pytest.mark.parametrize(
     "nx, ny, cap",
     [
@@ -148,7 +177,8 @@ def test_v_cycle_is_symmetric_positive_definite(nx, ny, kind):
         (37, 23, 24),
         (255, 255, 17),
         (257, 257, 17),
-        (256, 32, 100),
+        (256, 32, 27),
+        (128, 16, 26),
         (1024, 8, 27),
         (8, 1024, 27),
     ],

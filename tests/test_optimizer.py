@@ -10,7 +10,10 @@ from hypothesis.extra.numpy import arrays
 from stodesign.fem import DensityField, GridSpec, integrate_cells
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.objective import Objective, cost
+from stodesign import optimizer
 from stodesign.optimizer import (
+    TRIAL_ITER_FACTOR,
+    TRIAL_ITER_FLOOR,
     OptimizerConfig,
     barrier_eta,
     project,
@@ -454,11 +457,11 @@ def test_trial_cg_failure_rejects_only_that_trial(monkeypatch):
     sset = make_case1(g)
     starts = []
 
-    def first_trial_fails(K, b, tol, x0=None, M=None):
+    def first_trial_fails(K, b, tol, max_iter=None, x0=None, M=None):
         starts.append(x0)
         if len(starts) == len(sset.scenarios) + 1:  # first solve of the first trial
             return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
-        return cg_solve(K, b, tol=tol, x0=x0, M=M)
+        return cg_solve(K, b, tol=tol, max_iter=max_iter, x0=x0, M=M)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", first_trial_fails)
     cfg = OptimizerConfig(eps1=1e-5)
@@ -491,7 +494,7 @@ def test_trial_cost_cross_check_failure_rejects_only_that_trial(monkeypatch):
 def test_initial_cg_failure_aborts_run(monkeypatch):
     from stodesign.cg import SolveReport
 
-    def stalled(K, b, tol, x0=None, M=None):
+    def stalled(K, b, tol, max_iter=None, x0=None, M=None):
         return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
@@ -506,8 +509,8 @@ def _spy_cg(monkeypatch):
 
     calls = []
 
-    def spy(K, b, tol, x0=None, M=None):
-        x, report = cg_solve(K, b, tol=tol, x0=x0, M=M)
+    def spy(K, b, tol, max_iter=None, x0=None, M=None):
+        x, report = cg_solve(K, b, tol=tol, max_iter=max_iter, x0=x0, M=M)
         calls.append((None if x0 is None else np.array(x0), x, report))
         return x, report
 
@@ -557,3 +560,53 @@ def test_rejected_trial_state_never_enters_the_history(monkeypatch):
             assert any(np.array_equal(row, x) for x in earlier)
             assert not any(np.array_equal(row, x) for x in rejected)
     assert max(len(x0) for x0, _, _ in calls[2:]) == HISTORY
+
+
+def test_trial_solve_stops_at_its_cap_and_is_rejected(monkeypatch):
+    # at beta/alpha = 1e20 a trial's CG stalls on rounding: it stops at
+    # TRIAL_ITER_FLOOR iterations, not at cg_solve's 20n = 980, and the
+    # trial is rejected. Every trial's caps follow the accepted iterate's solves
+    events = []
+    real_solve_state, real_update = optimizer.solve_state, optimizer.update
+
+    def spy_solve(field, basis, tol=1e-10, warm_starts=None, max_iter=None):
+        try:
+            sols = real_solve_state(field, basis, tol, warm_starts, max_iter)
+        except RuntimeError as exc:
+            events.append(("failed", field.values.copy(), max_iter, str(exc)))
+            raise
+        events.append(("solved", field.values.copy(), max_iter, [s.iterations for s in sols]))
+        return sols
+
+    def spy_update(*args, **kwargs):
+        out = real_update(*args, **kwargs)
+        events.append(("accepted", out[0].values.copy(), None, None))
+        return out
+
+    monkeypatch.setattr(optimizer, "solve_state", spy_solve)
+    monkeypatch.setattr(optimizer, "update", spy_update)
+    cfg = OptimizerConfig(alpha=1e-20, beta=1.0, mass=0.5 * (1e-20 + 1.0), max_iters=20)
+    res = run(cfg, make_case1(_grid()), Objective.COMPLIANCE)
+    assert res.stop_reason == "max_iters"
+    for r in res.history:
+        assert np.all(np.isfinite([r.cost, r.mass, r.step_eps]))
+        assert abs(r.mass - cfg.mass) <= 1e-10 * cfg.mass
+
+    kind, _, caps, iterations = events[0]
+    assert kind == "solved" and caps is None
+    solved = {}  # density bytes -> iterations of its solve
+    accepted_iterations, failed = iterations, []
+    for kind, values, caps, result in events:
+        if kind == "accepted":
+            accepted_iterations = solved[values.tobytes()]
+            continue
+        if caps is not None:
+            assert caps == [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * i) for i in accepted_iterations]
+        if kind == "solved":
+            solved[values.tobytes()] = result
+        else:
+            failed.append(values)
+            assert caps is not None and f"after {TRIAL_ITER_FLOOR} iterations" in result
+    assert failed
+    accepted = [values for kind, values, _, _ in events if kind == "accepted"]
+    assert not any(np.array_equal(f, a) for f in failed for a in accepted)

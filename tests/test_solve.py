@@ -148,7 +148,7 @@ def test_stiffness_shared_across_scenarios():
 def test_cg_failure_names_scenario(monkeypatch):
     from stodesign.cg import SolveReport, cg_solve
 
-    def stalled(K, b, tol, x0=None, M=None):
+    def stalled(K, b, tol, max_iter=None, x0=None, M=None):
         return np.zeros(K.shape[0]), SolveReport(1, 0.5, False)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", stalled)
@@ -158,9 +158,11 @@ def test_cg_failure_names_scenario(monkeypatch):
 
     calls = []
 
-    def second_stalls(K, b, tol, x0=None, M=None):
+    def second_stalls(K, b, tol, max_iter=None, x0=None, M=None):
         calls.append(b)
-        return stalled(K, b, tol) if len(calls) == 2 else cg_solve(K, b, tol=tol, x0=x0, M=M)
+        if len(calls) == 2:
+            return stalled(K, b, tol)
+        return cg_solve(K, b, tol=tol, max_iter=max_iter, x0=x0, M=M)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", second_stalls)
     sset = _pm_pair_set(g, 3, 2, 1)  # f and two directions
@@ -248,8 +250,8 @@ def _spy_cg(monkeypatch) -> list[tuple]:
     calls = []
     real = solve_module.cg_solve
 
-    def spy(K, b, tol, x0=None, M=None):
-        x, report = real(K, b, tol=tol, x0=x0, M=M)
+    def spy(K, b, tol, max_iter=None, x0=None, M=None):
+        x, report = real(K, b, tol=tol, max_iter=max_iter, x0=x0, M=M)
         calls.append((x0, report))
         return x, report
 
@@ -422,3 +424,17 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
     for sol in sols + scenario_states(basis, sols):
         assert np.array_equal(sol.energy, cell_grad_dot(sol.u, sol.u))
     cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
+
+
+def test_solve_state_caps_each_load_and_counts_its_iterations():
+    g = GridSpec(16, 16)
+    a = DensityField(g, np.random.default_rng(4).uniform(1.0, 2.0, g.n_cells))
+    basis = load_basis(make_case1(g))
+    its = [sol.iterations for sol in solve_state(a, basis)]
+    assert len(its) >= 2 and min(its) >= 2
+    assert [sol.iterations for sol in solve_state(a, basis, max_iter=its)] == its
+    short = its[:-1] + [its[-1] - 1]
+    with pytest.raises(RuntimeError, match=rf"after {its[-1] - 1} iterations\)$"):
+        solve_state(a, basis, max_iter=short)
+    with pytest.raises(ValueError, match=rf"^got 1 iteration caps for {len(its)} loads$"):
+        solve_state(a, basis, max_iter=[5])
