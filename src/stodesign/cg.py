@@ -8,6 +8,7 @@ Engrg. 163, 1998).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +23,15 @@ class SolveReport:
     iterations: int
     relative_residual: float
     converged: bool
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y, summed on one thread in one fixed order.
+
+    A BLAS dot splits long vectors across its threads, so its rounding
+    depends on the thread count; this one does not.
+    """
+    return float(np.einsum("i,i->", x, y))
 
 
 def _require_finite(name: str, v: np.ndarray) -> None:
@@ -89,7 +99,7 @@ def cg_solve(
     if max_iter is None:
         max_iter = 20 * n
 
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(dot(b, b))
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
@@ -98,11 +108,11 @@ def cg_solve(
 
     x = np.zeros(n) if x0 is None else np.array(x0[0])
     r = b - (K @ x)
-    r_norm = float(np.linalg.norm(r))
+    r_norm = math.sqrt(dot(r, r))
     # a row 0 that meets tol is kept: an unchanged system keeps its solution
     if x0 is not None and r_norm > tol * b_norm:
         x, r = _best_start(K, b, x0, r)
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(dot(r, r))
     p = rz = None
     it = 0
     # the preconditioner runs only on a residual that failed the test. Past
@@ -110,14 +120,14 @@ def cg_solve(
     with np.errstate(over="ignore", invalid="ignore"):
         while r_norm > tol * b_norm and np.isfinite(r_norm) and it < max_iter:
             z = M(r)
-            rz_new = float(r @ z)
+            rz_new = dot(r, z)
             p = z.copy() if p is None else z + (rz_new / rz) * p
             rz = rz_new
             Kp = K @ p
-            alpha = rz / float(p @ Kp)
+            alpha = rz / dot(p, Kp)
             x += alpha * p
             r -= alpha * Kp
-            r_norm = float(np.linalg.norm(r))
+            r_norm = math.sqrt(dot(r, r))
             it += 1
 
     # x += alpha*p can overflow while r lands on zero: that x solves nothing
@@ -143,15 +153,15 @@ def _best_start(
             Q = np.linalg.inv(np.linalg.qr(X.T, mode="r")).T @ X
             G = np.empty((len(Q), len(Q)))
             for j, q in enumerate(Q):  # one row at a time: no (h, n) product
-                G[:, j] = Q @ (K @ q)
+                G[:, j] = np.einsum("hn,n->h", Q, K @ q)
             G = 0.5 * (G + G.T)
             np.linalg.cholesky(G)  # raises unless G is positive definite
-            x = np.linalg.solve(G, Q @ b) @ Q
+            x = np.linalg.solve(G, np.einsum("hn,n->h", Q, b)) @ Q
             r = b - K @ x
             # x.Kx - 2 b.x, the squared K-norm error up to a constant, is -x.(b + r);
             # it is finite only where x is
-            gain = x @ (b + r)
-            if np.isfinite(gain) and gain >= X[0] @ (b + r0):
+            gain = dot(x, b + r)
+            if np.isfinite(gain) and gain >= dot(X[0], b + r0):
                 return x, r
         except np.linalg.LinAlgError:
             pass

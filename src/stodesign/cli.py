@@ -76,13 +76,9 @@ def parse_config_file(path: str | Path) -> dict:
         if not line:
             continue
         try:
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ValueError(f"cannot parse config line: {raw!r}")
-                key, val = parts
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"cannot parse config line: {raw!r}")
             key = key.strip()
             if key not in PARAMS:
                 raise ValueError(f"unknown config key {key!r}")
@@ -133,20 +129,19 @@ def _build_scenarios(cfg: dict) -> ScenarioSet:
 def region_masks(grid: GridSpec) -> dict[str, np.ndarray]:
     """Diagnostic regions: center square, its complement, corner blocks, cross bands.
 
-    Corner blocks are the four axis-aligned squares of side 1/8 of the domain
-    width at the corners; they isolate the corner structures from the center
-    block. The cross region is the union of the two center bands of half-width
-    1/8, where the low-density cross of the reference solutions lives.
+    Corner blocks are the four squares of side 1/8 at the corners of the unit
+    square; they isolate the corner structures from the center block. The
+    cross region is the union of the two center bands x, y in [3/8, 5/8],
+    where the low-density cross of the reference solutions lives.
     """
     c = cell_centers(grid)
     x, y = c[:, 0], c[:, 1]
-    wx, wy = grid.x1 - grid.x0, grid.y1 - grid.y0
     d0 = center_square_mask(grid)
-    near_x = (x < grid.x0 + CORNER_BLOCK_SIDE * wx) | (x > grid.x1 - CORNER_BLOCK_SIDE * wx)
-    near_y = (y < grid.y0 + CORNER_BLOCK_SIDE * wy) | (y > grid.y1 - CORNER_BLOCK_SIDE * wy)
+    near_x = (x < CORNER_BLOCK_SIDE) | (x > 1.0 - CORNER_BLOCK_SIDE)
+    near_y = (y < CORNER_BLOCK_SIDE) | (y > 1.0 - CORNER_BLOCK_SIDE)
     corners = near_x & near_y
-    mid_x = np.abs(x - 0.5 * (grid.x0 + grid.x1)) <= CROSS_BAND_HALFWIDTH * wx
-    mid_y = np.abs(y - 0.5 * (grid.y0 + grid.y1)) <= CROSS_BAND_HALFWIDTH * wy
+    mid_x = np.abs(x - 0.5) <= CROSS_BAND_HALFWIDTH
+    mid_y = np.abs(y - 0.5) <= CROSS_BAND_HALFWIDTH
     return {
         "d0": d0,
         "d1": ~d0,

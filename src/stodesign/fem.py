@@ -1,4 +1,4 @@
-"""Bilinear quadrilateral finite elements on a uniform rectangular grid.
+"""Bilinear quadrilateral finite elements on a uniform grid of the unit square.
 
 The diffusion coefficient is piecewise constant per cell, solution fields are
 nodal. Cells are indexed row-major as j*nx + i, nodes as j*(nx+1) + i, with i
@@ -21,28 +21,22 @@ _ETA = np.array([-1.0, -1.0, 1.0, 1.0])
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid of nx*ny rectangular cells on [x0, x1] x [y0, y1]."""
+    """Uniform grid of nx*ny cells on the unit square; nx != ny stretches the cells."""
 
     nx: int
     ny: int
-    x0: float = 0.0
-    y0: float = 0.0
-    x1: float = 1.0
-    y1: float = 1.0
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 cells per direction")
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError("domain corners must satisfy x1 > x0 and y1 > y0")
 
     @property
     def hx(self) -> float:
-        return (self.x1 - self.x0) / self.nx
+        return 1.0 / self.nx
 
     @property
     def hy(self) -> float:
-        return (self.y1 - self.y0) / self.ny
+        return 1.0 / self.ny
 
     @property
     def cell_area(self) -> float:
@@ -59,10 +53,6 @@ class GridSpec:
     @property
     def n_interior(self) -> int:
         return (self.nx - 1) * (self.ny - 1)
-
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
 
 
 @dataclass
@@ -112,8 +102,8 @@ class NodalField:
 
 
 def cell_centers(grid: GridSpec) -> np.ndarray:
-    cx = grid.x0 + (np.arange(grid.nx) + 0.5) * grid.hx
-    cy = grid.y0 + (np.arange(grid.ny) + 0.5) * grid.hy
+    cx = (np.arange(grid.nx) + 0.5) * grid.hx
+    cy = (np.arange(grid.ny) + 0.5) * grid.hy
     yy, xx = np.meshgrid(cy, cx, indexing="ij")
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
@@ -253,21 +243,18 @@ def cell_gradients(u: NodalField) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def cell_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
-    """Per-cell mean of grad(u).grad(p), consistent with assembly quadrature.
+def cell_grad_dot(u: NodalField) -> np.ndarray:
+    """Per-cell mean of |grad(u)|^2, consistent with assembly quadrature.
 
-    Returns (1/|cell|) * integral of grad(u).grad(p) over each cell, so that
-    sum_c a_c * area * cell_grad_dot(u, p)_c reproduces the assembled bilinear
+    Returns (1/|cell|) * integral of grad(u).grad(u) over each cell, so that
+    sum_c a_c * area * cell_grad_dot(u)_c reproduces the assembled quadratic
     form exactly. This is what makes the descent gradient match finite
     differences of the discrete cost to solver precision.
     """
     grid = u.grid
-    if p.grid != grid:
-        raise ValueError("fields live on different grids")
     kref = reference_stiffness(grid.hx, grid.hy)
     cu = np.stack(_corners(u), axis=-1).reshape(-1, 4)
-    cp = cu if p is u else np.stack(_corners(p), axis=-1).reshape(-1, 4)
-    return np.einsum("ci,ci->c", cu @ kref, cp) / grid.cell_area
+    return np.einsum("ci,ci->c", cu @ kref, cu) / grid.cell_area
 
 
 def cell_averages(u: NodalField) -> np.ndarray:

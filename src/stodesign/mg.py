@@ -12,10 +12,10 @@ COARSEST cells, with coarse nodes at the even fine nodes plus the last node
 when the cell count is odd, so the last coarse cell of an odd direction
 spans one fine cell. On stretched cells the point smoother leaves errors
 smooth only along the strongly coupled direction, the one of shorter
-spacing, so a direction whose spacing is at least twice the other's stays
-whole while the other is coarsened (semicoarsening, Trottenberg et al.);
-that also makes the coarse cells squarer. P is bilinear interpolation
-between interior nodes, kron(P1y, P1x).
+spacing, so a direction whose spacing is at least twice the other's (x when
+ny >= 2*nx) stays whole and the other is coarsened (semicoarsening,
+Trottenberg et al.); that also makes the coarse cells squarer. P is
+bilinear interpolation between interior nodes, kron(P1y, P1x).
 
 The coarse operators are Galerkin, P^T A P, formed element by element: the
 coarse element matrix of a cell is sum over its children of R^T E R, with E
@@ -110,16 +110,18 @@ def _children_1d(n: int, keep: bool) -> list[tuple[np.ndarray, slice, slice]]:
 
 @lru_cache(maxsize=64)
 def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
-    """The steps from `grid` down to the coarsest level, built once per grid."""
+    """The steps from `grid` down to the coarsest level, built once per grid.
+
+    x stays whole when nx <= COARSEST or ny >= 2*nx, hx >= 2*hy on the unit
+    square; then ny > COARSEST and y is coarsened, so every step coarsens a
+    direction. y likewise.
+    """
     steps = []
     while grid.nx > COARSEST or grid.ny > COARSEST:
-        # semicoarsening: a direction at least twice as coarse as the other
-        # stays whole, but only while the other is coarsened, so that each
-        # step coarsens at least one direction
-        keep_x = grid.nx <= COARSEST or (grid.hx >= 2.0 * grid.hy and grid.ny > COARSEST)
-        keep_y = grid.ny <= COARSEST or (grid.hy >= 2.0 * grid.hx and grid.nx > COARSEST)
+        keep_x = grid.nx <= COARSEST or grid.ny >= 2 * grid.nx
+        keep_y = grid.ny <= COARSEST or grid.nx >= 2 * grid.ny
         xn, yn = _coarse_nodes(grid.nx, keep_x), _coarse_nodes(grid.ny, keep_y)
-        coarse = GridSpec(len(xn) - 1, len(yn) - 1, grid.x0, grid.y0, grid.x1, grid.y1)
+        coarse = GridSpec(len(xn) - 1, len(yn) - 1)
         pairs = [
             (x, y) for x in _children_1d(grid.nx, keep_x) for y in _children_1d(grid.ny, keep_y)
         ]

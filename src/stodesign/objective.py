@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cg import dot
 from .fem import DensityField, cell_averages
 
 if TYPE_CHECKING:
@@ -46,9 +47,9 @@ def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> fl
     """
     area = a.grid.cell_area
     pairing = sum(
-        sol.weight * (float(sol.load @ cell_averages(sol.u)) * area) for sol in sols
+        sol.weight * (dot(sol.load, cell_averages(sol.u)) * area) for sol in sols
     )
-    energy = sum(sol.weight * (float(a.values @ sol.energy) * area) for sol in sols)
+    energy = sum(sol.weight * (dot(a.values, sol.energy) * area) for sol in sols)
     tol = 10.0 * max(sol.solve_tol for sol in sols)
     gap = abs(pairing - energy)
     if not np.isfinite(gap) or gap > tol * max(abs(pairing), abs(energy)) + 1e-14:

@@ -81,12 +81,10 @@ class OptimizerConfig:
                 f"phase bounds [{self.alpha}, {self.beta}] are too wide: "
                 f"max(eps, 1)*(beta-alpha)^2 summed over {grid.n_cells} cells overflows"
             )
-        if self.constrained:
-            lo, hi = self.alpha * grid.area, self.beta * grid.area
-            if not lo < self.mass < hi:
-                raise ValueError(
-                    f"mass target {self.mass} must lie strictly inside ({lo}, {hi})"
-                )
+        if self.constrained and not self.alpha < self.mass < self.beta:
+            raise ValueError(
+                f"mass target {self.mass} must lie strictly inside ({self.alpha}, {self.beta})"
+            )
 
 
 @dataclass
@@ -246,7 +244,7 @@ def run(
     cfg.check_grid(grid)
     if a0 is None:
         if cfg.constrained:
-            a = DensityField.constant(grid, cfg.mass / grid.area)
+            a = DensityField.constant(grid, cfg.mass)
         else:
             a = DensityField.constant(grid, 0.5 * (cfg.alpha + cfg.beta))
     else:

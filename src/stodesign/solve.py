@@ -114,7 +114,7 @@ def solve_state(
             )
         u = NodalField.from_interior(a.grid, x)
         with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
-            energy = cell_grad_dot(u, u)
+            energy = cell_grad_dot(u)
         solutions.append(ScenarioSolution(u, 1.0, load, tol, energy, report.iterations))
     return solutions
 
@@ -125,5 +125,5 @@ def scenario_states(basis: LoadBasis, sols: list[ScenarioSolution]) -> list[Scen
     out = []
     for c, w in zip(basis.coefficients, basis.weights):
         u = NodalField(basis.grid, c @ states)
-        out.append(ScenarioSolution(u, w, c @ basis.loads, sols[0].solve_tol, cell_grad_dot(u, u)))
+        out.append(ScenarioSolution(u, w, c @ basis.loads, sols[0].solve_tol, cell_grad_dot(u)))
     return out

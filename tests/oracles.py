@@ -15,13 +15,14 @@ through them, which the library's slices must match bit for bit. The
 sampling, error-norm, boundary, tensor and log-reading helpers below them are
 used only by the tests.
 """
+import math
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
-from stodesign.cg import SolveReport, cg_solve
+from stodesign.cg import SolveReport, cg_solve, dot
 from stodesign.fem import (
     _ETA,
     _GAUSS,
@@ -155,12 +156,12 @@ def loop_optimality_residual(
     return residual
 
 
-def _kept(grid: GridSpec, nx: int, ny: int) -> tuple[bool, bool]:
-    """Whether the x and y directions of an nx-by-ny grid on `grid`'s domain
+def _kept(nx: int, ny: int) -> tuple[bool, bool]:
+    """Whether the x and y directions of an nx-by-ny grid on the unit square
     stay whole: one of at most 8 cells does, and so does one whose cells are at
-    least twice as long as the other direction's while that one has more than 8."""
-    hx, hy = (grid.x1 - grid.x0) / nx, (grid.y1 - grid.y0) / ny
-    return nx <= 8 or (hx >= 2.0 * hy and ny > 8), ny <= 8 or (hy >= 2.0 * hx and nx > 8)
+    least twice as long as the other direction's."""
+    hx, hy = 1.0 / nx, 1.0 / ny
+    return nx <= 8 or hx >= 2.0 * hy, ny <= 8 or hy >= 2.0 * hx
 
 
 def _coarse_node_list(n: int, keep: bool) -> list[int]:
@@ -191,7 +192,7 @@ def prolongation_oracle(grid: GridSpec) -> list[sparse.csr_matrix]:
     steps = []
     nx, ny = grid.nx, grid.ny
     while nx > 8 or ny > 8:
-        keep_x, keep_y = _kept(grid, nx, ny)
+        keep_x, keep_y = _kept(nx, ny)
         P1x, P1y = _hat_prolongation(nx, keep_x), _hat_prolongation(ny, keep_y)
         steps.append(sparse.kron(sparse.csr_matrix(P1y), sparse.csr_matrix(P1x), format="csr"))
         nx, ny = P1x.shape[1] + 1, P1y.shape[1] + 1
@@ -207,26 +208,27 @@ def eager_pcg(
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned CG that applies M to every residual, also to the one
-    that passes the test, which it then throws away."""
-    b_norm = float(np.linalg.norm(b))
+    that passes the test, which it then throws away. Its inner products are
+    `cg_solve`'s fixed-order `dot`, so that the two agree bit for bit."""
+    b_norm = math.sqrt(dot(b, b))
     x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
     r = b - (K @ x)
     z = M(r)
     p = z.copy()
-    rz = float(r @ z)
-    r_norm = float(np.linalg.norm(r))
+    rz = dot(r, z)
+    r_norm = math.sqrt(dot(r, r))
     converged = r_norm <= tol * b_norm
     if converged or not np.isfinite(r_norm):
         return x, SolveReport(0, r_norm / b_norm, converged)
     it = 0
     for it in range(1, max_iter + 1):
         Kp = K @ p
-        alpha = rz / float(p @ Kp)
+        alpha = rz / dot(p, Kp)
         x += alpha * p
         r -= alpha * Kp
         z = M(r)
-        rz_new = float(r @ z)
-        r_norm = float(np.linalg.norm(r))
+        rz_new = dot(r, z)
+        r_norm = math.sqrt(dot(r, r))
         if r_norm <= tol * b_norm:
             converged = True
             break
@@ -359,7 +361,7 @@ def table_coarse_elements(a: DensityField) -> list[np.ndarray]:
     kref = reference_stiffness(grid.hx, grid.hy).ravel()
     levels = []
     while nx > 8 or ny > 8:
-        keep_x, keep_y = _kept(grid, nx, ny)
+        keep_x, keep_y = _kept(nx, ny)
         xn, yn = np.array(_coarse_node_list(nx, keep_x)), np.array(_coarse_node_list(ny, keep_y))
         cnx, cny = len(xn) - 1, len(yn) - 1
         pairs = [(x, y) for x in _child_groups(xn) for y in _child_groups(yn)]
@@ -389,8 +391,8 @@ def boundary_node_ids(grid: GridSpec) -> np.ndarray:
 
 
 def node_coords(grid: GridSpec) -> np.ndarray:
-    x = np.linspace(grid.x0, grid.x1, grid.nx + 1)
-    y = np.linspace(grid.y0, grid.y1, grid.ny + 1)
+    x = np.linspace(0.0, 1.0, grid.nx + 1)
+    y = np.linspace(0.0, 1.0, grid.ny + 1)
     yy, xx = np.meshgrid(y, x, indexing="ij")
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
 

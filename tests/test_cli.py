@@ -156,8 +156,9 @@ def test_config_file_bad_key(tmp_path, capsys):
     [
         ("# grid\nnx = 12\nny = abc\n", ":3: invalid literal for int() with base 10: 'abc'"),
         ("eps = 64\nmass\n", ":2: cannot parse config line: 'mass'"),
+        ("eps 64\n", ":1: cannot parse config line: 'eps 64'"),
     ],
-    ids=["bad-value", "no-value"],
+    ids=["bad-value", "no-value", "no-equals"],
 )
 def test_config_file_errors_name_file_and_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"

@@ -139,15 +139,22 @@ def test_v_cycle_is_symmetric_positive_definite(nx, ny, kind):
         assert Mx @ x > 0.0
 
 
+def test_keep_rule_is_the_spacing_rule():
+    # coarsenings keeps x whole when ny >= 2*nx: on the unit square that is
+    # hx >= 2*hy in floats, for every grid up to 1024 cells a side
+    nx, ny = np.meshgrid(np.arange(2, 1025), np.arange(2, 1025), indexing="ij")
+    assert np.array_equal(1.0 / nx >= 2.0 * (1.0 / ny), ny >= 2 * nx)
+
+
 def test_semicoarsening_hierarchies_terminate():
-    # a direction at least twice as coarse as the other stays whole only while
-    # the other is coarsened: on the 100-wide domains the long cells' direction
-    # is coarsened once the other has at most COARSEST cells, so the loop ends
+    # a direction at least twice as coarse as the other stays whole while the
+    # other is coarsened: at aspect ratio 25 the long cells' direction is
+    # coarsened once the other is no longer twice as fine, so the loop ends
     code = """
 from stodesign.fem import GridSpec
 from stodesign.mg import coarsenings
-grids = [GridSpec(256, 32), GridSpec(128, 16), GridSpec(256, 96), GridSpec(16, 4, x1=100.0),
-         GridSpec(4, 16, y1=100.0), GridSpec(64, 16, x1=100.0), GridSpec(1024, 8)]
+grids = [GridSpec(256, 32), GridSpec(128, 16), GridSpec(256, 96), GridSpec(16, 400),
+         GridSpec(400, 16), GridSpec(64, 1600), GridSpec(1024, 8)]
 for g in grids:
     print([(s.coarse.nx, s.coarse.ny) for s in coarsenings(g)])
 """
@@ -161,9 +168,9 @@ for g in grids:
         "[(128, 32), (64, 32), (32, 32), (16, 16), (8, 8)]",
         "[(64, 16), (32, 16), (16, 16), (8, 8)]",
         "[(128, 96), (64, 48), (32, 24), (16, 12), (8, 6)]",
-        "[(8, 4)]",
-        "[(4, 8)]",
-        "[(64, 8), (32, 8), (16, 8), (8, 8)]",
+        "[(16, 200), (16, 100), (16, 50), (16, 25), (8, 13), (8, 7)]",
+        "[(200, 16), (100, 16), (50, 16), (25, 16), (13, 8), (7, 8)]",
+        "[(64, 800), (64, 400), (64, 200), (64, 100), (32, 50), (16, 25), (8, 13), (8, 7)]",
         "[(512, 8), (256, 8), (128, 8), (64, 8), (32, 8), (16, 8), (8, 8)]",
     ]
 

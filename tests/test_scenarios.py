@@ -72,11 +72,6 @@ def test_builtin_zero_mean_tight():
             assert abs(sum(s.weight for s in sset.scenarios) - 1.0) <= 1e-12
 
 
-def test_case_builders_require_unit_square():
-    with pytest.raises(ValueError):
-        make_case1(GridSpec(8, 8, x1=2.0))
-
-
 def test_validate_reports_zero_mean_violation():
     g = GridSpec(4, 4)
     xi = np.zeros(g.n_cells)

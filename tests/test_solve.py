@@ -79,7 +79,7 @@ def test_adjoint_compliance_is_state():
     g_comp = gradient_density(sols, Objective.COMPLIANCE)
     expected = np.zeros(g.n_cells)
     for sol in sols:
-        expected += sol.weight * cell_grad_dot(sol.u, sol.u)
+        expected += sol.weight * cell_grad_dot(sol.u)
     assert np.array_equal(g_comp, expected)
 
 
@@ -422,7 +422,7 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
     basis = load_basis(ScenarioSet(g, f, scenarios))
     sols = solve_state(a, basis)
     for sol in sols + scenario_states(basis, sols):
-        assert np.array_equal(sol.energy, cell_grad_dot(sol.u, sol.u))
+        assert np.array_equal(sol.energy, cell_grad_dot(sol.u))
     cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
 
 
