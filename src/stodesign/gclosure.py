@@ -211,9 +211,9 @@ def optimality_residual(
     quantifies how far the per-cell gradients are from sharing a direction.
     """
     a = a_final.values
-    grads = [cell_gradients(sol.u) for sol in sols]
     s11 = s22 = s12 = norm_sum = 0.0
-    for sol, grad in zip(sols, grads):
+    for sol in sols:
+        grad = cell_gradients(sol.u)
         gx, gy = grad[:, 0], grad[:, 1]
         s11 += sol.weight * (gx * gx)
         s22 += sol.weight * (gy * gy)
@@ -227,6 +227,7 @@ def optimality_residual(
     else:
         gap = arithmetic_mean(theta, phases) - a
     across = 0.0
-    for sol, grad in zip(sols, grads):
+    for sol in sols:  # the gradients again, one held at a time
+        grad = cell_gradients(sol.u)
         across += sol.weight * np.abs(dx * grad[:, 1] - dy * grad[:, 0])
     return np.abs(gap) * across / (norm_sum + RESIDUAL_FLOOR)

@@ -6,11 +6,10 @@ sum_k w_k * xi_k = 0 cell-wise, so the mean load stays f.
 """
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -116,75 +115,44 @@ def save_scenario_file(sset: ScenarioSet, path: str | Path) -> None:
     with '#' are comments.
     """
     grid = sset.grid
-    lines = [f"grid {grid.nx} {grid.ny}", "f"]
-    lines += _format_cell_rows(grid, sset.f)
-    for s in sset.scenarios:
-        lines.append(f"scenario {float(s.weight)!r}")
-        lines += _format_cell_rows(grid, s.xi)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as file:
+        file.write(f"grid {grid.nx} {grid.ny}\nf\n")
+        _write_cell_rows(file, grid, sset.f)
+        for s in sset.scenarios:
+            file.write(f"scenario {float(s.weight)!r}\n")
+            _write_cell_rows(file, grid, s.xi)
 
 
-def _format_cell_rows(grid: GridSpec, values: np.ndarray) -> list[str]:
-    rows = values.reshape(grid.ny, grid.nx)
-    return [" ".join(repr(float(v)) for v in row) for row in rows]
+def _write_cell_rows(file: TextIO, grid: GridSpec, values: np.ndarray) -> None:
+    for row in values.reshape(grid.ny, grid.nx):
+        file.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_scenario_file(path: str | Path) -> ScenarioSet:
     """Read a scenario set written by save_scenario_file.
 
+    The file is read one line at a time, lines numbered as str.splitlines()
+    numbers them, and each section's values go straight into their array.
     The zero-mean property is enforced at load time with a tolerance of
     1e-9; the tiny residual mean left by decimal round-trip is subtracted
     so downstream validation at the strict tolerance passes.
     """
-    tokens: list[str] = []
-    # line_starts[k]: tokens before line k + 1; an array, as a list's int objects
-    # among the tokens kept a 1 MB allocator arena resident through a design run
-    line_starts = array("q")
-    for line in Path(path).read_text().splitlines():
-        line_starts.append(len(tokens))
-        tokens.extend(line.split("#", 1)[0].split())
-    pos = 0
-
-    def error(i: int, message: object) -> ValueError:
-        """An error naming the file and the line of token i."""
-        return ValueError(f"{path}:{bisect_right(line_starts, i)}: {message}")
-
-    def take(n: int, convert: Callable[[str], Any] = str) -> list:
-        nonlocal pos
-        if pos + n > len(tokens):
-            raise ValueError(f"scenario file {path} ended unexpectedly")
-        out = []
-        try:
-            for token in tokens[pos : pos + n]:
-                out.append(convert(token))
-        except ValueError as exc:
-            raise error(pos + len(out), exc) from None
-        pos += n
-        return out
-
-    if take(1) != ["grid"]:
-        raise error(0, f"scenario file must start with 'grid', got {tokens[0]!r}")
-    nx, ny = take(2, int)
-    try:
-        grid = GridSpec(nx, ny)
-    except ValueError as exc:
-        raise error(1, exc) from None
-    n_cells = grid.n_cells
-
-    if take(1) != ["f"]:
-        raise error(pos - 1, "expected 'f' section after the grid line")
-    f = np.array(take(n_cells, float))
-
-    scenarios = []
-    while pos < len(tokens):
-        if take(1) != ["scenario"]:
-            raise error(pos - 1, "expected 'scenario <weight>' section")
-        (weight,) = take(1, float)
-        xi = np.array(take(n_cells, float))
-        try:
-            scenarios.append(Scenario(xi, weight))
-        except ValueError as exc:
-            raise error(pos - n_cells - 1, exc) from None  # the weight's line
+    with open(path) as file:
+        tokens = _Tokens(file, path)
+        tokens.expect("grid", "scenario file must start with 'grid', got {!r}")
+        # both read before either is converted: a file ending here says so first
+        (nx, nx_line), (ny, ny_line) = tokens.word(), tokens.word()
+        nx, ny = tokens.at(nx_line, int, nx), tokens.at(ny_line, int, ny)
+        grid = tokens.at(nx_line, GridSpec, nx, ny)
+        tokens.expect("f", "expected 'f' section after the grid line")
+        f = tokens.values(grid.n_cells)
+        scenarios = []
+        while tokens.more():
+            tokens.expect("scenario", "expected 'scenario <weight>' section")
+            weight, line = tokens.word()
+            weight = tokens.at(line, float, weight)
+            # the weight's range is checked once its values are read
+            scenarios.append(tokens.at(line, Scenario, tokens.values(grid.n_cells), weight))
     if not scenarios:
         raise ValueError(f"scenario file {path} declares no scenarios")
 
@@ -198,10 +166,76 @@ def load_scenario_file(path: str | Path) -> ScenarioSet:
     if wsum != 1.0:
         for s in sset.scenarios:
             s.weight = s.weight / wsum
-    residual = np.zeros(n_cells)
+    residual = np.zeros(grid.n_cells)
     for s in sset.scenarios:
         residual += s.weight * s.xi
     if np.any(residual != 0.0):
         for s in sset.scenarios:
             s.xi = s.xi - residual
     return sset
+
+
+class _Tokens:
+    """The whitespace-separated tokens of an open scenario file, one line at a time.
+
+    '#' comments out the rest of its line. Errors name the file and a line.
+    """
+
+    def __init__(self, file: TextIO, path: str | Path):
+        self.path = path
+        self.lines = enumerate((part for raw in file for part in raw.splitlines()), 1)
+        self.line, self.tokens, self.i = 0, [], 0  # tokens[i:] are unread
+        # a file holds no more tokens than bytes, so a grid too large for it
+        # ends it before its arrays are allocated (size 0: a pipe, unknown)
+        self.room = os.fstat(file.fileno()).st_size or np.inf
+
+    def more(self) -> bool:
+        """Whether a token is left, moving on to the next line that holds one."""
+        while self.i == len(self.tokens):
+            self.line, text = next(self.lines, (self.line, None))
+            if text is None:
+                return False
+            self.tokens, self.i = text.split("#", 1)[0].split(), 0
+        return True
+
+    def take(self, n: int) -> list[str]:
+        """The next tokens of the current line, at most n of them."""
+        if not self.more():
+            raise ValueError(f"scenario file {self.path} ended unexpectedly")
+        chunk = self.tokens[self.i : self.i + n]
+        self.i += len(chunk)
+        return chunk
+
+    def word(self) -> tuple[str, int]:
+        """The next token and its line."""
+        return self.take(1)[0], self.line
+
+    def expect(self, keyword: str, message: str) -> None:
+        """Read keyword, or raise message formatted with the token found."""
+        word, line = self.word()
+        if word != keyword:
+            raise ValueError(f"{self.path}:{line}: {message.format(word)}")
+
+    def at(self, line: int, convert: Callable[..., Any], *args: Any) -> Any:
+        """convert(*args), a ValueError it raises naming the line."""
+        try:
+            return convert(*args)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}:{line}: {exc}") from None
+
+    def values(self, n: int) -> np.ndarray:
+        """The next n tokens as floats; running out of them is reported before a bad one."""
+        if n > self.room:
+            raise ValueError(f"scenario file {self.path} ended unexpectedly")
+        out = np.empty(n)
+        done, bad = 0, None
+        while done < n:
+            chunk = self.take(n - done)
+            try:
+                out[done : done + len(chunk)] = list(map(float, chunk))
+            except ValueError as exc:
+                bad = bad or ValueError(f"{self.path}:{self.line}: {exc}")
+            done += len(chunk)
+        if bad:
+            raise bad
+        return out

@@ -70,7 +70,9 @@ def load_basis(sset: ScenarioSet) -> LoadBasis:
         raise ValueError("invalid scenario set: " + "; ".join(problems))
     root_w = np.sqrt(sset.weights())[:, None]
     # rows: sqrt(w_k) xi_k = sum_j v[k, j] sigma_j U_j, with U_j = u_t[j]
-    v, sigma, u_t = np.linalg.svd(root_w * [s.xi for s in sset.scenarios], full_matrices=False)
+    weighted = np.stack([s.xi for s in sset.scenarios])
+    weighted *= root_w
+    v, sigma, u_t = np.linalg.svd(weighted, full_matrices=False)
     r = int(np.count_nonzero(sigma > 1e-10 * sigma[0]))
     loads = np.vstack([sset.f, sigma[:r, None] * u_t[:r]])
     coefficients = np.hstack([np.ones_like(root_w), v[:, :r] / root_w])

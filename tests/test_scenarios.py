@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,107 @@ def test_file_errors_name_file_and_line(tmp_path, old, new, message):
     with pytest.raises(ValueError) as info:
         load_scenario_file(path)
     assert str(info.value) == f"{path}{message}"
+
+
+# SMALL_FILE laid out in other ways: the same set, or the same error at the same line
+@pytest.mark.parametrize(
+    "text",
+    [
+        "grid 2 2\nf\n1\n1 1\n1\nscenario 0.5\n1 -1 0\n0\nscenario 0.5\n-1\n1 0 0\n",
+        "grid 2 2 f 1 1 1 1\nscenario 0.5 1 -1 0 0\nscenario 0.5 -1 1 0 0",
+        SMALL_FILE.replace("\n", "\r\n"),
+        SMALL_FILE.replace("\n", "\r"),
+    ],
+    ids=["split-rows", "header-and-values", "crlf", "cr"],
+)
+def test_file_layouts_load_the_same_set(tmp_path, text):
+    path = tmp_path / "set.scn"
+    path.write_bytes(text.encode())
+    sset = load_scenario_file(path)
+    assert sset.grid == GridSpec(2, 2)
+    assert sset.f.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert [s.weight for s in sset.scenarios] == [0.5, 0.5]
+    assert [s.xi.tolist() for s in sset.scenarios] == [[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]]
+
+
+ENDED = "scenario file {path} ended unexpectedly"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SMALL_FILE.replace("0 0\nscenario", "0 abc\nscenario").replace("\n", "\r\n"),
+            "{path}:8: could not convert string to float: 'abc'",
+        ),
+        (
+            SMALL_FILE.replace("0 0\nscenario", "0 abc\nscenario").replace("\n", "\r"),
+            "{path}:8: could not convert string to float: 'abc'",
+        ),
+        # a form feed ends a line, and with it a comment, as str.splitlines() has it
+        (
+            SMALL_FILE.replace("grid\ngrid 2 2", "grid\fgrid two 2"),
+            "{path}:2: invalid literal for int() with base 10: 'two'",
+        ),
+        # running out of values outranks a bad value in the same section
+        (SMALL_FILE.replace("-1 1\n0 0\n", "-1 abc\n"), ENDED),
+        # a bad grid names the line of nx, even when ny is the bad one
+        (
+            SMALL_FILE.replace("grid 2 2", "grid\n2\n1"),
+            "{path}:3: grid needs at least 2 cells per direction",
+        ),
+        (
+            SMALL_FILE.replace("grid 2 2", "grid\n2\ntwo"),
+            "{path}:4: invalid literal for int() with base 10: 'two'",
+        ),
+        # far more cells than the file could hold values for
+        ("grid 1000000 1000000\nf\n1 1\n", ENDED),
+    ],
+    ids=["crlf", "cr", "form-feed", "truncated-and-bad", "bad-ny", "bad-ny-token", "huge-grid"],
+)
+def test_file_layout_errors(tmp_path, text, message):
+    path = tmp_path / "set.scn"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as info:
+        load_scenario_file(path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_file_load_peak_memory_near_its_arrays(tmp_path):
+    # 64^2 cells, K = 16 full-precision values in (+xi, -xi) pairs: zero mean exactly
+    g = GridSpec(64, 64)
+    rng = np.random.default_rng(0)
+    scenarios = []
+    for _ in range(8):
+        xi = rng.standard_normal(g.n_cells)
+        scenarios += [Scenario(xi, 1 / 16), Scenario(-xi, 1 / 16)]
+    sset = ScenarioSet(g, rng.standard_normal(g.n_cells), scenarios)
+    path = tmp_path / "big.scn"
+    save_scenario_file(sset, path)
+    tracemalloc.start()
+    try:
+        loaded = load_scenario_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.f, sset.f)
+    assert peak <= 2 * 17 * g.n_cells * 8
+
+
+def test_file_bytes(tmp_path):
+    g = GridSpec(3, 2)
+    f = np.array([-0.0, 1e-300, 1 / 3, 1.0, 2.5, -7.0])
+    xi = np.array([1 / 3, -0.0, 1e-300, 0.0, 1.0, -1.0])
+    path = tmp_path / "set.scn"
+    save_scenario_file(ScenarioSet(g, f, [Scenario(xi, 1 / 3), Scenario(-xi, 2 / 3)]), path)
+    assert path.read_bytes() == (
+        b"grid 3 2\nf\n"
+        b"-0.0 1e-300 0.3333333333333333\n1.0 2.5 -7.0\n"
+        b"scenario 0.3333333333333333\n"
+        b"0.3333333333333333 -0.0 1e-300\n0.0 1.0 -1.0\n"
+        b"scenario 0.6666666666666666\n"
+        b"-0.3333333333333333 0.0 -1e-300\n-0.0 -1.0 1.0\n"
+    )
 
 
 def test_scenario_weight_range_enforced():
