@@ -36,8 +36,7 @@ PARAMS = {
     "ny": (int, 64, "cells in y"),
     "alpha": (float, _DEFAULTS.alpha, "lower phase value"),
     "beta": (float, _DEFAULTS.beta, "upper phase value"),
-    "mass": (float, _DEFAULTS.mass, "mass target, constrained mode"),
-    "penalty": (float, None, "fixed mass multiplier, penalized mode; replaces the mass"),
+    "mass": (float, _DEFAULTS.mass, "mass target"),
     "eps": (float, _DEFAULTS.eps, "base step scale"),
     "eps1": (float, _DEFAULTS.eps1, "relative stopping tolerance"),
     "max_iters": (int, _DEFAULTS.max_iters, "iteration cap"),
@@ -58,9 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one optimization and write artifacts")
     p_run.add_argument("--config", help="key = value file of the settings below; flags override it")
     for key, (kind, default, text) in PARAMS.items():
-        if default is not None:
-            text += f" (default {default})"
-        p_run.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        flag = "--" + key.replace("_", "-")
+        p_run.add_argument(flag, type=kind, help=f"{text} (default {default})")
 
     p_cmp = sub.add_parser("compare", help="compare the densities of two run dirs")
     p_cmp.add_argument("dir_a")
@@ -89,19 +87,11 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the --config file, then the flags given.
-
-    Mass and penalty are one setting: a layer that sets either replaces both.
-    """
+    """Defaults, then the --config file, then the flags given."""
     cfg = {key: default for key, (_, default, _) in PARAMS.items()}
-    flags = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
-    for layer in (parse_config_file(args.config) if args.config else {}, flags):
-        mode = layer.keys() & {"mass", "penalty"}
-        if len(mode) == 2:
-            raise ValueError("set at most one of mass and penalty")
-        if mode:
-            cfg["mass"] = cfg["penalty"] = None
-        cfg.update(layer)
+    if args.config:
+        cfg.update(parse_config_file(args.config))
+    cfg.update((key, getattr(args, key)) for key in PARAMS if getattr(args, key) is not None)
     return cfg
 
 
@@ -219,17 +209,18 @@ def write_density_pgm(path: Path, a: DensityField, alpha: float, beta: float) ->
 
 
 def write_convergence_log(path: Path, history: list[ConvergenceRecord]) -> None:
+    # the penalized_cost column repeats the cost: readers take the mass as column 3
     lines = ["iter cost penalized_cost mass gamma step_eps stationarity"]
     for r in history:
         lines.append(
-            f"{r.iter} {_fmt(r.cost)} {_fmt(r.penalized_cost)} {_fmt(r.mass)} "
+            f"{r.iter} {_fmt(r.cost)} {_fmt(r.cost)} {_fmt(r.mass)} "
             f"{_fmt(r.gamma)} {_fmt(r.step_eps)} {_fmt(r.stationarity)}"
         )
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_config_echo(path: Path, cfg: dict) -> None:
-    lines = [f"{key} = {cfg[key]}" for key in PARAMS if cfg[key] is not None]
+    lines = [f"{key} = {cfg[key]}" for key in PARAMS]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -251,7 +242,7 @@ def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> No
         f"stop_reason {result.stop_reason}",
         f"iterations {h[-1].iter}",
         f"final_cost {_fmt(h[-1].cost)}",
-        f"final_penalized_cost {_fmt(h[-1].penalized_cost)}",
+        f"final_penalized_cost {_fmt(h[-1].cost)}",  # kept for the file format
         f"final_mass {_fmt(h[-1].mass)}",
         f"final_gamma {_fmt(h[-1].gamma)}",
         f"stationarity_first {_fmt(h[0].stationarity)}",
@@ -281,7 +272,6 @@ def run_command(cfg: dict) -> int:
         alpha=alpha,
         beta=beta,
         mass=cfg["mass"],
-        gamma_pen=cfg["penalty"],
         eps=cfg["eps"],
         eps1=cfg["eps1"],
         max_iters=cfg["max_iters"],

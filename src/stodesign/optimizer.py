@@ -3,9 +3,9 @@
 Each iteration solves the 1 + r loads of a `LoadBasis`, forms the gradient g
 and moves a_new = clip(a + eta * (g - gamma), alpha, beta) with the barrier
 factor eta = eps * (a - alpha) * (beta - a) / (beta - alpha), which vanishes
-at the phase bounds. In constrained mode gamma is the exact root of the mass
-equation (`project`), in penalized mode the penalty. The step scale eps is
-halved until the merit function decreases.
+at the phase bounds, and gamma the exact root of the mass equation
+integral a_new = m (`project`). The step scale eps is halved until the cost
+decreases.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .scenarios import ScenarioSet
 from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
 
 MAX_HALVINGS = 30
-MASS_REL_TOL = 1e-10  # a constrained trial misses the mass target by at most this, relative
+MASS_REL_TOL = 1e-10  # a trial misses the mass target by at most this, relative
 HISTORY = 5  # accepted states per load whose span starts the next solve of that load
 # A trial's solve of a load stops after TRIAL_ITER_FACTOR times the CG
 # iterations the accepted iterate's solve of that load took, and at least
@@ -32,44 +32,33 @@ TRIAL_ITER_FLOOR = 50
 
 @dataclass
 class OptimizerConfig:
-    """Phase bounds, mass target or penalty, and loop controls.
+    """Phase bounds, mass target and loop controls.
 
-    Exactly one of `mass` (constrained mode) and `gamma_pen` (penalized mode)
-    must be set. `eps` is the base step scale, restarted every iteration and
-    halved by backtracking; `eps1` is the relative stopping tolerance on the
-    merit decrease.
+    Every iterate holds the integral of a at `mass`. `eps` is the base step
+    scale, restarted every iteration and halved by backtracking; `eps1` is the
+    relative stopping tolerance on the cost decrease.
     """
 
     alpha: float = 1.0
     beta: float = 2.0
-    mass: float | None = 1.5
-    gamma_pen: float | None = None
+    mass: float = 1.5
     eps: float = 64.0
     eps1: float = 1e-6
     max_iters: int = 500
 
     def __post_init__(self):
-        given = (self.alpha, self.beta, self.eps, self.eps1, self.mass, self.gamma_pen)
-        if not all(np.isfinite(v) for v in given if v is not None):
-            raise ValueError("alpha, beta, eps, eps1, mass and gamma_pen must be finite")
+        if not all(np.isfinite(v) for v in (self.alpha, self.beta, self.eps, self.eps1, self.mass)):
+            raise ValueError("alpha, beta, eps, eps1 and mass must be finite")
         # a subnormal alpha overflows 1/alpha; equal bounds leave no barrier span
         if not np.finfo(float).tiny <= self.alpha < self.beta:
             raise ValueError(
                 f"phase bounds must satisfy {np.finfo(float).tiny} <= alpha < beta, "
                 f"got alpha = {self.alpha}, beta = {self.beta}"
             )
-        if (self.mass is None) == (self.gamma_pen is None):
-            raise ValueError("set exactly one of mass (constrained) and gamma_pen (penalized)")
-        if self.gamma_pen is not None and self.gamma_pen < 0.0:
-            raise ValueError("gamma_pen must be nonnegative")
         if self.eps <= 0.0 or self.eps1 <= 0.0:
             raise ValueError("eps and eps1 must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-    @property
-    def constrained(self) -> bool:
-        return self.mass is not None
 
     def check_grid(self, grid: GridSpec) -> None:
         # barrier_eta forms eps*(a-alpha)*(beta-a), up to eps*(beta-alpha)^2/4,
@@ -81,7 +70,7 @@ class OptimizerConfig:
                 f"phase bounds [{self.alpha}, {self.beta}] are too wide: "
                 f"max(eps, 1)*(beta-alpha)^2 summed over {grid.n_cells} cells overflows"
             )
-        if self.constrained and not self.alpha < self.mass < self.beta:
+        if not self.alpha < self.mass < self.beta:
             raise ValueError(
                 f"mass target {self.mass} must lie strictly inside ({self.alpha}, {self.beta})"
             )
@@ -98,7 +87,6 @@ class ConvergenceRecord:
 
     iter: int
     cost: float
-    penalized_cost: float
     mass: float
     gamma: float
     step_eps: float
@@ -178,33 +166,28 @@ def update(
 ) -> tuple[DensityField, float, float]:
     """One backtracked descent step.
 
-    `evaluate` must return the merit value of a trial density (it is expected
-    to run the scenario solves; an infinite value rejects the trial). Halves the step scale up to MAX_HALVINGS
-    times until the merit strictly decreases. A constrained trial whose mass
-    misses the target by more than MASS_REL_TOL is rejected unevaluated, as
-    when eps*|g| is so large that no float gamma meets the mass. `first`, when given, is the
-    first trial and its multiplier: `project` at the base step scale, which
-    the caller has already computed. Returns (new density, multiplier
-    used, accepted eps); accepted eps 0.0 signals stagnation, with the
-    original density returned unchanged.
+    `evaluate` must return the cost of a trial density (it is expected to run
+    the scenario solves; an infinite value rejects the trial). Halves the step
+    scale up to MAX_HALVINGS times until the cost strictly decreases. A trial
+    whose mass misses the target by more than MASS_REL_TOL is rejected
+    unevaluated, as when eps*|g| is so large that no float gamma meets the
+    mass. `first`, when given, is the first trial and its multiplier:
+    `project` at the base step scale, which the caller has already computed.
+    Returns (new density, multiplier used, accepted eps); accepted eps 0.0
+    signals stagnation, with the original density returned unchanged.
     """
-    gamma = cfg.gamma_pen if not cfg.constrained else 0.0
+    gamma = 0.0
     for halving in range(MAX_HALVINGS + 1):
         eps_try = cfg.eps * 0.5**halving
         if halving == 0 and first is not None:
             trial, gamma = first
-        elif cfg.constrained:
+        else:
             eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
             projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
             if projected is None:
                 break  # nothing can move at this scale or below
             trial, gamma = projected
-        else:
-            eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
-            with np.errstate(over="ignore"):  # as in project's step
-                stepped = np.clip(a.values + eta * (g - gamma), cfg.alpha, cfg.beta)
-            trial = DensityField(a.grid, stepped)
-        if cfg.constrained and abs(trial.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
+        if abs(trial.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
             continue  # a cell's two kinks rounded to one float: halve
         if evaluate(trial) < current_value:
             return trial, gamma, eps_try
@@ -220,14 +203,11 @@ def run(
     """Full descent loop.
 
     Starts from a0 (default: the uniform density meeting the mass target),
-    which must lie within the phase bounds and, in constrained mode, meet the
-    mass target within MASS_REL_TOL (else ValueError). Iterates until the
-    merit decrease falls below eps1 times the initial merit magnitude, until
-    no decreasing step exists (stagnation), or until max_iters. A design saturated at the phase bounds cannot move and counts
-    as converged. In constrained mode the merit is the plain cost:
-    the mass term of the penalized functional is constant on the mass manifold
-    the iterates stay on, so the recorded penalized cost equals the cost. In
-    penalized mode the merit is cost + gamma_pen * mass.
+    which must lie within the phase bounds and meet the mass target within
+    MASS_REL_TOL (else ValueError). Iterates until the cost decrease falls
+    below eps1 times the initial cost magnitude, until no decreasing step
+    exists (stagnation), or until max_iters. A design whose cells cannot move
+    toward the mass target, as at the phase bounds, counts as converged.
 
     Raises ArithmeticError, naming the iterate and beta/alpha, when the
     energy density, the gradient density or the stationarity of an iterate is
@@ -243,14 +223,11 @@ def run(
     grid = sset.grid
     cfg.check_grid(grid)
     if a0 is None:
-        if cfg.constrained:
-            a = DensityField.constant(grid, cfg.mass)
-        else:
-            a = DensityField.constant(grid, 0.5 * (cfg.alpha + cfg.beta))
+        a = DensityField.constant(grid, cfg.mass)
     else:
         if not np.all((a0.values >= cfg.alpha) & (a0.values <= cfg.beta)):
             raise ValueError("initial density violates the phase bounds")
-        if cfg.constrained and abs(a0.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
+        if abs(a0.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
             raise ValueError(
                 f"initial density has mass {a0.mass()!r}, the target is {cfg.mass!r}"
             )
@@ -259,16 +236,15 @@ def run(
 
     def solve(
         field: DensityField, warm: np.ndarray | None = None, caps: list[int] | None = None
-    ) -> tuple[list[ScenarioSolution], float, float]:
-        """States, cost and merit of a density; both inf where an energy overflows."""
+    ) -> tuple[list[ScenarioSolution], float]:
+        """States and cost of a density; the cost is inf where an energy overflows."""
         s = solve_state(field, basis, warm_starts=warm, max_iter=caps)
         if not all(np.isfinite(sol.energy).all() for sol in s):
-            return s, np.inf, np.inf
-        c = cost(field, s, kind)
-        return s, c, c if cfg.constrained else c + cfg.gamma_pen * field.mass()
+            return s, np.inf
+        return s, cost(field, s, kind)
 
     def evaluate(field: DensityField) -> float:
-        """Merit of a trial density; keeps its solve in `trial` for acceptance."""
+        """Cost of a trial density; keeps its solve in `trial` for acceptance."""
         nonlocal trial
         try:
             trial = solve(field, warm, caps)
@@ -277,7 +253,7 @@ def run(
             # solve tolerance broke the cost cross-check: reject the trial, the
             # step is halved
             return np.inf
-        return trial[2]  # inf, and so rejected, where an energy overflowed
+        return trial[1]  # inf, and so rejected, where an energy overflowed
 
     def require_finite(name: str, value: np.ndarray | float, k: int) -> None:
         """Stop with an error where a tiny coefficient overflows the arithmetic."""
@@ -289,8 +265,8 @@ def run(
 
     # each load's last HISTORY accepted states, preallocated, newest in row 0
     starts = np.empty((len(basis.loads), HISTORY, grid.n_interior))
-    sols, cost_now, merit_now = trial = solve(a)
-    merit_scale = abs(merit_now)
+    sols, cost_now = trial = solve(a)
+    cost_scale = abs(cost_now)
     history: list[ConvergenceRecord] = []
     converged = False
     for k in range(cfg.max_iters + 1):
@@ -299,11 +275,9 @@ def run(
             g = gradient_density(sols, kind)
         require_finite("the gradient density", g, k)
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
-        saturated, gamma, projected = not np.any(eta > 0.0), cfg.gamma_pen, None
-        if cfg.constrained:
-            projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
-            saturated = projected is None
-            gamma = 0.0 if saturated else projected[1]
+        projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
+        saturated = projected is None
+        gamma = 0.0 if saturated else projected[1]
         with np.errstate(over="ignore", invalid="ignore"):
             stationarity = integrate_cells(grid, eta * (g - gamma) ** 2)
         require_finite("the stationarity", stationarity, k)
@@ -314,7 +288,7 @@ def run(
         elif k == cfg.max_iters:
             stop_reason = "max_iters"
         elif saturated:
-            stop_reason = "converged"  # no cell can move (constrained: toward the mass)
+            stop_reason = "converged"  # no cell can move toward the mass
         else:
             for stack, sol in zip(starts, sols):
                 if k:  # the old row 0 replaces the oldest state: no row shifts
@@ -322,18 +296,16 @@ def run(
                 stack[0] = sol.u.interior()
             warm = starts[:, : min(k + 1, HISTORY)]
             caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * sol.iterations) for sol in sols]
-            a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, merit_now, projected)
+            a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, cost_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"
             else:
                 gamma = gamma_step
-        history.append(
-            ConvergenceRecord(k, cost_now, merit_now, a.mass(), gamma, step_eps, stationarity)
-        )
+        history.append(ConvergenceRecord(k, cost_now, a.mass(), gamma, step_eps, stationarity))
         if stop_reason is not None:
             break
         a = a_next
-        converged = abs(trial[2] - merit_now) <= cfg.eps1 * merit_scale
-        sols, cost_now, merit_now = trial
+        converged = abs(trial[1] - cost_now) <= cfg.eps1 * cost_scale
+        sols, cost_now = trial
 
     return RunResult(a, history, stop_reason, scenario_states(basis, sols))

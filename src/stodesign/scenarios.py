@@ -137,7 +137,7 @@ def load_scenario_file(path: str | Path) -> ScenarioSet:
     1e-9; the tiny residual mean left by decimal round-trip is subtracted
     so downstream validation at the strict tolerance passes.
     """
-    with open(path) as file:
+    with open(path, encoding="utf-8", errors="surrogateescape") as file:
         tokens = _Tokens(file, path)
         tokens.expect("grid", "scenario file must start with 'grid', got {!r}")
         # both read before either is converted: a file ending here says so first
@@ -178,7 +178,9 @@ def load_scenario_file(path: str | Path) -> ScenarioSet:
 class _Tokens:
     """The whitespace-separated tokens of an open scenario file, one line at a time.
 
-    '#' comments out the rest of its line. Errors name the file and a line.
+    '#' comments out the rest of its line. Errors name the file and a line,
+    also for bytes that are not UTF-8: the file is decoded with surrogateescape,
+    and each line is checked as it is read.
     """
 
     def __init__(self, file: TextIO, path: str | Path):
@@ -195,6 +197,8 @@ class _Tokens:
             self.line, text = next(self.lines, (self.line, None))
             if text is None:
                 return False
+            if not text.isascii():
+                self.at(self.line, bytes.decode, text.encode("utf-8", "surrogateescape"))
             self.tokens, self.i = text.split("#", 1)[0].split(), 0
         return True
 

@@ -437,16 +437,19 @@ def as_array(t: SymmetricTensor2) -> np.ndarray:
 
 
 def read_convergence_log(path: Path) -> list[ConvergenceRecord]:
-    """The records of a `convergence.log`, header skipped."""
+    """The records of a `convergence.log`, header skipped.
+
+    Its penalized_cost column must repeat the cost column character for character.
+    """
     lines = path.read_text().splitlines()
     records = []
     for line in lines[1:]:
         parts = line.split()
+        assert parts[2] == parts[1], f"penalized_cost {parts[2]} is not the cost {parts[1]}"
         records.append(
             ConvergenceRecord(
                 iter=int(parts[0]),
                 cost=float(parts[1]),
-                penalized_cost=float(parts[2]),
                 mass=float(parts[3]),
                 gamma=float(parts[4]),
                 step_eps=float(parts[5]),

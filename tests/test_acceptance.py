@@ -147,10 +147,10 @@ def test_criterion_05_monotone_descent(reference_runs):
     _, results = reference_runs
     checked = 0
     for (kind, name), (result, _) in results.items():
-        pc = [rec.penalized_cost for rec in result.history]
-        assert all(b <= a for a, b in zip(pc, pc[1:])), (kind, name)
-        checked += len(pc)
-    _report(5, f"penalized cost non-increasing across {checked} records in 6 logs")
+        c = [rec.cost for rec in result.history]
+        assert all(b <= a for a, b in zip(c, c[1:])), (kind, name)
+        checked += len(c)
+    _report(5, f"cost non-increasing across {checked} records in 6 logs")
 
 
 def test_criterion_06_zero_mean_scenarios():

@@ -76,43 +76,6 @@ def test_unknown_preset_exits_one(tmp_path):
     assert run_cli(["run", "--preset", "nope", "--out", str(tmp_path / "x")]) == 1
 
 
-def test_mass_and_penalty_conflict(tmp_path, capsys):
-    rc = run_cli(
-        ["run", *FAST, "--mass", "1.5", "--penalty", "0.1", "--out", str(tmp_path / "x")]
-    )
-    assert rc == 1
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mass = 1.5\npenalty = 0.1\n")
-    assert run_cli(["run", *FAST, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 1
-    assert capsys.readouterr().err.count("error: set at most one of mass and penalty") == 2
-
-
-@pytest.mark.parametrize(
-    "in_file, flag, echo",
-    [
-        ("penalty = 0.02", ["--mass", "1.5"], "beta = 2.0\nmass = 1.5\neps = "),
-        ("mass = 1.5", ["--penalty", "0.02"], "beta = 2.0\npenalty = 0.02\neps = "),
-    ],
-    ids=["file-penalty-flag-mass", "file-mass-flag-penalty"],
-)
-def test_mass_and_penalty_flag_replaces_both_file_values(tmp_path, in_file, flag, echo):
-    # mass and penalty are one setting: a flag for either overrides the file's,
-    # and the echo leaves the unset one out
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(in_file + "\n")
-    out = tmp_path / "out"
-    rc = run_cli(["run", *FAST, "--config", str(cfg), *flag, "--out", str(out)])
-    assert rc in (0, 2)
-    assert echo in (out / "config.txt").read_text()
-    drift = max(abs(r.mass - 1.5) for r in read_convergence_log(out / "convergence.log"))
-    assert (drift <= 1e-10 * 1.5) == (flag[0] == "--mass")  # penalized: the mass moves
-    # the echo is a --config file that replays the run
-    replay = tmp_path / "replay"
-    assert run_cli(["run", "--config", str(out / "config.txt"), "--out", str(replay)]) == rc
-    for name in ARTIFACTS:
-        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
-
-
 def test_run_help_lists_every_default(capsys):
     assert run_cli(["run", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
@@ -140,15 +103,24 @@ def test_config_file_with_flag_override(tmp_path):
     echo = (out / "config.txt").read_text()
     assert "nx = 12" in echo
     assert "eps = 64.0" in echo
+    # the echo is a --config file that replays the run
+    replay = tmp_path / "replay"
+    assert run_cli(["run", "--config", str(out / "config.txt"), "--out", str(replay)]) == rc
+    for name in ARTIFACTS:
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def test_config_file_bad_key(tmp_path, capsys):
+def test_config_file_bad_key(tmp_path, no_state_solve, capsys):
+    # penalty, a fixed mass multiplier, is no setting: a file that sets it must
+    # not run at the default mass
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("volume = 0.5\n")
-    with pytest.raises(ValueError, match=re.escape(f"{cfg}:1: unknown config key 'volume'")):
-        parse_config_file(cfg)
-    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert f"error: {cfg}:1: unknown config key" in capsys.readouterr().err
+    for key, value in (("volume", "0.5"), ("penalty", "0.02")):
+        cfg.write_text(f"{key} = {value}\n")
+        message = f"{cfg}:1: unknown config key {key!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config_file(cfg)
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,11 +228,16 @@ def no_state_solve(monkeypatch):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--eps", "nan"), ("--eps", "inf"), ("--eps1", "nan"), ("--penalty", "nan"), ("--beta", "inf")],
+    [("--eps", "nan"), ("--eps", "inf"), ("--eps1", "nan"), ("--beta", "inf")],
 )
 def test_non_finite_flag_exits_one_before_any_solve(tmp_path, no_state_solve, capsys, flag, value):
     assert run_cli(["run", *FAST, flag, value, "--out", str(tmp_path / "x")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_penalty_flag_is_unrecognized(tmp_path, no_state_solve, capsys):
+    assert run_cli(["run", *FAST, "--penalty", "0.1", "--out", str(tmp_path / "x")]) == 1
+    assert "error: unrecognized arguments: --penalty 0.1" in capsys.readouterr().err
 
 
 def test_overflowing_phase_bounds_exit_one_before_any_solve(tmp_path, no_state_solve, capsys):

@@ -32,17 +32,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(alpha=2.0, beta=1.0)
     with pytest.raises(ValueError):
-        OptimizerConfig(mass=1.5, gamma_pen=0.1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(mass=None, gamma_pen=None)
-    with pytest.raises(ValueError):
         OptimizerConfig(eps=-1.0)
     with pytest.raises(ValueError, match="phase bounds.*alpha = 2.0, beta = 2.0"):
-        OptimizerConfig(alpha=2.0, beta=2.0, mass=None, gamma_pen=0.1)
+        OptimizerConfig(alpha=2.0, beta=2.0)
     with pytest.raises(ValueError, match="phase bounds.*alpha = 1e-310"):
         OptimizerConfig(alpha=1e-310)
-    cfg = OptimizerConfig(mass=None, gamma_pen=0.5)
-    assert not cfg.constrained
 
 
 @pytest.mark.parametrize(
@@ -236,38 +230,15 @@ def test_run_saturated_design_declares_convergence():
     assert np.array_equal(res.density.values, a0.values)
 
 
-def test_run_saturated_penalized_design_declares_convergence(monkeypatch):
-    # a large penalty clips every cell to alpha in one step: the barrier is
-    # zero everywhere after it, as in constrained mode nothing can move
-    import stodesign.optimizer
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve_state(*args, **kwargs)
-
-    monkeypatch.setattr(stodesign.optimizer, "solve_state", counting)
-    g = GridSpec(16, 16)
-    res = run(OptimizerConfig(mass=None, gamma_pen=1e3), make_case1(g), Objective.COMPLIANCE)
-    assert len(calls) == 2
-    assert res.stop_reason == "converged"
-    assert len(res.history) == 2
-    assert np.all(res.density.values == 1.0)
-
-
 @st.composite
 def _edge_cases(draw):
-    """Phase bounds, step scale and mass or penalty, log-uniform over the float range."""
+    """Phase bounds, step scale and mass, log-uniform over the float range."""
     rng = draw(st.randoms(use_true_random=True))  # hypothesis's own floats crowd the ends
     alpha = 10.0 ** rng.uniform(-300, 100)
     beta = alpha * 10.0 ** rng.uniform(0, 300)
-    params = {"alpha": alpha, "beta": beta, "eps": 10.0 ** rng.uniform(-300, 300)}
-    if draw(st.booleans()):
-        params["mass"] = alpha + rng.random() * (beta - alpha)  # the unit square's area is 1
-    else:
-        params.update(mass=None, gamma_pen=draw(st.booleans()) * 10.0 ** rng.uniform(-300, 300))
-    return params
+    eps = 10.0 ** rng.uniform(-300, 300)
+    mass = alpha + rng.random() * (beta - alpha)  # the unit square's area is 1
+    return {"alpha": alpha, "beta": beta, "mass": mass, "eps": eps}
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -284,14 +255,13 @@ def _edge_cases(draw):
         "eps": 3.6571470571898835e-98,
     },
 )
-# the initial energy density of a penalized design overflows
+# the initial energy density overflows
 @example(
     kind=Objective.ENERGY,
     params={
         "alpha": 2.9585901550409207e-159,
         "beta": 1.1066398638507436e-155,
-        "mass": None,
-        "gamma_pen": 1e3,
+        "mass": 5e-156,
         "eps": 8.80063882775729e257,
     },
 )
@@ -315,9 +285,8 @@ def test_edge_case_sweep_fails_cleanly_or_holds_the_contract(kind, params):
         residual = optimality_residual(res.density, res.solutions, kind, PhasePair(cfg.alpha, cfg.beta))
     assert np.all(np.isfinite(residual) & (residual >= 0.0))
     for r in res.history:
-        assert np.all(np.isfinite([r.cost, r.penalized_cost, r.mass, r.gamma, r.step_eps, r.stationarity]))
-        if cfg.constrained:
-            assert abs(r.mass - cfg.mass) <= 1e-10 * cfg.mass
+        assert np.all(np.isfinite([r.cost, r.mass, r.gamma, r.step_eps, r.stationarity]))
+        assert abs(r.mass - cfg.mass) <= 1e-10 * cfg.mass
     assert np.all((res.density.values >= cfg.alpha) & (res.density.values <= cfg.beta))
 
 
@@ -377,8 +346,8 @@ def test_run_invariants_constrained():
     assert res.stop_reason == "converged"
     for rec in h:
         assert abs(rec.mass - 1.5) <= 1e-10 * 1.5
-    pc = [r.penalized_cost for r in h]
-    assert all(b <= a for a, b in zip(pc, pc[1:]))
+    c = [r.cost for r in h]
+    assert all(b <= a for a, b in zip(c, c[1:]))
     assert np.all(res.density.values >= cfg.alpha - 1e-15)
     assert np.all(res.density.values <= cfg.beta + 1e-15)
     assert h[-1].stationarity < h[0].stationarity
@@ -396,21 +365,6 @@ def test_run_case1_converges():
     res, cfg = _small_run(sset=make_case1(g))
     assert res.stop_reason == "converged"
     assert abs(res.history[-1].mass - 1.5) <= 1e-10 * 1.5
-
-
-def test_run_penalized_mode():
-    g = GridSpec(16, 16)
-    sset = make_deterministic(g, np.ones(g.n_cells))
-    cfg = OptimizerConfig(mass=None, gamma_pen=0.02, eps=64.0, eps1=1e-5)
-    res = run(cfg, sset, Objective.COMPLIANCE)
-    h = res.history
-    pc = [r.penalized_cost for r in h]
-    assert all(b <= a for a, b in zip(pc, pc[1:]))
-    for rec in h:
-        assert rec.gamma == 0.02
-        assert rec.penalized_cost == pytest.approx(rec.cost + 0.02 * rec.mass, rel=1e-12)
-    # mass is free to move in penalized mode
-    assert h[-1].mass != pytest.approx(h[0].mass, abs=1e-6)
 
 
 def test_history_step_eps_bookkeeping():

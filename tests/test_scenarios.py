@@ -215,6 +215,27 @@ def test_file_layout_errors(tmp_path, text, message):
     assert str(info.value) == message.format(path=path)
 
 
+def test_file_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "set.scn"
+    path.write_bytes(b"grid 2 2\nf\n1 1 1 \xc2\n")
+    with pytest.raises(ValueError) as info:
+        load_scenario_file(path)
+    assert str(info.value) == (
+        f"{path}:3: 'utf-8' codec can't decode byte 0xc2 in position 6: unexpected end of data"
+    )
+    # text reads decode 8 KB ahead: a bad byte far into a file still names its line
+    save_scenario_file(make_case1(GridSpec(64, 64)), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(b"".join(lines[:107])) > 8192
+    lines[107] = b"\xc2" + lines[107][1:]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as info:
+        load_scenario_file(path)
+    assert str(info.value) == (
+        f"{path}:108: 'utf-8' codec can't decode byte 0xc2 in position 0: invalid continuation byte"
+    )
+
+
 def test_file_load_peak_memory_near_its_arrays(tmp_path):
     # 64^2 cells, K = 16 full-precision values in (+xi, -xi) pairs: zero mean exactly
     g = GridSpec(64, 64)
