@@ -7,6 +7,7 @@ are deterministic: identical configurations produce bit-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,7 +26,12 @@ from .scenarios import (
     make_deterministic,
 )
 
-PRESETS = ("deterministic", "case1", "case2")
+# each preset's scenario set on a grid
+PRESETS = {
+    "deterministic": lambda grid: make_deterministic(grid, np.ones(grid.n_cells)),
+    "case1": make_case1,
+    "case2": make_case2,
+}
 _DEFAULTS = OptimizerConfig()
 # Every run parameter, in config.txt order: its type, default and help. Each
 # becomes a `run` flag (max_iters -> --max-iters) and a --config key.
@@ -105,12 +111,7 @@ def _build_scenarios(cfg: dict) -> ScenarioSet:
         raise ValueError(
             f"unknown preset {preset!r}; expected one of {', '.join(PRESETS)} or file:<path>"
         )
-    grid = GridSpec(cfg["nx"], cfg["ny"])
-    if preset == "case1":
-        return make_case1(grid)
-    if preset == "case2":
-        return make_case2(grid)
-    return make_deterministic(grid, np.ones(grid.n_cells))
+    return PRESETS[preset](GridSpec(cfg["nx"], cfg["ny"]))
 
 
 # ----------------------------------------------------------------- regions
@@ -268,14 +269,7 @@ def run_command(cfg: dict) -> int:
     sset = _build_scenarios(cfg)
     kind = Objective.parse(cfg["objective"])
     alpha, beta = cfg["alpha"], cfg["beta"]
-    opt = OptimizerConfig(
-        alpha=alpha,
-        beta=beta,
-        mass=cfg["mass"],
-        eps=cfg["eps"],
-        eps1=cfg["eps1"],
-        max_iters=cfg["max_iters"],
-    )
+    opt = OptimizerConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(OptimizerConfig)})
     result = run(opt, sset, kind)
     residual = optimality_residual(result.density, result.solutions, kind, PhasePair(alpha, beta))
 
@@ -344,7 +338,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run_command(_resolve_config(args))
         return compare_command(args.dir_a, args.dir_b)
-    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,18 +23,19 @@ RESIDUAL_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class PhasePair:
-    """The two isotropic phase conductivities, 0 < alpha <= beta.
+    """The two isotropic phase conductivities, 0 < alpha < beta.
 
     alpha must be a normal float: for a subnormal one, 1/alpha overflows.
+    Equal bounds leave no span for the barrier or the volume fraction.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not np.finfo(float).tiny <= self.alpha <= self.beta:
+        if not np.finfo(float).tiny <= self.alpha < self.beta:
             raise ValueError(
-                f"phase bounds must satisfy {np.finfo(float).tiny} <= alpha <= beta, "
+                f"phase bounds must satisfy {np.finfo(float).tiny} <= alpha < beta, "
                 f"got alpha = {self.alpha}, beta = {self.beta}"
             )
 
@@ -179,8 +180,6 @@ def volume_fraction(a, kind: Objective, phases: PhasePair):
             f"coefficient {_first_bad(a, inside)} outside [{phases.alpha}, {phases.beta}]"
         )
     span = phases.beta - phases.alpha
-    if span == 0.0:
-        return 0.0 * a
     if kind is Objective.COMPLIANCE:
         return (phases.beta - a) / span
     return (phases.alpha / a) * (phases.beta - a) / span

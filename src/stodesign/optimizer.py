@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .fem import DensityField, GridSpec, integrate_cells
+from .gclosure import PhasePair
 from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
 from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
@@ -49,12 +50,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.alpha, self.beta, self.eps, self.eps1, self.mass)):
             raise ValueError("alpha, beta, eps, eps1 and mass must be finite")
-        # a subnormal alpha overflows 1/alpha; equal bounds leave no barrier span
-        if not np.finfo(float).tiny <= self.alpha < self.beta:
-            raise ValueError(
-                f"phase bounds must satisfy {np.finfo(float).tiny} <= alpha < beta, "
-                f"got alpha = {self.alpha}, beta = {self.beta}"
-            )
+        PhasePair(self.alpha, self.beta)  # the one phase-bound rule, and its message
         if self.eps <= 0.0 or self.eps1 <= 0.0:
             raise ValueError("eps and eps1 must be positive")
         if self.max_iters < 1:
@@ -194,20 +190,15 @@ def update(
     return a, gamma, 0.0
 
 
-def run(
-    cfg: OptimizerConfig,
-    sset: ScenarioSet,
-    kind: Objective,
-    a0: DensityField | None = None,
-) -> RunResult:
+def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     """Full descent loop.
 
-    Starts from a0 (default: the uniform density meeting the mass target),
-    which must lie within the phase bounds and meet the mass target within
-    MASS_REL_TOL (else ValueError). Iterates until the cost decrease falls
-    below eps1 times the initial cost magnitude, until no decreasing step
-    exists (stagnation), or until max_iters. A design whose cells cannot move
-    toward the mass target, as at the phase bounds, counts as converged.
+    Starts from the uniform density a = mass, which meets the mass target.
+    Iterates until the cost decrease falls below eps1 times the initial cost
+    magnitude, until no decreasing step exists (stagnation), or until
+    max_iters. A design whose cells cannot move toward the mass target, as at
+    the phase bounds, counts as converged. Raises ValueError, before any
+    solve, for bounds and mass that `check_grid` rejects on this grid.
 
     Raises ArithmeticError, naming the iterate and beta/alpha, when the
     energy density, the gradient density or the stationarity of an iterate is
@@ -222,16 +213,7 @@ def run(
     """
     grid = sset.grid
     cfg.check_grid(grid)
-    if a0 is None:
-        a = DensityField.constant(grid, cfg.mass)
-    else:
-        if not np.all((a0.values >= cfg.alpha) & (a0.values <= cfg.beta)):
-            raise ValueError("initial density violates the phase bounds")
-        if abs(a0.mass() - cfg.mass) > MASS_REL_TOL * cfg.mass:
-            raise ValueError(
-                f"initial density has mass {a0.mass()!r}, the target is {cfg.mass!r}"
-            )
-        a = a0.copy()
+    a = DensityField.constant(grid, cfg.mass)
     basis = load_basis(sset)
 
     def solve(

@@ -1,11 +1,13 @@
 import re
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
+from stodesign import cli
 from stodesign.cli import (
+    PARAMS,
     compare_runs,
     density_to_pixels,
     parse_config_file,
@@ -14,6 +16,7 @@ from stodesign.cli import (
     run_cli,
 )
 from stodesign.fem import GridSpec
+from stodesign.optimizer import OptimizerConfig
 from stodesign.scenarios import make_case1, save_scenario_file
 
 from oracles import read_convergence_log
@@ -74,6 +77,21 @@ def test_convergence_log_round_trip(tmp_path):
 
 def test_unknown_preset_exits_one(tmp_path):
     assert run_cli(["run", "--preset", "nope", "--out", str(tmp_path / "x")]) == 1
+
+
+def test_every_optimizer_field_is_a_run_parameter():
+    # run_command builds OptimizerConfig from PARAMS by field name
+    assert {f.name for f in fields(OptimizerConfig)} <= PARAMS.keys()
+
+
+def test_failed_allocation_exits_one(tmp_path, monkeypatch, capsys):
+    # as a grid too large for memory does; a real one would be killed, not refused
+    def too_large(grid):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setitem(cli.PRESETS, "deterministic", too_large)
+    assert run_cli(["run", *FAST, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
 
 
 def test_run_help_lists_every_default(capsys):
@@ -168,6 +186,11 @@ def test_scenario_file_preset(tmp_path):
     )
     assert rc == 0
     assert "nx = 12" in (out / "config.txt").read_text()
+    # the echo names the file, and replays the run
+    replay = tmp_path / "replay"
+    assert run_cli(["run", "--config", str(out / "config.txt"), "--out", str(replay)]) == rc
+    for name in ARTIFACTS:
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_max_iters_interrupt_exits_two(tmp_path):

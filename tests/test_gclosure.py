@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,11 @@ def test_phase_validation():
         PhasePair(0.0, 1.0)
     with pytest.raises(ValueError, match="phase bounds.*alpha = 1e-310"):
         PhasePair(1e-310, 2.0)  # subnormal: 1/alpha overflows
+    # equal bounds leave no span: the rule and message OptimizerConfig applies
+    tiny = np.finfo(float).tiny
+    message = f"phase bounds must satisfy {tiny} <= alpha < beta, got alpha = 2.0, beta = 2.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PhasePair(2.0, 2.0)
 
 
 def test_mean_endpoint_values():

@@ -218,16 +218,23 @@ def test_update_conserves_mass_under_clamping():
     assert abs(a_new.mass() - m) <= 1e-13 * m
 
 
-def test_run_saturated_design_declares_convergence():
-    # a bang-bang initial design has zero barrier everywhere: nothing can move
-    g = _grid()
-    values = np.where(np.arange(g.n_cells) % 2 == 0, 1.0, 2.0)
-    a0 = DensityField(g, values.astype(float))
+def test_run_saturated_design_declares_convergence(monkeypatch):
+    # a huge step scale drives every cell to a bound in one step; there the
+    # barrier is zero everywhere and nothing can move
+    calls = []
+
+    def spy(*args):
+        calls.append(project(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(optimizer, "project", spy)
+    g = GridSpec(16, 16)
     sset = make_deterministic(g, np.ones(g.n_cells))
-    res = run(OptimizerConfig(mass=a0.mass()), sset, Objective.COMPLIANCE, a0=a0)
+    res = run(OptimizerConfig(eps=1e6), sset, Objective.COMPLIANCE)
     assert res.stop_reason == "converged"
-    assert len(res.history) == 1
-    assert np.array_equal(res.density.values, a0.values)
+    assert len(res.history) == 2
+    assert np.all((res.density.values == 1.0) | (res.density.values == 2.0))
+    assert [c is None for c in calls] == [False, True]  # iterate 0's step, then iterate 1
 
 
 @st.composite
@@ -308,28 +315,6 @@ def test_run_zero_load_stagnates_immediately():
     assert res.stop_reason == "stagnated"
     assert len(res.history) == 1
     assert np.all(res.density.values == 1.5)
-
-
-def test_run_invalid_a0_rejected():
-    g = _grid()
-    sset = make_deterministic(g, np.ones(g.n_cells))
-    bad = DensityField.constant(g, 2.5)
-    with pytest.raises(ValueError, match="bounds"):
-        run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=bad)
-    # within the bounds, but off the mass target 1.5: 1.2, and alpha itself
-    for value in (1.2, 1.0):
-        off = DensityField.constant(g, value)
-        with pytest.raises(ValueError, match=rf"mass {value}, the target is 1.5"):
-            run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=off)
-
-
-def test_run_nan_a0_rejected_before_any_solve():
-    g = _grid()
-    sset = make_deterministic(g, np.ones(g.n_cells))
-    bad = DensityField.constant(g, 1.5)
-    bad.values[3] = np.nan
-    with pytest.raises(ValueError, match="bounds"):
-        run(OptimizerConfig(), sset, Objective.COMPLIANCE, a0=bad)
 
 
 def _small_run(kind=Objective.COMPLIANCE, sset=None, **kw):
