@@ -106,13 +106,15 @@ def cg_solve(
     if M is None:
         M = np.copy
 
-    x = np.zeros(n) if x0 is None else np.array(x0[0])
+    x = np.zeros(n) if x0 is None else x0[0]
     r = b - (K @ x)
     r_norm = math.sqrt(dot(r, r))
-    # a row 0 that meets tol is kept: an unchanged system keeps its solution
+    # a row 0 that meets tol is kept, copied: an unchanged system keeps its solution
     if x0 is not None and r_norm > tol * b_norm:
         x, r = _best_start(K, b, x0, r)
         r_norm = math.sqrt(dot(r, r))
+    elif x0 is not None:
+        x = np.array(x)
     p = rz = None
     it = 0
     # the preconditioner runs only on a residual that failed the test. Past

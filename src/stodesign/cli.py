@@ -266,10 +266,10 @@ def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> No
 
 
 def run_command(cfg: dict) -> int:
-    sset = _build_scenarios(cfg)
     kind = Objective.parse(cfg["objective"])
     alpha, beta = cfg["alpha"], cfg["beta"]
     opt = OptimizerConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(OptimizerConfig)})
+    sset = _build_scenarios(cfg)
     result = run(opt, sset, kind)
     residual = optimality_residual(result.density, result.solutions, kind, PhasePair(alpha, beta))
 

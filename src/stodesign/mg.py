@@ -61,8 +61,9 @@ class Coarsening:
     """One grid-to-grid step of the hierarchy, fixed by the fine grid alone.
 
     `coarse` carries the coarse cell counts (its spacing is nominal: the last
-    cell of an odd direction is half as wide). `P` prolongs coarse interior
-    values to fine interior ones and `PT` is its transpose, both CSR. A child
+    cell of an odd direction is half as wide). `PT` (CSR) restricts fine
+    interior values to coarse ones; `P`, the prolongation, is its CSC view,
+    whose products add each row in column order, as CSR's do. A child
     position is where a fine cell sits in its parent (whole, or one of two
     halves, per direction). `slices[q]` = (cy, cx, fy, fx): coarse cells
     [cy, cx] have at position q the fine cells [fy, fx], the others none.
@@ -73,7 +74,7 @@ class Coarsening:
     """
 
     coarse: GridSpec
-    P: sparse.csr_matrix
+    P: sparse.csc_matrix
     PT: sparse.csr_matrix
     slices: tuple[tuple[slice, slice, slice, slice], ...]
     T: np.ndarray
@@ -128,9 +129,9 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
         slices = tuple((cy, cx, fy, fx) for (_, fx, cx), (_, fy, cy) in pairs)
         Rs = [Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)] for (Rx, _, _), (Ry, _, _) in pairs]
         T = np.stack([np.kron(R, R) for R in Rs])
-        P = sparse.kron(_prolongation_1d(yn), _prolongation_1d(xn), format="csr")
+        PT = sparse.kron(_prolongation_1d(yn), _prolongation_1d(xn), format="csr").T.tocsr()
         T.flags.writeable = False
-        steps.append(Coarsening(coarse, P, P.T.tocsr(), slices, T))
+        steps.append(Coarsening(coarse, PT.T, PT, slices, T))
         grid = coarse
     return tuple(steps)
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fem import DensityField, GridSpec, integrate_cells
+from .fem import DensityField, GridSpec, NodalField, integrate_cells
 from .gclosure import PhasePair
 from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
@@ -209,7 +209,8 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
 
     Each load's solve starts from the best combination of that load's last
     HISTORY accepted states (`cg_solve` with a stack of starts); rejected
-    trials leave that history as it was.
+    trials leave that history as it was. Its newest row holds the one copy of
+    the accepted states, and the final scenario states are formed from it.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -248,6 +249,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     # each load's last HISTORY accepted states, preallocated, newest in row 0
     starts = np.empty((len(basis.loads), HISTORY, grid.n_interior))
     sols, cost_now = trial = solve(a)
+    solve_tol = sols[0].solve_tol
     cost_scale = abs(cost_now)
     history: list[ConvergenceRecord] = []
     converged = False
@@ -256,12 +258,19 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         with np.errstate(over="ignore", invalid="ignore"):
             g = gradient_density(sols, kind)
         require_finite("the gradient density", g, k)
+        for stack, sol in zip(starts, sols):
+            if k:  # the old row 0 replaces the oldest state: no row shifts
+                stack[1 + (k - 1) % (HISTORY - 1)] = stack[0]
+            stack[0] = sol.u.interior()
+        caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * sol.iterations) for sol in sols]
+        sols = trial = sol = None  # starts[:, 0] is now the one copy of the accepted states
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
         projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
         saturated = projected is None
         gamma = 0.0 if saturated else projected[1]
         with np.errstate(over="ignore", invalid="ignore"):
             stationarity = integrate_cells(grid, eta * (g - gamma) ** 2)
+        del eta  # `update` forms its own for each halving
         require_finite("the stationarity", stationarity, k)
 
         step_eps, stop_reason = 0.0, None
@@ -272,12 +281,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         elif saturated:
             stop_reason = "converged"  # no cell can move toward the mass
         else:
-            for stack, sol in zip(starts, sols):
-                if k:  # the old row 0 replaces the oldest state: no row shifts
-                    stack[1 + (k - 1) % (HISTORY - 1)] = stack[0]
-                stack[0] = sol.u.interior()
             warm = starts[:, : min(k + 1, HISTORY)]
-            caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * sol.iterations) for sol in sols]
             a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, cost_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"
@@ -290,4 +294,5 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         converged = abs(trial[1] - cost_now) <= cfg.eps1 * cost_scale
         sols, cost_now = trial
 
-    return RunResult(a, history, stop_reason, scenario_states(basis, sols))
+    final = [NodalField.from_interior(grid, x) for x in starts[:, 0]]
+    return RunResult(a, history, stop_reason, scenario_states(basis, final, solve_tol))

@@ -103,7 +103,7 @@ def solve_state(
 
     K = assemble_stiffness(a)
     M = VCycle(a, K)
-    solutions = []
+    solved = []
     for i, load in enumerate(basis.loads):
         x0 = warm_starts[i] if warm_starts is not None else None
         cap = max_iter[i] if max_iter is not None else None
@@ -114,18 +114,24 @@ def solve_state(
                 f"CG did not converge for {which} (relative residual "
                 f"{report.relative_residual:.3e} after {report.iterations} iterations)"
             )
+        solved.append((x, report.iterations))
+    del K, M  # the energies' temporaries need not coexist with the operators
+    solutions = []
+    for load, (x, iterations) in zip(basis.loads, solved):
         u = NodalField.from_interior(a.grid, x)
         with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
             energy = cell_grad_dot(u)
-        solutions.append(ScenarioSolution(u, 1.0, load, tol, energy, report.iterations))
+        solutions.append(ScenarioSolution(u, 1.0, load, tol, energy, iterations))
     return solutions
 
 
-def scenario_states(basis: LoadBasis, sols: list[ScenarioSolution]) -> list[ScenarioSolution]:
-    """Scenario k's state as coefficients[k] @ the basis states: no solve."""
-    states = np.stack([sol.u.values for sol in sols])
+def scenario_states(
+    basis: LoadBasis, states: list[NodalField], solve_tol: float
+) -> list[ScenarioSolution]:
+    """Scenario k's state, coefficients[k] @ the basis `states` solved to `solve_tol`: no solve."""
+    stack = np.stack([u.values for u in states])
     out = []
     for c, w in zip(basis.coefficients, basis.weights):
-        u = NodalField(basis.grid, c @ states)
-        out.append(ScenarioSolution(u, w, c @ basis.loads, sols[0].solve_tol, cell_grad_dot(u)))
+        u = NodalField(basis.grid, c @ stack)
+        out.append(ScenarioSolution(u, w, c @ basis.loads, solve_tol, cell_grad_dot(u)))
     return out

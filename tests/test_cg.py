@@ -261,6 +261,19 @@ def test_stack_of_one_row_starts_from_its_best_multiple():
     assert _k_error(K, b, _start(K, b, warm)) < _k_error(K, b, warm)
 
 
+def test_solution_never_aliases_the_starts():
+    # row 0 is read in place; a kept row 0 is returned as a copy, so the
+    # caller's stack, a design loop's history, never changes under it
+    K, b, M = _v_cycle_system()
+    x_cold, _ = eager_pcg(K, b, tol=1e-10, max_iter=1000, M=M)
+    for X in (x_cold[None, :], np.stack([0.9 * x_cold + 0.01, x_cold + 0.1])):
+        kept = X.copy()
+        x, report = cg_solve(K, b, tol=1e-10, x0=X, M=M)
+        assert report.converged and not np.shares_memory(x, X)
+        x += 1.0
+        assert np.array_equal(X, kept)
+
+
 def test_stack_whose_row_zero_meets_tol_starts_there():
     K, b, X = _stiffness_states()
     x, _ = cg_solve(K, b, tol=1e-10, x0=X[:1])

@@ -94,6 +94,21 @@ def test_failed_allocation_exits_one(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
 
 
+def test_bad_phase_bounds_exit_before_the_scenarios_are_built(tmp_path, monkeypatch, capsys):
+    # a 2048^2 case1 set takes about 130 MB: bad settings must not wait for it
+    def never(grid):
+        raise AssertionError("the scenario set was built")
+
+    monkeypatch.setitem(cli.PRESETS, "case1", never)
+    argv = ["run", "--preset", "case1", "--nx", "2048", "--ny", "2048", "--alpha", "2", "--beta", "2"]
+    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: phase bounds must satisfy {np.finfo(float).tiny} <= alpha < beta, "
+        "got alpha = 2.0, beta = 2.0\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_help_lists_every_default(capsys):
     assert run_cli(["run", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())

@@ -54,6 +54,18 @@ def test_coarse_operators_are_galerkin(nx, ny):
     assert max(M.operators[-1].shape) <= 7 * 7
 
 
+@pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (128, 16), (8, 64)])
+def test_one_stored_transfer_per_level(nx, ny):
+    # the prolongation is the CSC view of the stored restriction: one copy of
+    # each level's transfer, whose products are a CSR copy's bit for bit
+    rng = np.random.default_rng(nx * ny)
+    for step in coarsenings(GridSpec(nx, ny)):
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(step.P, name), getattr(step.PT, name)), name
+        coarse = rng.standard_normal(step.P.shape[1])
+        assert same_bits(step.P @ coarse, step.P.tocsr() @ coarse)
+
+
 @pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (128, 16)])
 def test_coarse_operators_match_map_assembly_bitwise(nx, ny, monkeypatch):
     g = GridSpec(nx, ny)

@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from stodesign.fem import DensityField, GridSpec, integrate_cells
 from stodesign.gclosure import PhasePair, optimality_residual
+from stodesign.mg import coarsenings
 from stodesign.objective import Objective, cost
 from stodesign import optimizer
 from stodesign.optimizer import (
@@ -21,7 +24,9 @@ from stodesign.optimizer import (
     update,
 )
 from stodesign.scenarios import make_case1, make_deterministic
-from stodesign.solve import load_basis, solve_state
+from stodesign.solve import load_basis, scenario_states, solve_state
+
+from oracles import same_bits
 
 
 def _grid(n=8):
@@ -549,3 +554,99 @@ def test_trial_solve_stops_at_its_cap_and_is_rejected(monkeypatch):
     assert failed
     accepted = [values for kind, values, _, _ in events if kind == "accepted"]
     assert not any(np.array_equal(f, a) for f in failed for a in accepted)
+
+
+@pytest.mark.parametrize(
+    "sset, kind, cfg, stop_reasons",
+    [
+        (make_case1(_grid(16)), Objective.COMPLIANCE, OptimizerConfig(eps1=1e-5), ["converged"]),
+        (make_case1(_grid(16)), Objective.COMPLIANCE, OptimizerConfig(max_iters=3), ["max_iters"]),
+        # at 1e-20 the last free cell may clip to alpha on other builds: converged
+        (
+            make_deterministic(_grid(16), np.ones(256)),
+            Objective.ENERGY,
+            OptimizerConfig(alpha=1e-20),
+            ["stagnated", "converged"],
+        ),
+        (
+            make_deterministic(_grid(16), np.ones(256)),
+            Objective.ENERGY,
+            OptimizerConfig(alpha=1e-200),
+            ["stagnated"],
+        ),
+    ],
+    ids=["converged", "max-iters", "alpha-1e-20", "stagnated-1e-200"],
+)
+def test_final_states_are_the_last_accepted_solves(monkeypatch, sset, kind, cfg, stop_reasons):
+    # the run keeps the accepted states only in its start history and forms
+    # the final scenario states from there: bit for bit those of the solves
+    # of the returned density
+    solves = []
+    real_solve_state = optimizer.solve_state
+
+    def spy_solve(field, *args, **kwargs):
+        sols = real_solve_state(field, *args, **kwargs)
+        solves.append((field, sols))
+        return sols
+
+    monkeypatch.setattr(optimizer, "solve_state", spy_solve)
+    res = run(cfg, sset, kind)
+    assert res.stop_reason in stop_reasons
+    sols = [sols for field, sols in solves if field is res.density][-1]
+    basis = load_basis(sset)
+    want = scenario_states(basis, [s.u for s in sols], sols[0].solve_tol)
+    assert len(res.solutions) == len(want) == len(sset.scenarios)
+    for got, ref in zip(res.solutions, want):
+        assert same_bits(got.u.values, ref.u.values)
+        assert same_bits(got.load, ref.load) and same_bits(got.energy, ref.energy)
+        assert (got.weight, got.solve_tol, got.iterations) == (ref.weight, sols[0].solve_tol, 0)
+
+
+def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
+    # row 0 of the start history is the one copy of the accepted states, and
+    # `update` forms its own eta for each halving: when the trials start, no
+    # earlier solve's solutions and no earlier eta are alive
+    refs = []
+    real_solve_state, real_barrier_eta, real_update = (
+        optimizer.solve_state,
+        optimizer.barrier_eta,
+        optimizer.update,
+    )
+
+    def spy_solve(*args, **kwargs):
+        sols = real_solve_state(*args, **kwargs)
+        refs.extend(weakref.ref(s) for s in sols)
+        return sols
+
+    def spy_eta(*args):
+        eta = real_barrier_eta(*args)
+        refs.append(weakref.ref(eta))
+        return eta
+
+    def spy_update(*args):
+        assert refs and all(ref() is None for ref in refs)
+        return real_update(*args)
+
+    monkeypatch.setattr(optimizer, "solve_state", spy_solve)
+    monkeypatch.setattr(optimizer, "barrier_eta", spy_eta)
+    monkeypatch.setattr(optimizer, "update", spy_update)
+    res = run(OptimizerConfig(max_iters=3), make_case1(_grid(16)), Objective.COMPLIANCE)
+    assert res.stop_reason == "max_iters"
+
+
+def test_run_peak_memory_holds_each_grid_sized_array_once():
+    # each multigrid level stores one transfer, the accepted states live only
+    # in the start history, through the trials too, and the energies are
+    # formed after the stiffness matrix is freed: about 44 interior-node
+    # vectors at the peak, where a second copy of each transfer and the
+    # accepted solutions held through the trials made it 57
+    g = GridSpec(128, 128)
+    sset = make_case1(g)
+    coarsenings.cache_clear()  # the run builds its multigrid hierarchy
+    tracemalloc.start()
+    try:
+        run(OptimizerConfig(max_iters=3), sset, Objective.COMPLIANCE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 46 * g.n_interior * np.dtype(float).itemsize

@@ -140,7 +140,7 @@ def test_stiffness_shared_across_scenarios():
     sols = solve_state(DensityField.constant(g, 1.5), basis)
     assert len(sols) == 2
     assert sols[0].weight == sols[1].weight == 1.0
-    states = scenario_states(basis, sols)
+    states = scenario_states(basis, [s.u for s in sols], sols[0].solve_tol)
     assert len(states) == 2
     assert states[0].weight == states[1].weight == 0.5
 
@@ -296,7 +296,7 @@ def test_dependent_loads_match_cold_solves(make_set):
     cold = _cold_states(a, sset, tol)
     for sol in sols:
         assert _true_relative_residual(a, sol) <= tol
-    for state, ref in zip(scenario_states(basis, sols), cold):
+    for state, ref in zip(scenario_states(basis, [s.u for s in sols], sols[0].solve_tol), cold):
         assert _rel(state.load, ref.load) <= 1e-12
         assert _rel(state.u.values, ref.u.values) <= 1e-8
         assert _rel(state.energy, ref.energy) <= 1e-8
@@ -390,7 +390,8 @@ def test_residual_from_combined_states_matches_cold_solves(make_set):
     a = DensityField(g, np.random.default_rng(11).uniform(1.0, 2.0, g.n_cells))
     sset = make_set(g)
     basis = load_basis(sset)
-    states = scenario_states(basis, solve_state(a, basis))
+    sols = solve_state(a, basis)
+    states = scenario_states(basis, [s.u for s in sols], sols[0].solve_tol)
     cold = _cold_states(a, sset, 1e-10)
     for kind in Objective:
         res = optimality_residual(a, states, kind, PhasePair(1.0, 2.0))
@@ -421,7 +422,7 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
         scenarios.append(Scenario(s.xi.copy(), 0.5 * s.weight))
     basis = load_basis(ScenarioSet(g, f, scenarios))
     sols = solve_state(a, basis)
-    for sol in sols + scenario_states(basis, sols):
+    for sol in sols + scenario_states(basis, [s.u for s in sols], sols[0].solve_tol):
         assert np.array_equal(sol.energy, cell_grad_dot(sol.u))
     cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
 
