@@ -79,8 +79,8 @@ def cg_solve(
     an x0 that already meets tol costs no application at all.
 
     Raises ValueError for a non-positive tol, a b that is not a finite
-    vector of length n, or an x0 that is not a finite vector or stack of
-    vectors of length n.
+    vector of length n or whose norm overflows, or an x0 that is not a
+    finite vector or stack of vectors of length n.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -100,6 +100,8 @@ def cg_solve(
         max_iter = 20 * n
 
     b_norm = math.sqrt(dot(b, b))
+    if not np.isfinite(b_norm):  # no residual could be measured against it
+        raise ValueError(f"rhs norm overflows, largest magnitude {float(np.abs(b).max())!r}")
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 

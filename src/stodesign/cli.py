@@ -191,6 +191,11 @@ def read_density_csv(path: Path) -> np.ndarray:
     values = np.array(rows)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path} holds non-finite density values")
+    if min(values.shape) < 2:
+        raise ValueError(
+            f"{path} holds a {len(rows)}x{len(rows[0])} grid; "
+            "a grid needs at least 2 cells per direction"
+        )
     return values
 
 

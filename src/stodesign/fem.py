@@ -257,12 +257,6 @@ def cell_grad_dot(u: NodalField) -> np.ndarray:
     return np.einsum("ci,ci->c", cu @ kref, cu) / grid.cell_area
 
 
-def cell_averages(u: NodalField) -> np.ndarray:
-    """Per-cell average of corner values; exact cell mean of the interpolant."""
-    sw, se, ne, nw = _corners(u)
-    return ((((sw + se) + ne) + nw) / 4.0).ravel()
-
-
 def integrate_cells(grid: GridSpec, w: np.ndarray) -> float:
     """Integral over the domain of a cell-wise constant field."""
     w = np.asarray(w, dtype=float)

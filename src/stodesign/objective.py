@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cg import dot
-from .fem import DensityField, cell_averages
+from .fem import DensityField
 
 if TYPE_CHECKING:
     from .solve import ScenarioSolution
@@ -39,16 +39,15 @@ class Objective(enum.Enum):
 def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> float:
     """Expected cost over scenarios.
 
-    Compliance is sum_k w_k * integral (f + xi_k) u_k; energy is its negation.
+    Compliance is sum_k w_k * integral (f + xi_k) u_k, each integral the b.x
+    of the assembled load and the interior state; energy is its negation.
     The load-pairing value is cross-checked against the stiffness-energy form
     sum_k w_k * integral a |grad u_k|^2, which must agree within 10x the solver
     tolerance; a larger gap, or a side that is not finite, indicates an
     assembly or bookkeeping bug or an overflow.
     """
     area = a.grid.cell_area
-    pairing = sum(
-        sol.weight * (dot(sol.load, cell_averages(sol.u)) * area) for sol in sols
-    )
+    pairing = sum(sol.weight * dot(sol.load, sol.u.interior()) for sol in sols)
     energy = sum(sol.weight * (dot(a.values, sol.energy) * area) for sol in sols)
     tol = 10.0 * max(sol.solve_tol for sol in sols)
     gap = abs(pairing - energy)

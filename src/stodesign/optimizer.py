@@ -51,6 +51,10 @@ class OptimizerConfig:
         if not all(np.isfinite(v) for v in (self.alpha, self.beta, self.eps, self.eps1, self.mass)):
             raise ValueError("alpha, beta, eps, eps1 and mass must be finite")
         PhasePair(self.alpha, self.beta)  # the one phase-bound rule, and its message
+        if not self.alpha < self.mass < self.beta:  # the mean of a on the unit square
+            raise ValueError(
+                f"mass target {self.mass} must lie strictly inside ({self.alpha}, {self.beta})"
+            )
         if self.eps <= 0.0 or self.eps1 <= 0.0:
             raise ValueError("eps and eps1 must be positive")
         if self.max_iters < 1:
@@ -65,10 +69,6 @@ class OptimizerConfig:
             raise ValueError(
                 f"phase bounds [{self.alpha}, {self.beta}] are too wide: "
                 f"max(eps, 1)*(beta-alpha)^2 summed over {grid.n_cells} cells overflows"
-            )
-        if not self.alpha < self.mass < self.beta:
-            raise ValueError(
-                f"mass target {self.mass} must lie strictly inside ({self.alpha}, {self.beta})"
             )
 
 
@@ -198,7 +198,8 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     magnitude, until no decreasing step exists (stagnation), or until
     max_iters. A design whose cells cannot move toward the mass target, as at
     the phase bounds, counts as converged. Raises ValueError, before any
-    solve, for bounds and mass that `check_grid` rejects on this grid.
+    solve, for phase bounds too wide for this grid (`check_grid`) and for a
+    load whose assembled norm overflows (`load_basis`).
 
     Raises ArithmeticError, naming the iterate and beta/alpha, when the
     energy density, the gradient density or the stationarity of an iterate is

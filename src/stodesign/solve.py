@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cg import cg_solve
+from .cg import cg_solve, dot
 from .fem import (
     DensityField,
     GridSpec,
@@ -33,9 +33,10 @@ from .scenarios import ScenarioSet, validate
 class ScenarioSolution:
     """State solution of one load and its per-cell energy density.
 
-    `load` is the per-cell right-hand side, kept so cost evaluation does not
-    need the scenario set again. `weight` is 1 for a `LoadBasis` load and w_k
-    for scenario k. `energy` is the per-cell mean of grad(u).grad(u) under the
+    `load` is the assembled right-hand side b of K u.interior() = b, a row of
+    `LoadBasis.loads` or scenario k's coefficients[k] @ loads; `cost` pairs it
+    with the state as b.x. `weight` is 1 for a `LoadBasis` load and w_k for
+    scenario k. `energy` is the per-cell mean of grad(u).grad(u) under the
     assembly quadrature. `iterations` counts the CG iterations of the solve,
     0 for a state combined from other states.
     """
@@ -54,17 +55,26 @@ class LoadBasis:
 
     Row 0 of `loads` is f, row j >= 1 is sigma_j U_j of the thin SVD
     [sqrt(w_k) xi_k] = U diag(sigma) V^T with sigma_j > 1e-10 sigma_1, the
-    directions kept. Scenario k's load f + xi_k is coefficients[k] @ loads.
+    directions kept, each assembled once (`assemble_load`). Scenario k's
+    load f + xi_k is coefficients[k] @ loads.
     """
 
     grid: GridSpec
-    loads: np.ndarray  # (1 + r, n_cells)
+    loads: np.ndarray  # (1 + r, n_interior)
     coefficients: np.ndarray  # (K, 1 + r)
     weights: np.ndarray  # (K,)
 
 
+def _load_name(i: int, r: int) -> str:
+    return f"perturbation direction {i} of {r}" if i else "the mean load f"
+
+
 def load_basis(sset: ScenarioSet) -> LoadBasis:
-    """Validate a scenario set and factor its weighted perturbations."""
+    """Validate a scenario set, factor its weighted perturbations and assemble the loads.
+
+    Raises ValueError, naming the load, where an assembled load's norm
+    overflows: no solve can meet a tolerance relative to it.
+    """
     problems = validate(sset)
     if problems:
         raise ValueError("invalid scenario set: " + "; ".join(problems))
@@ -74,7 +84,11 @@ def load_basis(sset: ScenarioSet) -> LoadBasis:
     weighted *= root_w
     v, sigma, u_t = np.linalg.svd(weighted, full_matrices=False)
     r = int(np.count_nonzero(sigma > 1e-10 * sigma[0]))
-    loads = np.vstack([sset.f, sigma[:r, None] * u_t[:r]])
+    loads = np.empty((1 + r, sset.grid.n_interior))
+    for i, g in enumerate([sset.f, *(sigma[:r, None] * u_t[:r])]):
+        loads[i] = b = assemble_load(sset.grid, g)
+        if not np.isfinite(dot(b, b)):
+            raise ValueError(f"{_load_name(i, r)} is too large: its assembled norm overflows")
     coefficients = np.hstack([np.ones_like(root_w), v[:, :r] / root_w])
     return LoadBasis(sset.grid, loads, coefficients, sset.weights())
 
@@ -107,11 +121,10 @@ def solve_state(
     for i, load in enumerate(basis.loads):
         x0 = warm_starts[i] if warm_starts is not None else None
         cap = max_iter[i] if max_iter is not None else None
-        x, report = cg_solve(K, assemble_load(a.grid, load), tol=tol, max_iter=cap, x0=x0, M=M)
+        x, report = cg_solve(K, load, tol=tol, max_iter=cap, x0=x0, M=M)
         if not report.converged:
-            which = f"perturbation direction {i} of {n - 1}" if i else "the mean load f"
             raise RuntimeError(
-                f"CG did not converge for {which} (relative residual "
+                f"CG did not converge for {_load_name(i, n - 1)} (relative residual "
                 f"{report.relative_residual:.3e} after {report.iterations} iterations)"
             )
         solved.append((x, report.iterations))

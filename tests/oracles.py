@@ -9,9 +9,10 @@ so that P^T A P checks the element-wise coarse operators. `eager_pcg`,
 `einsum_grad_dot` are the earlier, CSR-based forms of the state solve's
 kernels, which the library's must match. `cell_node_ids` and
 `interior_node_ids` are the index tables the library once kept;
-`add_at_load`, `table_cell_averages`, `table_cell_gradients`,
-`table_grad_dot` and `table_coarse_elements` are the forms that read fields
-through them, which the library's slices must match bit for bit. The
+`add_at_load`, `table_cell_gradients`, `table_grad_dot` and
+`table_coarse_elements` are the forms that read fields through them, which
+the library's slices must match bit for bit; `table_cell_averages` is the
+decomposition check's own cell mean of a state. The
 sampling, error-norm, boundary, tensor and log-reading helpers below them are
 used only by the tests.
 """
@@ -32,7 +33,6 @@ from stodesign.fem import (
     NodalField,
     assemble_load,
     assemble_stiffness,
-    cell_averages,
     cell_centers,
     cell_gradients,
     reference_stiffness,
@@ -93,7 +93,7 @@ def expected_decomposition_check(
         if not report.converged:
             raise RuntimeError("CG did not converge in decomposition check")
         u = NodalField.from_interior(grid, x)
-        return float(load @ cell_averages(u)) * area
+        return float(load @ table_cell_averages(u)) * area
 
     lhs = sum(s.weight * compliance_of(sset.f + s.xi) for s in sset.scenarios)
     rhs = compliance_of(sset.f) + sum(
@@ -310,10 +310,8 @@ def add_at_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
 
 
 def table_cell_averages(u: NodalField) -> np.ndarray:
-    """Per-cell corner mean, the corners gathered through the table.
-
-    The row sum starts from +0.0, so a cell whose four corners are -0.0 gets
-    +0.0 here and -0.0 from `stodesign.fem.cell_averages`."""
+    """Per-cell corner mean, the corners gathered through the table: the
+    exact cell mean of the bilinear interpolant."""
     return u.values[cell_node_ids(u.grid)].sum(axis=1) / 4.0
 
 

@@ -97,6 +97,9 @@ def test_rejects_non_finite_rhs_and_bad_x0():
     K = _identity(4)
     with pytest.raises(ValueError, match=r"rhs holds 1 non-finite values, first inf at index 2"):
         cg_solve(K, np.array([1.0, 1.0, np.inf, 1.0]))
+    # ||b|| = inf: no relative residual exists, so x = 0 may not pass as converged
+    with pytest.raises(ValueError, match=r"^rhs norm overflows, largest magnitude 1e\+200$"):
+        cg_solve(K, np.full(4, 1e200))
     with pytest.raises(ValueError, match=r"x0 has shape \(5,\), expected \(4,\)"):
         cg_solve(K, np.ones(4), x0=np.zeros(5))
     with pytest.raises(ValueError, match=r"x0 row 0 holds 4 non-finite values, first nan at index 0"):

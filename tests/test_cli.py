@@ -17,7 +17,7 @@ from stodesign.cli import (
 )
 from stodesign.fem import GridSpec
 from stodesign.optimizer import OptimizerConfig
-from stodesign.scenarios import make_case1, save_scenario_file
+from stodesign.scenarios import make_case1, make_deterministic, save_scenario_file
 
 from oracles import read_convergence_log
 
@@ -106,6 +106,30 @@ def test_bad_phase_bounds_exit_before_the_scenarios_are_built(tmp_path, monkeypa
         f"error: phase bounds must satisfy {np.finfo(float).tiny} <= alpha < beta, "
         "got alpha = 2.0, beta = 2.0\n"
     )
+    assert not (tmp_path / "x").exists()
+
+
+def test_bad_mass_target_exits_before_the_scenarios_are_built(tmp_path, monkeypatch, capsys):
+    # the mass target's range does not depend on the grid: it is checked with the config
+    def never(grid):
+        raise AssertionError("the scenario set was built")
+
+    monkeypatch.setitem(cli.PRESETS, "case1", never)
+    argv = ["run", "--preset", "case1", "--nx", "2048", "--ny", "2048", "--mass", "5"]
+    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: mass target 5.0 must lie strictly inside (1.0, 2.0)\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_overflowing_load_file_exits_one_naming_the_load(tmp_path, capsys):
+    # ||b|| overflows: no residual can be measured against it, so no run may
+    # "converge" to x = 0 at cost 0
+    g = GridSpec(4, 4)
+    path = tmp_path / "huge.scn"
+    save_scenario_file(make_deterministic(g, np.full(g.n_cells, 1e200)), path)
+    assert run_cli(["run", "--preset", f"file:{path}", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the mean load f is too large: its assembled norm overflows\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -379,8 +403,10 @@ def test_tiny_step_scale_stagnates_without_a_warning(tmp_path, capsys):
         ("1,2\n3\n", ":2: 1 values, but the first row has 2"),
         ("1,2\n\n3,x\n", ":3: could not convert string to float"),
         ("\n", " holds no density values"),
+        ("1.5,1.5\n", " holds a 1x2 grid; a grid needs at least 2 cells per direction"),
+        ("1.5\n1.5\n", " holds a 2x1 grid; a grid needs at least 2 cells per direction"),
     ],
-    ids=["ragged", "bad-token", "empty"],
+    ids=["ragged", "bad-token", "empty", "one-row", "one-column"],
 )
 def test_compare_names_file_and_line_of_bad_density(tmp_path, capsys, text, message):
     a, b = tmp_path / "a", tmp_path / "b"

@@ -10,7 +10,6 @@ from stodesign.fem import (
     assemble_elements,
     assemble_load,
     assemble_stiffness,
-    cell_averages,
     cell_centers,
     cell_gradients,
     cell_grad_dot,
@@ -29,7 +28,6 @@ from oracles import (
     same_bits,
     sample_cells,
     sample_nodes,
-    table_cell_averages,
     table_cell_gradients,
     table_grad_dot,
 )
@@ -251,7 +249,6 @@ def test_slices_match_index_tables_bitwise(nx, ny):
     p = NodalField(g, rng.standard_normal(g.n_nodes))
     assert same_bits(p.interior(), p.values[interior_node_ids(g)])
     for f in (u, p):
-        assert same_bits(cell_averages(f), table_cell_averages(f))
         assert same_bits(cell_gradients(f), table_cell_gradients(f))
         assert same_bits(cell_grad_dot(f), table_grad_dot(f, f))
 

@@ -55,9 +55,8 @@ def test_overflowing_barrier_rejected(alpha, beta, mass, eps):
 
 
 def test_mass_target_inside_range():
-    cfg = OptimizerConfig(mass=2.5)  # beta*|D| = 2 on the unit square
     with pytest.raises(ValueError, match="mass target"):
-        cfg.check_grid(_grid())
+        OptimizerConfig(mass=2.5)  # beta*|D| = 2 on the unit square
 
 
 def test_barrier_values():

@@ -11,6 +11,7 @@ from stodesign.fem import DensityField, GridSpec, cell_centers
 from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.objective import Objective, cost, gradient_density
+from stodesign.optimizer import OptimizerConfig, run
 from stodesign.scenarios import (
     Scenario,
     ScenarioSet,
@@ -204,8 +205,7 @@ def test_warm_start_count_must_match_scenarios():
 
 
 def _true_relative_residual(a: DensityField, sol) -> float:
-    K = assemble_stiffness(a)
-    b = assemble_load(a.grid, sol.load)
+    K, b = assemble_stiffness(a), sol.load
     return float(np.linalg.norm(K @ sol.u.interior() - b) / np.linalg.norm(b))
 
 
@@ -367,17 +367,85 @@ def test_direction_cutoff(monkeypatch, ratio, kept):
     xis = (phi, -phi, ratio * eta, -ratio * eta)
     sset = ScenarioSet(g, f, [Scenario(xi, 0.25) for xi in xis])
     basis = load_basis(sset)
-    sigma = [np.linalg.norm(load) for load in basis.loads[1:]]
-    assert sigma[0] == pytest.approx(np.sqrt(0.5), rel=1e-14)
-    assert len(sigma) == (2 if kept else 1)
-    if kept:
-        assert sigma[1] == pytest.approx(ratio * np.sqrt(0.5), rel=1e-8)
+    assert len(basis.loads) == (3 if kept else 2)
+    # the directions, assembled: sigma_1 U_1 = +-sqrt(0.5) phi, sigma_2 U_2 = +-ratio sqrt(0.5) eta
+    for load, direction, rel in zip(
+        basis.loads[1:], [np.sqrt(0.5) * phi, ratio * np.sqrt(0.5) * eta], [1e-14, 1e-8]
+    ):
+        ref = assemble_load(g, direction)
+        assert _rel(np.copysign(1.0, load @ ref) * load, ref) <= rel
     combined = basis.coefficients @ basis.loads
-    missed = [np.max(np.abs(c - (sset.f + s.xi))) for c, s in zip(combined, sset.scenarios)]
-    assert max(missed) <= (1e-14 if kept else 2 * ratio * np.max(np.abs(eta)))
+    dropped = 2 * ratio * np.max(np.abs(assemble_load(g, eta)))  # what a cut direction leaves out
+    for c, s in zip(combined, sset.scenarios):
+        ref = assemble_load(g, sset.f + s.xi)
+        assert np.max(np.abs(c - ref)) <= (1e-14 * np.max(np.abs(ref)) if kept else dropped)
     calls = _spy_cg(monkeypatch)
     solve_state(DensityField(g, np.random.default_rng(1).uniform(1.0, 2.0, g.n_cells)), basis)
     assert len(calls) == len(basis.loads)
+
+
+def test_loads_are_assembled_once_per_basis(monkeypatch):
+    g = GridSpec(16, 16)
+    calls = []
+    real = solve_module.assemble_load
+
+    def spy(grid, g_cells):
+        calls.append(g_cells)
+        return real(grid, g_cells)
+
+    monkeypatch.setattr("stodesign.solve.assemble_load", spy)
+    basis = load_basis(_pm_pair_set(g, 6, 3, 2))
+    assert len(calls) == len(basis.loads) == 1 + 3
+    calls.clear()
+    a = DensityField(g, np.random.default_rng(3).uniform(1.0, 2.0, g.n_cells))
+    sols = solve_state(a, basis)
+    solve_state(a, basis, warm_starts=[s.u.interior() for s in sols])
+    assert calls == []
+
+
+def test_solutions_carry_the_basis_loads_cg_solved(monkeypatch):
+    # CG solves each row of basis.loads as it is, and the solution keeps that row, not a copy
+    g = GridSpec(16, 16)
+    basis = load_basis(make_case1(g))
+    seen = []
+    real = solve_module.cg_solve
+
+    def spy(K, b, **kwargs):
+        seen.append(b)
+        return real(K, b, **kwargs)
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", spy)
+    sols = solve_state(DensityField.constant(g, 1.5), basis)
+    assert len(seen) == len(sols) == len(basis.loads)
+    for b, sol, row in zip(seen, sols, basis.loads):
+        assert row.shape == (g.n_interior,)
+        assert np.shares_memory(b, row) and np.shares_memory(sol.load, row)
+
+
+@pytest.mark.parametrize(
+    "make_set, name",
+    [
+        (lambda g: make_deterministic(g, np.full(g.n_cells, 1e200)), "the mean load f"),
+        (
+            lambda g: ScenarioSet(
+                g,
+                np.ones(g.n_cells),
+                [Scenario(np.full(g.n_cells, s * 1e160), 0.5) for s in (1.0, -1.0)],
+            ),
+            "perturbation direction 1 of 1",
+        ),
+    ],
+    ids=["mean-1e200", "perturbation-1e160"],
+)
+def test_load_whose_norm_overflows_is_rejected(make_set, name):
+    # every entry is finite, but ||b||^2 overflows: a run would "converge" to
+    # x = 0 or to the design without the perturbation
+    sset = make_set(GridSpec(8, 8))
+    message = f"^{name} is too large: its assembled norm overflows$"
+    with pytest.raises(ValueError, match=message):
+        load_basis(sset)
+    with pytest.raises(ValueError, match=message):
+        run(OptimizerConfig(), sset, Objective.COMPLIANCE)
 
 
 @pytest.mark.parametrize(
