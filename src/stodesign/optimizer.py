@@ -6,6 +6,12 @@ factor eta = eps * (a - alpha) * (beta - a) / (beta - alpha), which vanishes
 at the phase bounds, and gamma the exact root of the mass equation
 integral a_new = m (`project`). The step scale eps is halved until the cost
 decreases.
+
+Iterates and trials are solved to the relative residual ITERATE_TOL, which
+moves a cost far less than the stop rule's eps1 resolves. The final design
+is solved once more, to `solve_state`'s default of 1e-10, and the reported
+cost and states are that solve's (inexact gradients in projected methods:
+Birgin, Martinez & Raydan, IMA J. Numer. Anal. 23, 2003).
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fem import DensityField, GridSpec, NodalField, integrate_cells
+from .fem import DensityField, GridSpec, integrate_cells
 from .gclosure import PhasePair
 from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
@@ -23,6 +29,7 @@ from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
 
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a trial misses the mass target by at most this, relative
+ITERATE_TOL = 1e-6  # relative residual of the solves of iterates and trials
 HISTORY = 5  # accepted states per load whose span starts the next solve of that load
 # A trial's solve of a load stops after TRIAL_ITER_FACTOR times the CG
 # iterations the accepted iterate's solve of that load took, and at least
@@ -211,18 +218,23 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     Each load's solve starts from the best combination of that load's last
     HISTORY accepted states (`cg_solve` with a stack of starts); rejected
     trials leave that history as it was. Its newest row holds the one copy of
-    the accepted states, and the final scenario states are formed from it.
+    the accepted states.
+
+    Every iterate and trial is solved to ITERATE_TOL. After the loop, whatever
+    the stop reason, the final design is solved once more to `solve_state`'s
+    default of 1e-10, warm from the start history: that solve gives the last
+    record's cost and the returned solutions, and its cost cross-check holds
+    at that tolerance's bound. A CG or cross-check failure of that solve
+    raises RuntimeError or ArithmeticError naming the final solve.
     """
     grid = sset.grid
     cfg.check_grid(grid)
     a = DensityField.constant(grid, cfg.mass)
     basis = load_basis(sset)
 
-    def solve(
-        field: DensityField, warm: np.ndarray | None = None, caps: list[int] | None = None
-    ) -> tuple[list[ScenarioSolution], float]:
-        """States and cost of a density; the cost is inf where an energy overflows."""
-        s = solve_state(field, basis, warm_starts=warm, max_iter=caps)
+    def solve(field: DensityField, **kwargs) -> tuple[list[ScenarioSolution], float]:
+        """States and cost of a density (`solve_state` with `kwargs`); inf where an energy overflows."""
+        s = solve_state(field, basis, **kwargs)
         if not all(np.isfinite(sol.energy).all() for sol in s):
             return s, np.inf
         return s, cost(field, s, kind)
@@ -231,7 +243,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         """Cost of a trial density; keeps its solve in `trial` for acceptance."""
         nonlocal trial
         try:
-            trial = solve(field, warm, caps)
+            trial = solve(field, tol=ITERATE_TOL, warm_starts=warm, max_iter=caps)
         except (RuntimeError, ArithmeticError):
             # CG failed or hit its trial cap, or a phase contrast too wide for the
             # solve tolerance broke the cost cross-check: reject the trial, the
@@ -249,8 +261,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
 
     # each load's last HISTORY accepted states, preallocated, newest in row 0
     starts = np.empty((len(basis.loads), HISTORY, grid.n_interior))
-    sols, cost_now = trial = solve(a)
-    solve_tol = sols[0].solve_tol
+    sols, cost_now = trial = solve(a, tol=ITERATE_TOL)
     cost_scale = abs(cost_now)
     history: list[ConvergenceRecord] = []
     converged = False
@@ -295,5 +306,13 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         converged = abs(trial[1] - cost_now) <= cfg.eps1 * cost_scale
         sols, cost_now = trial
 
-    final = [NodalField.from_interior(grid, x) for x in starts[:, 0]]
-    return RunResult(a, history, stop_reason, scenario_states(basis, final, solve_tol))
+    trial = None  # a stagnated run's last rejected trial
+    try:
+        sols, cost_now = solve(a, warm_starts=starts[:, : min(k + 1, HISTORY)])
+    except (RuntimeError, ArithmeticError) as exc:
+        raise type(exc)(f"the final solve, of iterate {k}: {exc}") from None
+    require_finite("the final solve's energy density", cost_now, k)
+    history[-1].cost = cost_now
+    states, solve_tol = [sol.u for sol in sols], sols[0].solve_tol
+    sols = None  # the final energies need not coexist with the scenario states
+    return RunResult(a, history, stop_reason, scenario_states(basis, states, solve_tol))

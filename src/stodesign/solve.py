@@ -105,7 +105,9 @@ def solve_state(
     Load i starts from warm_starts[i], a state or an (h, n_interior) stack of
     states passed to `cg_solve` as its x0, and its CG stops after max_iter[i]
     iterations (`cg_solve`'s cap when omitted). Raises RuntimeError naming the
-    load if CG does not converge.
+    load if CG does not converge. Each solution records `tol`, which bounds
+    `cost`'s cross-check; the design loop solves its iterates and trials to
+    its looser `ITERATE_TOL` and only its final design to this default.
     """
     if basis.grid != a.grid:
         raise ValueError("load basis and coefficient live on different grids")
@@ -141,7 +143,10 @@ def solve_state(
 def scenario_states(
     basis: LoadBasis, states: list[NodalField], solve_tol: float
 ) -> list[ScenarioSolution]:
-    """Scenario k's state, coefficients[k] @ the basis `states` solved to `solve_tol`: no solve."""
+    """Scenario k's state, coefficients[k] @ the basis `states` solved to `solve_tol`: no solve.
+
+    The design loop passes the states of its final design's 1e-10 solve.
+    """
     stack = np.stack([u.values for u in states])
     out = []
     for c, w in zip(basis.coefficients, basis.weights):

@@ -64,8 +64,7 @@ def run_design(argv: list[str], workdir: Path) -> dict:
     """Run one design into `workdir` and read back what the ledger records."""
     if any(SCENARIO_FILE in arg for arg in argv):
         scenarios = workdir / "s3.txt"
-        if not scenarios.exists():
-            write_seed3_scenarios(scenarios)
+        write_seed3_scenarios(scenarios)
         argv = [arg.replace(SCENARIO_FILE, str(scenarios)) for arg in argv]
     out = workdir / "out"
     code = run_cli(["run", *argv, "--out", str(out)])

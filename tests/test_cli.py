@@ -278,6 +278,24 @@ def test_cost_cross_check_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "error: load-pairing" in capsys.readouterr().err
 
 
+def test_final_solve_cross_check_failure_exits_one_naming_it(tmp_path, monkeypatch, capsys):
+    from stodesign import optimizer
+    from stodesign.objective import cost
+
+    def final_disagrees(a, sols, kind):
+        if sols[0].solve_tol < optimizer.ITERATE_TOL:  # the final solve's, at 1e-10
+            raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
+        return cost(a, sols, kind)
+
+    monkeypatch.setattr(optimizer, "cost", final_disagrees)
+    assert run_cli(["run", *FAST, "--max-iters", "2", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the final solve, of iterate 2: "
+        "load-pairing and stiffness-energy costs disagree\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture
 def no_state_solve(monkeypatch):
     import stodesign.optimizer

@@ -224,7 +224,11 @@ def test_update_conserves_mass_under_clamping():
 
 def test_run_saturated_design_declares_convergence(monkeypatch):
     # a huge step scale drives every cell to a bound in one step; there the
-    # barrier is zero everywhere and nothing can move
+    # barrier is zero everywhere and nothing can move. Which cells land on a
+    # bound hangs on the gradient's last digits: with iterates solved to
+    # ITERATE_TOL, 2 of the 256 cells land inside and the run stagnates, so
+    # this run solves its iterates to 1e-10
+    monkeypatch.setattr(optimizer, "ITERATE_TOL", 1e-10)
     calls = []
 
     def spy(*args):
@@ -462,13 +466,13 @@ def _spy_cg(monkeypatch):
 
 
 def test_history_starts_cut_cg_iterations(monkeypatch):
-    # case1 37x23 compliance at the defaults: 74 iterates and 148 solves as
-    # before, and 1,351 CG iterations when each load started from its last
-    # state alone (588 from its last five)
+    # case1 37x23 compliance at the defaults: 73 records and 148 solves, the
+    # final re-solve's two included, and 826 CG iterations when each load
+    # started from its last state alone (283 from its last five)
     calls = _spy_cg(monkeypatch)
     res = run(OptimizerConfig(), make_case1(GridSpec(37, 23)), Objective.COMPLIANCE)
-    assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 74, 148)
-    assert sum(report.iterations for _, _, report in calls) <= 0.65 * 1351
+    assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 73, 148)
+    assert sum(report.iterations for _, _, report in calls) <= 0.65 * 826
 
 
 def test_rejected_trial_state_never_enters_the_history(monkeypatch):
@@ -555,7 +559,8 @@ def test_trial_solve_stops_at_its_cap_and_is_rejected(monkeypatch):
     assert not any(np.array_equal(f, a) for f in failed for a in accepted)
 
 
-@pytest.mark.parametrize(
+# a converged, a capped and two stagnated runs: every stop reason ends with the final solve
+FINAL_RUNS = pytest.mark.parametrize(
     "sset, kind, cfg, stop_reasons",
     [
         (make_case1(_grid(16)), Objective.COMPLIANCE, OptimizerConfig(eps1=1e-5), ["converged"]),
@@ -576,10 +581,12 @@ def test_trial_solve_stops_at_its_cap_and_is_rejected(monkeypatch):
     ],
     ids=["converged", "max-iters", "alpha-1e-20", "stagnated-1e-200"],
 )
+
+
+@FINAL_RUNS
 def test_final_states_are_the_last_accepted_solves(monkeypatch, sset, kind, cfg, stop_reasons):
-    # the run keeps the accepted states only in its start history and forms
-    # the final scenario states from there: bit for bit those of the solves
-    # of the returned density
+    # the final scenario states are formed from the last solve of the
+    # returned density, the final re-solve: bit for bit its states
     solves = []
     real_solve_state = optimizer.solve_state
 
@@ -599,6 +606,44 @@ def test_final_states_are_the_last_accepted_solves(monkeypatch, sset, kind, cfg,
         assert same_bits(got.u.values, ref.u.values)
         assert same_bits(got.load, ref.load) and same_bits(got.energy, ref.energy)
         assert (got.weight, got.solve_tol, got.iterations) == (ref.weight, sols[0].solve_tol, 0)
+
+
+@FINAL_RUNS
+def test_only_the_final_design_is_solved_to_1e_10(monkeypatch, sset, kind, cfg, stop_reasons):
+    # iterates and trials are solved to ITERATE_TOL; whatever the stop
+    # reason, the final design is solved once more to 1e-10, warm from the
+    # stacked start history, and that solve gives the reported cost and states
+    from stodesign.cg import cg_solve
+
+    calls = []
+
+    def spy(K, b, tol, max_iter=None, x0=None, M=None):
+        calls.append((tol, None if x0 is None else np.ndim(x0)))
+        return cg_solve(K, b, tol=tol, max_iter=max_iter, x0=x0, M=M)
+
+    monkeypatch.setattr("stodesign.solve.cg_solve", spy)
+    res = run(cfg, sset, kind)
+    assert res.stop_reason in stop_reasons
+    basis = load_basis(sset)
+    n = len(basis.loads)
+    assert len(calls) > n and calls[-n:] == [(1e-10, 2)] * n
+    assert all(tol == optimizer.ITERATE_TOL for tol, _ in calls[:-n])
+    cold = cost(res.density, solve_state(res.density, basis), kind)
+    assert res.history[-1].cost == pytest.approx(cold, rel=1e-9, abs=0.0)
+    assert [s.solve_tol for s in res.solutions] == [1e-10] * len(sset.scenarios)
+
+
+def test_final_solve_cross_check_failure_stops_the_run(monkeypatch):
+    # a trial's cross-check failure rejects the trial; the final solve's,
+    # checked at 1e-10's bound, stops the run naming that solve
+    def final_disagrees(a, sols, kind):
+        if sols[0].solve_tol < optimizer.ITERATE_TOL:
+            raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
+        return cost(a, sols, kind)
+
+    monkeypatch.setattr(optimizer, "cost", final_disagrees)
+    with pytest.raises(ArithmeticError, match=r"^the final solve, of iterate 3: load-pairing"):
+        run(OptimizerConfig(max_iters=3), make_case1(_grid(16)), Objective.COMPLIANCE)
 
 
 def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
