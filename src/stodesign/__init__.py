@@ -46,6 +46,6 @@ from .scenarios import (
     save_scenario_file,
     validate,
 )
-from .solve import LoadBasis, ScenarioSolution, load_basis, scenario_states, solve_state
+from .solve import LoadBasis, ScenarioSolution, load_basis, solve_state
 
 __version__ = "0.1.0"

@@ -270,15 +270,24 @@ def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> No
 # ----------------------------------------------------------------- commands
 
 
+def _check_out(out: Path) -> None:
+    """Fail before the run where `out`, made only once the run succeeds, cannot be a directory."""
+    found = next((path for path in (out, *out.parents) if path.exists()), out)
+    if found.exists() and not found.is_dir():
+        raise ValueError(f"output directory {out} cannot be made: {found} is not a directory")
+
+
 def run_command(cfg: dict) -> int:
     kind = Objective.parse(cfg["objective"])
     alpha, beta = cfg["alpha"], cfg["beta"]
     opt = OptimizerConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(OptimizerConfig)})
+    out = Path(cfg["out"])
+    _check_out(out)
     sset = _build_scenarios(cfg)
     result = run(opt, sset, kind)
-    residual = optimality_residual(result.density, result.solutions, kind, PhasePair(alpha, beta))
+    phases = PhasePair(alpha, beta)
+    residual = optimality_residual(result.density, result.basis, result.states, kind, phases)
 
-    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_cell_csv(out / "density.csv", result.density.grid, result.density.values)
     write_density_pgm(out / "density.pgm", result.density, alpha, beta)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DensityField, cell_gradients
+from .fem import DensityField, NodalField, cell_gradients
 from .objective import Objective
+from .solve import LoadBasis
 
 RESIDUAL_FLOOR = 1e-14
 
@@ -186,9 +187,12 @@ def volume_fraction(a, kind: Objective, phases: PhasePair):
 
 
 def optimality_residual(
-    a_final: DensityField, sols, kind: Objective, phases: PhasePair
+    a_final: DensityField, basis: LoadBasis, states: np.ndarray, kind: Objective, phases: PhasePair
 ) -> np.ndarray:
     """Cell-wise alignment residual of the converged design.
+
+    Row i of `states` solves `basis.loads[i]` (`RunResult.states`); scenario k's
+    state u_k = coefficients[k] @ states, of weight w_k, is formed one at a time.
 
     Per cell, the best single lamination direction is the dominant direction
     d = (cos phi, sin phi), phi = atan2(2 S12, S11 - S22) / 2, of the weighted
@@ -211,13 +215,13 @@ def optimality_residual(
     """
     a = a_final.values
     s11 = s22 = s12 = norm_sum = 0.0
-    for sol in sols:
-        grad = cell_gradients(sol.u)
+    for c, w in zip(basis.coefficients, basis.weights):
+        grad = cell_gradients(NodalField(basis.grid, c @ states))
         gx, gy = grad[:, 0], grad[:, 1]
-        s11 += sol.weight * (gx * gx)
-        s22 += sol.weight * (gy * gy)
-        s12 += sol.weight * (gx * gy)
-        norm_sum += sol.weight * np.hypot(gx, gy)
+        s11 += w * (gx * gx)
+        s22 += w * (gy * gy)
+        s12 += w * (gx * gy)
+        norm_sum += w * np.hypot(gx, gy)
     phi = 0.5 * np.arctan2(2.0 * s12, s11 - s22)
     dx, dy = np.cos(phi), np.sin(phi)
     theta = volume_fraction(a, kind, phases)
@@ -226,7 +230,7 @@ def optimality_residual(
     else:
         gap = arithmetic_mean(theta, phases) - a
     across = 0.0
-    for sol in sols:  # the gradients again, one held at a time
-        grad = cell_gradients(sol.u)
-        across += sol.weight * np.abs(dx * grad[:, 1] - dy * grad[:, 0])
+    for c, w in zip(basis.coefficients, basis.weights):  # the gradients again, one at a time
+        grad = cell_gradients(NodalField(basis.grid, c @ states))
+        across += w * np.abs(dx * grad[:, 1] - dy * grad[:, 0])
     return np.abs(gap) * across / (norm_sum + RESIDUAL_FLOOR)

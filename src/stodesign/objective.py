@@ -37,18 +37,18 @@ class Objective(enum.Enum):
 
 
 def cost(a: DensityField, sols: list["ScenarioSolution"], kind: Objective) -> float:
-    """Expected cost over scenarios.
+    """Expected cost over scenarios, from the solutions of a `LoadBasis`.
 
-    Compliance is sum_k w_k * integral (f + xi_k) u_k, each integral the b.x
-    of the assembled load and the interior state; energy is its negation.
+    Compliance is sum_k w_k * integral (f + xi_k) u_k, the sum of b.x over the
+    basis' unit-weight loads and interior states; energy is its negation.
     The load-pairing value is cross-checked against the stiffness-energy form
-    sum_k w_k * integral a |grad u_k|^2, which must agree within 10x the solver
+    sum_i integral a |grad u_i|^2, which must agree within 10x the solver
     tolerance; a larger gap, or a side that is not finite, indicates an
     assembly or bookkeeping bug or an overflow.
     """
     area = a.grid.cell_area
-    pairing = sum(sol.weight * dot(sol.load, sol.u.interior()) for sol in sols)
-    energy = sum(sol.weight * (dot(a.values, sol.energy) * area) for sol in sols)
+    pairing = sum(dot(sol.load, sol.u.interior()) for sol in sols)
+    energy = sum(dot(a.values, sol.energy) * area for sol in sols)
     tol = 10.0 * max(sol.solve_tol for sol in sols)
     gap = abs(pairing - energy)
     if not np.isfinite(gap) or gap > tol * max(abs(pairing), abs(energy)) + 1e-14:
@@ -70,5 +70,5 @@ def gradient_density(sols: list["ScenarioSolution"], kind: Objective) -> np.ndar
         raise ValueError("no scenario solutions given")
     g = np.zeros(sols[0].u.grid.n_cells)
     for sol in sols:
-        g += sol.weight * sol.energy
+        g += sol.energy
     return kind.sign * g

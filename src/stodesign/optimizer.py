@@ -10,7 +10,7 @@ decreases.
 Iterates and trials are solved to the relative residual ITERATE_TOL, which
 moves a cost far less than the stop rule's eps1 resolves. The final design
 is solved once more, to `solve_state`'s default of 1e-10, and the reported
-cost and states are that solve's (inexact gradients in projected methods:
+cost and basis states are that solve's (inexact gradients in projected methods:
 Birgin, Martinez & Raydan, IMA J. Numer. Anal. 23, 2003).
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .fem import DensityField, GridSpec, integrate_cells
 from .gclosure import PhasePair
 from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
-from .solve import ScenarioSolution, load_basis, scenario_states, solve_state
+from .solve import LoadBasis, ScenarioSolution, load_basis, solve_state
 
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a trial misses the mass target by at most this, relative
@@ -64,8 +64,8 @@ class OptimizerConfig:
             )
         if self.eps <= 0.0 or self.eps1 <= 0.0:
             raise ValueError("eps and eps1 must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if type(self.max_iters) is not int or self.max_iters < 1:  # a bool is no count
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
     def check_grid(self, grid: GridSpec) -> None:
         # barrier_eta forms eps*(a-alpha)*(beta-a), up to eps*(beta-alpha)^2/4,
@@ -98,10 +98,13 @@ class ConvergenceRecord:
 
 @dataclass
 class RunResult:
+    """The final design, its records and stop reason, and the states of its 1e-10 solve."""
+
     density: DensityField
     history: list[ConvergenceRecord]
     stop_reason: str  # converged | stagnated | max_iters
-    solutions: list[ScenarioSolution]  # per scenario, of the final density
+    basis: LoadBasis
+    states: np.ndarray  # (1 + r, n_nodes): row i solves basis.loads[i]
 
 
 def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.ndarray:
@@ -223,7 +226,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     Every iterate and trial is solved to ITERATE_TOL. After the loop, whatever
     the stop reason, the final design is solved once more to `solve_state`'s
     default of 1e-10, warm from the start history: that solve gives the last
-    record's cost and the returned solutions, and its cost cross-check holds
+    record's cost and the returned basis states, and its cost cross-check holds
     at that tolerance's bound. A CG or cross-check failure of that solve
     raises RuntimeError or ArithmeticError naming the final solve.
     """
@@ -313,6 +316,4 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         raise type(exc)(f"the final solve, of iterate {k}: {exc}") from None
     require_finite("the final solve's energy density", cost_now, k)
     history[-1].cost = cost_now
-    states, solve_tol = [sol.u for sol in sols], sols[0].solve_tol
-    sols = None  # the final energies need not coexist with the scenario states
-    return RunResult(a, history, stop_reason, scenario_states(basis, states, solve_tol))
+    return RunResult(a, history, stop_reason, basis, np.stack([sol.u.values for sol in sols]))

@@ -8,7 +8,8 @@ a design costs 1 + r solves whatever the number of scenarios. They share one
 stiffness matrix and its multigrid hierarchy (`stodesign.mg.VCycle`, the CG
 preconditioner). For both cost kinds the adjoint is the state up to sign, so
 the energy form of the cost and the gradient density are sums of one per-cell
-field, grad(u).grad(u), which each state carries.
+field, grad(u).grad(u), which each state carries. Only the laminate residual,
+not quadratic in grad(u), forms scenario k's state, coefficients[k] @ the states.
 """
 from __future__ import annotations
 
@@ -31,22 +32,19 @@ from .scenarios import ScenarioSet, validate
 
 @dataclass
 class ScenarioSolution:
-    """State solution of one load and its per-cell energy density.
+    """State solution of one unit-weight load of a `LoadBasis` and its per-cell energy density.
 
     `load` is the assembled right-hand side b of K u.interior() = b, a row of
-    `LoadBasis.loads` or scenario k's coefficients[k] @ loads; `cost` pairs it
-    with the state as b.x. `weight` is 1 for a `LoadBasis` load and w_k for
-    scenario k. `energy` is the per-cell mean of grad(u).grad(u) under the
-    assembly quadrature. `iterations` counts the CG iterations of the solve,
-    0 for a state combined from other states.
+    `LoadBasis.loads`; `cost` pairs it with the state as b.x. `energy` is the
+    per-cell mean of grad(u).grad(u) under the assembly quadrature.
+    `iterations` counts the CG iterations of the solve.
     """
 
     u: NodalField
-    weight: float
     load: np.ndarray
     solve_tol: float
     energy: np.ndarray
-    iterations: int = 0
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -136,20 +134,6 @@ def solve_state(
         u = NodalField.from_interior(a.grid, x)
         with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
             energy = cell_grad_dot(u)
-        solutions.append(ScenarioSolution(u, 1.0, load, tol, energy, iterations))
+        solutions.append(ScenarioSolution(u, load, tol, energy, iterations))
     return solutions
 
-
-def scenario_states(
-    basis: LoadBasis, states: list[NodalField], solve_tol: float
-) -> list[ScenarioSolution]:
-    """Scenario k's state, coefficients[k] @ the basis `states` solved to `solve_tol`: no solve.
-
-    The design loop passes the states of its final design's 1e-10 solve.
-    """
-    stack = np.stack([u.values for u in states])
-    out = []
-    for c, w in zip(basis.coefficients, basis.weights):
-        u = NodalField(basis.grid, c @ stack)
-        out.append(ScenarioSolution(u, w, c @ basis.loads, solve_tol, cell_grad_dot(u)))
-    return out

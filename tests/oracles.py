@@ -2,7 +2,8 @@
 
 `expected_decomposition_check` re-solves the state equation under the mean
 load and each perturbation alone; `loop_optimality_residual` is the per-cell
-reference form of `stodesign.gclosure.optimality_residual`;
+reference form of `stodesign.gclosure.optimality_residual`, over the
+per-scenario states that `scenario_fields` forms from a basis' states;
 `prolongation_oracle` builds the multigrid prolongations from hat functions,
 so that P^T A P checks the element-wise coarse operators. `eager_pcg`,
 `bincount_stiffness`, `map_assemble_elements`, `reduceat_jacobi_weights` and
@@ -14,7 +15,7 @@ kernels, which the library's must match. `cell_node_ids` and
 the library's slices must match bit for bit; `table_cell_averages` is the
 decomposition check's own cell mean of a state. The
 sampling, error-norm, boundary, tensor and log-reading helpers below them are
-used only by the tests.
+used only by the tests, as is `pm_pair_set`, a seeded set of +- scenario pairs.
 """
 import math
 from pathlib import Path
@@ -47,7 +48,7 @@ from stodesign.gclosure import (
 from stodesign.mg import _CX, _CY, _HALVES, _WHOLE
 from stodesign.objective import Objective
 from stodesign.optimizer import ConvergenceRecord
-from stodesign.scenarios import ScenarioSet, validate
+from stodesign.scenarios import Scenario, ScenarioSet, validate
 
 
 def cell_node_ids(grid: GridSpec) -> np.ndarray:
@@ -119,18 +120,23 @@ def _principal_direction(g_outer: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def scenario_fields(basis, states: np.ndarray) -> list[NodalField]:
+    """Each scenario's nodal state, coefficients[k] @ the stacked basis states."""
+    return [NodalField(basis.grid, c @ states) for c in basis.coefficients]
+
+
 def loop_optimality_residual(
     a_final: DensityField,
-    sols,
+    states: list[NodalField],
+    weights,
     kind: Objective,
     phases: PhasePair,
     floor: float = RESIDUAL_FLOOR,
 ) -> np.ndarray:
-    """Cell-by-cell alignment residual, one 2x2 eigenproblem per cell."""
-    grid = a_final.grid
-    n_cells = grid.n_cells
-    weights = [s.weight for s in sols]
-    grads = [cell_gradients(s.u) for s in sols]
+    """Cell-by-cell alignment residual of scenario states of the given weights,
+    one 2x2 eigenproblem per cell."""
+    n_cells = a_final.grid.n_cells
+    grads = [cell_gradients(u) for u in states]
 
     residual = np.zeros(n_cells)
     for c in range(n_cells):
@@ -427,6 +433,26 @@ def sample_nodes(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarr
     """Sample a function of (x, y) at all nodes."""
     pts = node_coords(grid)
     return NodalField(grid, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))
+
+
+def sine_modes(grid: GridSpec, count: int) -> np.ndarray:
+    """sin(m pi x) sin(n pi y) at the cell centers, for the first `count` of (1, 2), (2, 1), (2, 2)."""
+    c = cell_centers(grid)
+    mn = [(1, 2), (2, 1), (2, 2)][:count]
+    x, y = c[:, 0], c[:, 1]
+    return np.stack([np.sin(m * np.pi * x) * np.sin(n * np.pi * y) for m, n in mn])
+
+
+def pm_pair_set(grid: GridSpec, pairs: int, rank: int, seed: int) -> ScenarioSet:
+    """f = 1 plus +-pairs of seeded combinations of `rank` sine modes: load rank 1 + rank."""
+    rng = np.random.default_rng(seed)
+    xis = rng.standard_normal((pairs, rank)) @ sine_modes(grid, rank)
+    w = rng.uniform(0.5, 1.5, pairs)
+    w /= w.sum()
+    scenarios = []
+    for wp, xi in zip(w, xis):
+        scenarios += [Scenario(xi, 0.5 * wp), Scenario(-xi, 0.5 * wp)]
+    return ScenarioSet(grid, np.ones(grid.n_cells), scenarios)
 
 
 def as_array(t: SymmetricTensor2) -> np.ndarray:

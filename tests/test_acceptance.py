@@ -44,6 +44,7 @@ from oracles import (
     l2_error,
     loop_optimality_residual,
     sample_cells,
+    scenario_fields,
 )
 
 PHASES = PhasePair(1.0, 2.0)
@@ -302,7 +303,9 @@ def test_residual_matches_loop_oracle_on_reference_designs(reference_runs):
     _, results = reference_runs
     worst = 0.0
     for (kind, _), (result, _) in results.items():
-        res = optimality_residual(result.density, result.solutions, kind, PHASES)
-        ref = loop_optimality_residual(result.density, result.solutions, kind, PHASES)
+        basis, states = result.basis, result.states
+        res = optimality_residual(result.density, basis, states, kind, PHASES)
+        fields = scenario_fields(basis, states)
+        ref = loop_optimality_residual(result.density, fields, basis.weights, kind, PHASES)
         worst = max(worst, float(np.max(np.abs(res - ref))))
     assert worst <= 1e-14

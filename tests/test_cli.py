@@ -121,6 +121,26 @@ def test_bad_mass_target_exits_before_the_scenarios_are_built(tmp_path, monkeypa
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_before_the_scenarios_are_built(
+    tmp_path, monkeypatch, capsys, under
+):
+    # the directory is made only after the run: a file in its way must fail first
+    def never(grid):
+        raise AssertionError("the scenario set was built")
+
+    monkeypatch.setitem(cli.PRESETS, "case1", never)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "x" if under else blocker
+    argv = ["run", "--preset", "case1", "--nx", "2048", "--ny", "2048", "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: output directory {out} cannot be made: {blocker} is not a directory\n"
+    )
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_overflowing_load_file_exits_one_naming_the_load(tmp_path, capsys):
     # ||b|| overflows: no residual can be measured against it, so no run may
     # "converge" to x = 0 at cost 0

@@ -16,9 +16,23 @@ from stodesign.gclosure import (
 )
 from stodesign.objective import Objective
 
-from oracles import as_array, cell_node_ids, loop_optimality_residual, sample_nodes
+from oracles import (
+    as_array,
+    cell_node_ids,
+    loop_optimality_residual,
+    sample_nodes,
+    scenario_fields,
+)
 
 PHASES = PhasePair(1.0, 2.0)
+
+
+def _basis_states(a: DensityField, sset):
+    """The load basis of a set and its stacked states at density a, as `run` returns them."""
+    from stodesign.solve import load_basis, solve_state
+
+    basis = load_basis(sset)
+    return basis, np.stack([sol.u.values for sol in solve_state(a, basis)])
 
 
 def test_phase_validation():
@@ -178,43 +192,37 @@ def test_volume_fraction_bounds():
 
 def test_residual_zero_for_deterministic_scenario():
     from stodesign.scenarios import make_deterministic
-    from stodesign.solve import load_basis, solve_state
 
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
-    sols = solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells))))
-    res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
+    basis, states = _basis_states(a, make_deterministic(g, np.ones(g.n_cells)))
+    res = optimality_residual(a, basis, states, Objective.COMPLIANCE, PHASES)
     assert np.max(res) < 1e-10
 
 
 def test_residual_zero_gradient_cells():
     from stodesign.scenarios import make_deterministic
-    from stodesign.solve import load_basis, solve_state
 
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.5)
-    sols = solve_state(a, load_basis(make_deterministic(g, np.zeros(g.n_cells))))
-    res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
+    basis, states = _basis_states(a, make_deterministic(g, np.zeros(g.n_cells)))
+    res = optimality_residual(a, basis, states, Objective.COMPLIANCE, PHASES)
     assert np.all(res == 0.0)
 
 
 def test_residual_finite_for_two_scenarios():
     from stodesign.scenarios import make_case1
-    from stodesign.solve import load_basis, scenario_states, solve_state
 
     g = GridSpec(16, 16)
     a = DensityField.constant(g, 1.5)
-    basis = load_basis(make_case1(g))
-    basis_sols = solve_state(a, basis)
-    sols = scenario_states(basis, [s.u for s in basis_sols], basis_sols[0].solve_tol)
-    res = optimality_residual(a, sols, Objective.COMPLIANCE, PHASES)
+    basis, states = _basis_states(a, make_case1(g))
+    res = optimality_residual(a, basis, states, Objective.COMPLIANCE, PHASES)
     assert np.all(np.isfinite(res))
     assert np.all(res >= 0.0)
 
 
 def test_residual_matches_loop_oracle_four_scenarios():
     from stodesign.scenarios import Scenario, ScenarioSet
-    from stodesign.solve import load_basis, scenario_states, solve_state
 
     g = GridSpec(16, 12)
     rng = np.random.default_rng(21)
@@ -226,15 +234,14 @@ def test_residual_matches_loop_oracle_four_scenarios():
     )
     a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
     a.values[:3] = [1.0, 2.0, 1.0]  # pure-phase cells
-    basis = load_basis(sset)
-    basis_sols = solve_state(a, basis)
-    sols = scenario_states(basis, [s.u for s in basis_sols], basis_sols[0].solve_tol)
+    basis, states = _basis_states(a, sset)
     zero = [0, 17, 100]
-    for sol in sols:  # equal corner values give a zero cell gradient
-        sol.u.values[cell_node_ids(g)[zero]] = 0.0
+    # equal corner values in every basis state give every scenario a zero cell gradient
+    states[:, cell_node_ids(g)[zero]] = 0.0
+    fields = scenario_fields(basis, states)
     for kind in Objective:
-        res = optimality_residual(a, sols, kind, PHASES)
-        ref = loop_optimality_residual(a, sols, kind, PHASES)
+        res = optimality_residual(a, basis, states, kind, PHASES)
+        ref = loop_optimality_residual(a, fields, basis.weights, kind, PHASES)
         assert np.max(np.abs(res - ref)) <= 1e-14
         assert np.all(res[zero] == 0.0)
 
@@ -254,20 +261,23 @@ def test_residual_isotropic_second_moment_tie_break(states, share):
     # exactly isotropic in every cell: with no dominant direction both
     # residuals must fall back to d = (1, 0), leaving |gap| times the share of
     # the gradient norm along y
+    # (the basis' unit coefficients make each scenario state one row exactly)
     from stodesign.fem import cell_gradients
-    from stodesign.solve import ScenarioSolution
+    from stodesign.solve import LoadBasis
 
     g = GridSpec(6, 5)
-    zeros = np.zeros(g.n_cells)
-    sols = []
-    for gx, gy, w in states:
+    fields = []
+    for gx, gy, _ in states:
         u = sample_nodes(g, lambda x, y: np.rint(gx * x + gy * y))
         assert np.all(cell_gradients(u) == [gx, gy])
-        sols.append(ScenarioSolution(u, w, zeros, 0.0, zeros))
+        fields.append(u)
+    weights = np.array([w for _, _, w in states])
+    basis = LoadBasis(g, np.zeros((len(fields), g.n_interior)), np.eye(len(fields)), weights)
+    stacked = np.stack([u.values for u in fields])
     a = DensityField(g, np.random.default_rng(5).uniform(1.0, 2.0, g.n_cells))
     for kind in Objective:
-        res = optimality_residual(a, sols, kind, PHASES)
-        ref = loop_optimality_residual(a, sols, kind, PHASES)
+        res = optimality_residual(a, basis, stacked, kind, PHASES)
+        ref = loop_optimality_residual(a, fields, weights, kind, PHASES)
         assert np.max(np.abs(res - ref)) <= 1e-14
         theta = volume_fraction(a.values, kind, PHASES)
         gap = arithmetic_mean(theta, PHASES) - harmonic_mean(theta, PHASES)

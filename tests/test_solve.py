@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stodesign.solve as solve_module
-from stodesign.fem import DensityField, GridSpec, cell_centers
+from stodesign.fem import DensityField, GridSpec, NodalField
 from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.objective import Objective, cost, gradient_density
@@ -19,9 +17,15 @@ from stodesign.scenarios import (
     make_case2,
     make_deterministic,
 )
-from stodesign.solve import load_basis, scenario_states, solve_state
+from stodesign.solve import load_basis, solve_state
 
-from oracles import boundary_node_ids, sample_cells
+from oracles import (
+    boundary_node_ids,
+    loop_optimality_residual,
+    pm_pair_set,
+    sample_cells,
+    sine_modes,
+)
 
 
 def _center_node(g: GridSpec) -> int:
@@ -79,8 +83,8 @@ def test_adjoint_compliance_is_state():
     sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
     g_comp = gradient_density(sols, Objective.COMPLIANCE)
     expected = np.zeros(g.n_cells)
-    for sol in sols:
-        expected += sol.weight * cell_grad_dot(sol.u)
+    for sol in sols:  # the basis loads carry unit weight
+        expected += cell_grad_dot(sol.u)
     assert np.array_equal(g_comp, expected)
 
 
@@ -135,15 +139,14 @@ def test_coefficient_scaling():
 
 
 def test_stiffness_shared_across_scenarios():
-    # case1's two loads f +- chi are carried by f and one direction, of unit weight
+    # case1's two loads f +- chi are carried by f and one direction; the
+    # scenarios keep their weights 1/2 and combine the two states
     g = GridSpec(16, 16)
     basis = load_basis(make_case1(g))
     sols = solve_state(DensityField.constant(g, 1.5), basis)
     assert len(sols) == 2
-    assert sols[0].weight == sols[1].weight == 1.0
-    states = scenario_states(basis, [s.u for s in sols], sols[0].solve_tol)
-    assert len(states) == 2
-    assert states[0].weight == states[1].weight == 0.5
+    assert basis.coefficients.shape == (2, 2)
+    assert list(basis.weights) == [0.5, 0.5]
 
 
 def test_cg_failure_names_scenario(monkeypatch):
@@ -166,7 +169,7 @@ def test_cg_failure_names_scenario(monkeypatch):
         return cg_solve(K, b, tol=tol, max_iter=max_iter, x0=x0, M=M)
 
     monkeypatch.setattr("stodesign.solve.cg_solve", second_stalls)
-    sset = _pm_pair_set(g, 3, 2, 1)  # f and two directions
+    sset = pm_pair_set(g, 3, 2, 1)  # f and two directions
     with pytest.raises(RuntimeError, match=r"^CG did not converge for perturbation direction 1 of 2 \("):
         solve_state(DensityField.constant(g, 1.0), load_basis(sset))
 
@@ -209,28 +212,9 @@ def _true_relative_residual(a: DensityField, sol) -> float:
     return float(np.linalg.norm(K @ sol.u.interior() - b) / np.linalg.norm(b))
 
 
-def _sine_modes(g: GridSpec, count: int) -> np.ndarray:
-    c = cell_centers(g)
-    mn = [(1, 2), (2, 1), (2, 2)][:count]
-    x, y = c[:, 0], c[:, 1]
-    return np.stack([np.sin(m * np.pi * x) * np.sin(n * np.pi * y) for m, n in mn])
-
-
-def _pm_pair_set(g: GridSpec, pairs: int, rank: int, seed: int) -> ScenarioSet:
-    # f = 1 plus +-pairs of random combinations of `rank` sine modes: load rank 1 + rank
-    rng = np.random.default_rng(seed)
-    xis = rng.standard_normal((pairs, rank)) @ _sine_modes(g, rank)
-    w = rng.uniform(0.5, 1.5, pairs)
-    w /= w.sum()
-    scenarios = []
-    for wp, xi in zip(w, xis):
-        scenarios += [Scenario(xi, 0.5 * wp), Scenario(-xi, 0.5 * wp)]
-    return ScenarioSet(g, np.ones(g.n_cells), scenarios)
-
-
 def _duplicated_set(g: GridSpec) -> ScenarioSet:
     # scenario 1 repeats scenario 0
-    xi = _sine_modes(g, 1)[0]
+    xi = sine_modes(g, 1)[0]
     return ScenarioSet(
         g, np.ones(g.n_cells), [Scenario(xi, 0.25), Scenario(xi, 0.25), Scenario(-xi, 0.5)]
     )
@@ -239,7 +223,7 @@ def _duplicated_set(g: GridSpec) -> ScenarioSet:
 def _scaled_copy_set(g: GridSpec) -> ScenarioSet:
     # load 1 is exactly twice load 0: f + (f + 2 phi) = 2 (f + phi)
     f = np.ones(g.n_cells)
-    phi = _sine_modes(g, 1)[0]
+    phi = sine_modes(g, 1)[0]
     xis = [phi, f + 2.0 * phi, -f - 4.0 * phi]
     weights = [0.5, 0.25, 0.25]
     return ScenarioSet(g, f, [Scenario(xi, w) for xi, w in zip(xis, weights)])
@@ -264,12 +248,11 @@ def _rel(x, ref) -> float:
 
 
 def _cold_states(a: DensityField, sset: ScenarioSet, tol: float) -> list:
-    """Each scenario's state by its own cold solve of f + xi_k, with the scenario's weight."""
-    states = []
-    for s in sset.scenarios:
-        basis = load_basis(make_deterministic(a.grid, sset.f + s.xi))
-        states.append(replace(solve_state(a, basis, tol=tol)[0], weight=s.weight))
-    return states
+    """Each scenario's solution by its own cold solve of f + xi_k, of unit weight."""
+    return [
+        solve_state(a, load_basis(make_deterministic(a.grid, sset.f + s.xi)), tol=tol)[0]
+        for s in sset.scenarios
+    ]
 
 
 @pytest.mark.parametrize(
@@ -277,8 +260,8 @@ def _cold_states(a: DensityField, sset: ScenarioSet, tol: float) -> list:
     [
         _duplicated_set,
         _scaled_copy_set,
-        lambda g: _pm_pair_set(g, 3, 2, 1),
-        lambda g: _pm_pair_set(g, 6, 3, 2),
+        lambda g: pm_pair_set(g, 3, 2, 1),
+        lambda g: pm_pair_set(g, 6, 3, 2),
     ],
     ids=["duplicate", "scaled-copy", "pm-pairs-rank2", "pm-pairs-rank3"],
 )
@@ -296,14 +279,20 @@ def test_dependent_loads_match_cold_solves(make_set):
     cold = _cold_states(a, sset, tol)
     for sol in sols:
         assert _true_relative_residual(a, sol) <= tol
-    for state, ref in zip(scenario_states(basis, [s.u for s in sols], sols[0].solve_tol), cold):
-        assert _rel(state.load, ref.load) <= 1e-12
-        assert _rel(state.u.values, ref.u.values) <= 1e-8
-        assert _rel(state.energy, ref.energy) <= 1e-8
+    states = np.stack([s.u.values for s in sols])
+    for c, ref in zip(basis.coefficients, cold):
+        u = NodalField(g, c @ states)
+        assert _rel(c @ basis.loads, ref.load) <= 1e-12
+        assert _rel(u.values, ref.u.values) <= 1e-8
+        assert _rel(cell_grad_dot(u), ref.energy) <= 1e-8
+    w = sset.weights()
     for kind in Objective:
-        c, c_ref = cost(a, sols, kind), cost(a, cold, kind)  # both cross-checks pass
+        # both cross-checks pass, the basis' and each cold solve's
+        c = cost(a, sols, kind)
+        c_ref = sum(w_k * cost(a, [ref], kind) for w_k, ref in zip(w, cold))
         assert abs(c - c_ref) <= 1e-8 * abs(c_ref)
-        assert _rel(gradient_density(sols, kind), gradient_density(cold, kind)) <= 1e-8
+        g_ref = sum(w_k * gradient_density([ref], kind) for w_k, ref in zip(w, cold))
+        assert _rel(gradient_density(sols, kind), g_ref) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -336,7 +325,7 @@ def test_solves_per_call_are_one_plus_rank(monkeypatch, pairs, rank):
     # call, cold or warm-started, whatever K
     g = GridSpec(16, 16)
     a = DensityField(g, np.random.default_rng(4).uniform(1.0, 2.0, g.n_cells))
-    basis = load_basis(_pm_pair_set(g, pairs, rank, 5))
+    basis = load_basis(pm_pair_set(g, pairs, rank, 5))
     calls = _spy_cg(monkeypatch)
     sols = solve_state(a, basis)
     assert len(calls) == 1 + rank
@@ -361,7 +350,7 @@ def test_direction_cutoff(monkeypatch, ratio, kept):
     # two orthonormal perturbation directions with sigma_2 = ratio * sigma_1:
     # kept above the cutoff 1e-10 * sigma_1, dropped below it
     g = GridSpec(16, 16)
-    q, _ = np.linalg.qr(_sine_modes(g, 2).T)
+    q, _ = np.linalg.qr(sine_modes(g, 2).T)
     phi, eta = q.T
     f = np.ones(g.n_cells)
     xis = (phi, -phi, ratio * eta, -ratio * eta)
@@ -394,7 +383,7 @@ def test_loads_are_assembled_once_per_basis(monkeypatch):
         return real(grid, g_cells)
 
     monkeypatch.setattr("stodesign.solve.assemble_load", spy)
-    basis = load_basis(_pm_pair_set(g, 6, 3, 2))
+    basis = load_basis(pm_pair_set(g, 6, 3, 2))
     assert len(calls) == len(basis.loads) == 1 + 3
     calls.clear()
     a = DensityField(g, np.random.default_rng(3).uniform(1.0, 2.0, g.n_cells))
@@ -450,7 +439,7 @@ def test_load_whose_norm_overflows_is_rejected(make_set, name):
 
 @pytest.mark.parametrize(
     "make_set",
-    [make_case1, make_case2, lambda g: _pm_pair_set(g, 8, 3, 3)],
+    [make_case1, make_case2, lambda g: pm_pair_set(g, 8, 3, 3)],
     ids=["case1", "case2", "pm-pairs-k16"],
 )
 def test_residual_from_combined_states_matches_cold_solves(make_set):
@@ -458,12 +447,12 @@ def test_residual_from_combined_states_matches_cold_solves(make_set):
     a = DensityField(g, np.random.default_rng(11).uniform(1.0, 2.0, g.n_cells))
     sset = make_set(g)
     basis = load_basis(sset)
-    sols = solve_state(a, basis)
-    states = scenario_states(basis, [s.u for s in sols], sols[0].solve_tol)
-    cold = _cold_states(a, sset, 1e-10)
+    states = np.stack([s.u.values for s in solve_state(a, basis)])
+    cold = [ref.u for ref in _cold_states(a, sset, 1e-10)]
+    phases = PhasePair(1.0, 2.0)
     for kind in Objective:
-        res = optimality_residual(a, states, kind, PhasePair(1.0, 2.0))
-        ref = optimality_residual(a, cold, kind, PhasePair(1.0, 2.0))
+        res = optimality_residual(a, basis, states, kind, phases)
+        ref = loop_optimality_residual(a, cold, sset.weights(), kind, phases)
         assert np.max(np.abs(res - ref)) <= 1e-8
 
 
@@ -472,8 +461,7 @@ def test_residual_from_combined_states_matches_cold_solves(make_set):
 def test_energy_is_cell_grad_dot_of_state_property(data):
     # random small grids, densities in [1, 2] and +-pair scenario sets, some
     # scenarios duplicated (the weight split in two), so the set has fewer
-    # covariance directions than scenarios; the combined scenario states
-    # carry their energy too
+    # covariance directions than scenarios
     g = GridSpec(data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9)))
     a = DensityField(g, data.draw(arrays(float, g.n_cells, elements=st.floats(1.0, 2.0))))
     f = data.draw(arrays(float, g.n_cells, elements=st.floats(-2.0, 2.0)))
@@ -490,7 +478,7 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
         scenarios.append(Scenario(s.xi.copy(), 0.5 * s.weight))
     basis = load_basis(ScenarioSet(g, f, scenarios))
     sols = solve_state(a, basis)
-    for sol in sols + scenario_states(basis, [s.u for s in sols], sols[0].solve_tol):
+    for sol in sols:
         assert np.array_equal(sol.energy, cell_grad_dot(sol.u))
     cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
 
