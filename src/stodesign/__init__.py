@@ -10,7 +10,6 @@ from .cg import SolveReport, cg_solve
 from .fem import (
     DensityField,
     GridSpec,
-    NodalField,
     assemble_load,
     assemble_stiffness,
     cell_gradients,
@@ -46,6 +45,6 @@ from .scenarios import (
     save_scenario_file,
     validate,
 )
-from .solve import LoadBasis, ScenarioSolution, load_basis, solve_state
+from .solve import BasisSolve, LoadBasis, load_basis, solve_state
 
 __version__ = "0.1.0"

@@ -1,9 +1,12 @@
 """Bilinear quadrilateral finite elements on a uniform grid of the unit square.
 
-The diffusion coefficient is piecewise constant per cell, solution fields are
-nodal. Cells are indexed row-major as j*nx + i, nodes as j*(nx+1) + i, with i
-running fastest: fields are (ny, nx) and (ny+1, nx+1) arrays, and corners,
-neighbours and interior nodes are slices. Corners run SW, SE, NE, NW.
+The diffusion coefficient is piecewise constant per cell; a state is the
+vector of its values at the interior nodes, the unknowns of the assembled
+system, and is zero on the boundary (homogeneous Dirichlet), which only this
+module pads in. Cells are indexed row-major as j*nx + i, nodes as
+j*(nx+1) + i and interior nodes as (j-1)*(nx-1) + (i-1), with i running
+fastest: fields are (ny, nx), (ny+1, nx+1) and (ny-1, nx-1) arrays, and
+corners, neighbours and interior nodes are slices. Corners run SW, SE, NE, NW.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for n in (self.nx, self.ny):  # a bool is no size
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"grid size must be an integer, got {n!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 cells per direction")
 
@@ -76,29 +82,6 @@ class DensityField:
 
     def mass(self) -> float:
         return integrate_cells(self.grid, self.values)
-
-
-@dataclass
-class NodalField:
-    """Node-wise scalar field; state and adjoint solutions live here."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_nodes,):
-            raise ValueError("values must hold one real per node")
-
-    @classmethod
-    def from_interior(cls, grid: GridSpec, interior: np.ndarray) -> "NodalField":
-        """Scatter an interior-node vector onto the full grid, zero boundary."""
-        full = np.zeros((grid.ny + 1, grid.nx + 1))
-        full[1:-1, 1:-1] = np.reshape(interior, (grid.ny - 1, grid.nx - 1))
-        return cls(grid, full.ravel())
-
-    def interior(self) -> np.ndarray:
-        return self.values.reshape(self.grid.ny + 1, self.grid.nx + 1)[1:-1, 1:-1].ravel()
 
 
 def cell_centers(grid: GridSpec) -> np.ndarray:
@@ -228,32 +211,34 @@ def assemble_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
     return nodal.ravel()
 
 
-def _corners(u: NodalField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The SW, SE, NE, NW corner values of every cell, (ny, nx) views of u."""
-    nodes = u.values.reshape(u.grid.ny + 1, u.grid.nx + 1)
+def _corners(grid: GridSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The SW, SE, NE, NW corner values of every cell, (ny, nx) views of the
+    interior-node values x padded with the zero boundary."""
+    nodes = np.zeros((grid.ny + 1, grid.nx + 1))
+    nodes[1:-1, 1:-1] = np.reshape(x, (grid.ny - 1, grid.nx - 1))
     return nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, 1:], nodes[1:, :-1]
 
 
-def cell_gradients(u: NodalField) -> np.ndarray:
-    """(n_cells, 2) gradient of the bilinear interpolant at each cell center."""
-    grid = u.grid
-    sw, se, ne, nw = _corners(u)
+def cell_gradients(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """(n_cells, 2) gradient at each cell center of the bilinear interpolant
+    of the interior-node values x, zero on the boundary."""
+    sw, se, ne, nw = _corners(grid, x)
     gx = ((se + ne) - (sw + nw)) / (2.0 * grid.hx)
     gy = ((nw + ne) - (sw + se)) / (2.0 * grid.hy)
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def cell_grad_dot(u: NodalField) -> np.ndarray:
+def cell_grad_dot(grid: GridSpec, x: np.ndarray) -> np.ndarray:
     """Per-cell mean of |grad(u)|^2, consistent with assembly quadrature.
 
-    Returns (1/|cell|) * integral of grad(u).grad(u) over each cell, so that
-    sum_c a_c * area * cell_grad_dot(u)_c reproduces the assembled quadratic
-    form exactly. This is what makes the descent gradient match finite
-    differences of the discrete cost to solver precision.
+    u is the bilinear interpolant of the interior-node values x, zero on the
+    boundary. Returns (1/|cell|) * integral of grad(u).grad(u) over each cell,
+    so that sum_c a_c * area * cell_grad_dot(grid, x)_c reproduces the
+    assembled quadratic form x.K x exactly. This is what makes the descent
+    gradient match finite differences of the discrete cost to solver precision.
     """
-    grid = u.grid
     kref = reference_stiffness(grid.hx, grid.hy)
-    cu = np.stack(_corners(u), axis=-1).reshape(-1, 4)
+    cu = np.stack(_corners(grid, x), axis=-1).reshape(-1, 4)
     return np.einsum("ci,ci->c", cu @ kref, cu) / grid.cell_area
 
 

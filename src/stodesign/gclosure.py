@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DensityField, NodalField, cell_gradients
+from .fem import DensityField, cell_gradients
 from .objective import Objective
 from .solve import LoadBasis
 
@@ -191,8 +191,9 @@ def optimality_residual(
 ) -> np.ndarray:
     """Cell-wise alignment residual of the converged design.
 
-    Row i of `states` solves `basis.loads[i]` (`RunResult.states`); scenario k's
-    state u_k = coefficients[k] @ states, of weight w_k, is formed one at a time.
+    Row i of `states` is the interior-node state of `basis.loads[i]`
+    (`RunResult.states`); scenario k's state u_k = coefficients[k] @ states,
+    of weight w_k, is formed one at a time.
 
     Per cell, the best single lamination direction is the dominant direction
     d = (cos phi, sin phi), phi = atan2(2 S12, S11 - S22) / 2, of the weighted
@@ -216,7 +217,7 @@ def optimality_residual(
     a = a_final.values
     s11 = s22 = s12 = norm_sum = 0.0
     for c, w in zip(basis.coefficients, basis.weights):
-        grad = cell_gradients(NodalField(basis.grid, c @ states))
+        grad = cell_gradients(basis.grid, c @ states)
         gx, gy = grad[:, 0], grad[:, 1]
         s11 += w * (gx * gx)
         s22 += w * (gy * gy)
@@ -231,6 +232,6 @@ def optimality_residual(
         gap = arithmetic_mean(theta, phases) - a
     across = 0.0
     for c, w in zip(basis.coefficients, basis.weights):  # the gradients again, one at a time
-        grad = cell_gradients(NodalField(basis.grid, c @ states))
+        grad = cell_gradients(basis.grid, c @ states)
         across += w * np.abs(dx * grad[:, 1] - dy * grad[:, 0])
     return np.abs(gap) * across / (norm_sum + RESIDUAL_FLOOR)

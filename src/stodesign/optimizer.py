@@ -25,7 +25,7 @@ from .fem import DensityField, GridSpec, integrate_cells
 from .gclosure import PhasePair
 from .objective import Objective, cost, gradient_density
 from .scenarios import ScenarioSet
-from .solve import LoadBasis, ScenarioSolution, load_basis, solve_state
+from .solve import BasisSolve, LoadBasis, load_basis, solve_state
 
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a trial misses the mass target by at most this, relative
@@ -104,7 +104,7 @@ class RunResult:
     history: list[ConvergenceRecord]
     stop_reason: str  # converged | stagnated | max_iters
     basis: LoadBasis
-    states: np.ndarray  # (1 + r, n_nodes): row i solves basis.loads[i]
+    states: np.ndarray  # (1 + r, n_interior): row i solves basis.loads[i]
 
 
 def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.ndarray:
@@ -212,11 +212,11 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     load whose assembled norm overflows (`load_basis`).
 
     Raises ArithmeticError, naming the iterate and beta/alpha, when the
-    energy density, the gradient density or the stationarity of an iterate is
-    not finite, as a tiny alpha or beta makes them. A trial whose solve fails
-    or needs more CG iterations than its cap (TRIAL_ITER_FACTOR, TRIAL_ITER_FLOOR),
-    whose energy density is not finite or whose cost cross-check fails is
-    rejected and the step halved.
+    energy density or the stationarity of an iterate is not finite, as a tiny
+    alpha or beta makes them. A trial whose solve fails or needs more CG
+    iterations than its cap (TRIAL_ITER_FACTOR, TRIAL_ITER_FLOOR), whose
+    energy density is not finite or whose cost cross-check fails is rejected
+    and the step halved.
 
     Each load's solve starts from the best combination of that load's last
     HISTORY accepted states (`cg_solve` with a stack of starts); rejected
@@ -235,10 +235,10 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     a = DensityField.constant(grid, cfg.mass)
     basis = load_basis(sset)
 
-    def solve(field: DensityField, **kwargs) -> tuple[list[ScenarioSolution], float]:
-        """States and cost of a density (`solve_state` with `kwargs`); inf where an energy overflows."""
+    def solve(field: DensityField, **kwargs) -> tuple[BasisSolve, float]:
+        """States and cost of a density (`solve_state` with `kwargs`); inf where the energy overflows."""
         s = solve_state(field, basis, **kwargs)
-        if not all(np.isfinite(sol.energy).all() for sol in s):
+        if not np.isfinite(s.energy).all():
             return s, np.inf
         return s, cost(field, s, kind)
 
@@ -252,7 +252,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
             # solve tolerance broke the cost cross-check: reject the trial, the
             # step is halved
             return np.inf
-        return trial[1]  # inf, and so rejected, where an energy overflowed
+        return trial[1]  # inf, and so rejected, where the energy overflowed
 
     def require_finite(name: str, value: np.ndarray | float, k: int) -> None:
         """Stop with an error where a tiny coefficient overflows the arithmetic."""
@@ -264,21 +264,18 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
 
     # each load's last HISTORY accepted states, preallocated, newest in row 0
     starts = np.empty((len(basis.loads), HISTORY, grid.n_interior))
-    sols, cost_now = trial = solve(a, tol=ITERATE_TOL)
+    s, cost_now = trial = solve(a, tol=ITERATE_TOL)
     cost_scale = abs(cost_now)
     history: list[ConvergenceRecord] = []
     converged = False
     for k in range(cfg.max_iters + 1):
         require_finite("the energy density", cost_now, k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = gradient_density(sols, kind)
-        require_finite("the gradient density", g, k)
-        for stack, sol in zip(starts, sols):
-            if k:  # the old row 0 replaces the oldest state: no row shifts
-                stack[1 + (k - 1) % (HISTORY - 1)] = stack[0]
-            stack[0] = sol.u.interior()
-        caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * sol.iterations) for sol in sols]
-        sols = trial = sol = None  # starts[:, 0] is now the one copy of the accepted states
+        g = gradient_density(s, kind)
+        if k:  # the old row 0 replaces the oldest state: no row shifts
+            starts[:, 1 + (k - 1) % (HISTORY - 1)] = starts[:, 0]
+        starts[:, 0] = s.states
+        caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * n) for n in s.iterations]
+        s = trial = None  # starts[:, 0] is now the one copy of the accepted states
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
         projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
         saturated = projected is None
@@ -307,13 +304,13 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
             break
         a = a_next
         converged = abs(trial[1] - cost_now) <= cfg.eps1 * cost_scale
-        sols, cost_now = trial
+        s, cost_now = trial
 
     trial = None  # a stagnated run's last rejected trial
     try:
-        sols, cost_now = solve(a, warm_starts=starts[:, : min(k + 1, HISTORY)])
+        s, cost_now = solve(a, warm_starts=starts[:, : min(k + 1, HISTORY)])
     except (RuntimeError, ArithmeticError) as exc:
         raise type(exc)(f"the final solve, of iterate {k}: {exc}") from None
     require_finite("the final solve's energy density", cost_now, k)
     history[-1].cost = cost_now
-    return RunResult(a, history, stop_reason, basis, np.stack([sol.u.values for sol in sols]))
+    return RunResult(a, history, stop_reason, basis, s.states)

@@ -7,9 +7,10 @@ through the mean load f and the weighted covariance sum_k w_k xi_k xi_k^T.
 a design costs 1 + r solves whatever the number of scenarios. They share one
 stiffness matrix and its multigrid hierarchy (`stodesign.mg.VCycle`, the CG
 preconditioner). For both cost kinds the adjoint is the state up to sign, so
-the energy form of the cost and the gradient density are sums of one per-cell
-field, grad(u).grad(u), which each state carries. Only the laminate residual,
-not quadratic in grad(u), forms scenario k's state, coefficients[k] @ the states.
+the cost and its gradient read two sums over the loads, which `solve_state`
+forms once: the load pairing sum_i b_i.x_i and the per-cell energy
+sum_i grad(u_i).grad(u_i). Only the laminate residual, not quadratic in
+grad(u), forms scenario k's state, coefficients[k] @ the states.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .cg import cg_solve, dot
 from .fem import (
     DensityField,
     GridSpec,
-    NodalField,
     assemble_load,
     assemble_stiffness,
     cell_grad_dot,
@@ -31,20 +31,22 @@ from .scenarios import ScenarioSet, validate
 
 
 @dataclass
-class ScenarioSolution:
-    """State solution of one unit-weight load of a `LoadBasis` and its per-cell energy density.
+class BasisSolve:
+    """The states of every load of a `LoadBasis` under one density, and the sums the cost reads.
 
-    `load` is the assembled right-hand side b of K u.interior() = b, a row of
-    `LoadBasis.loads`; `cost` pairs it with the state as b.x. `energy` is the
-    per-cell mean of grad(u).grad(u) under the assembly quadrature.
-    `iterations` counts the CG iterations of the solve.
+    Row i of `states` is the interior-node solution x_i of K x_i = loads[i],
+    to relative residual `tol`, after iterations[i] CG iterations. `pairing`
+    is sum_i loads[i].x_i, the compliance; `energy` is the per-cell sum over
+    i of the mean of grad(u_i).grad(u_i) under the assembly quadrature
+    (`cell_grad_dot`), so that a.energy * cell_area is the same cost in
+    energy form.
     """
 
-    u: NodalField
-    load: np.ndarray
-    solve_tol: float
-    energy: np.ndarray
-    iterations: int
+    states: np.ndarray  # (1 + r, n_interior)
+    pairing: float
+    energy: np.ndarray  # (n_cells,)
+    iterations: list[int]
+    tol: float
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,13 @@ def solve_state(
     tol: float = 1e-10,
     warm_starts: np.ndarray | list[np.ndarray] | None = None,
     max_iter: list[int] | None = None,
-) -> list[ScenarioSolution]:
+) -> BasisSolve:
     """Solve the state equation for every load of the basis, to relative residual tol.
 
     Load i starts from warm_starts[i], a state or an (h, n_interior) stack of
     states passed to `cg_solve` as its x0, and its CG stops after max_iter[i]
     iterations (`cg_solve`'s cap when omitted). Raises RuntimeError naming the
-    load if CG does not converge. Each solution records `tol`, which bounds
+    load if CG does not converge. The solve records `tol`, which bounds
     `cost`'s cross-check; the design loop solves its iterates and trials to
     its looser `ITERATE_TOL` and only its final design to this default.
     """
@@ -117,7 +119,7 @@ def solve_state(
 
     K = assemble_stiffness(a)
     M = VCycle(a, K)
-    solved = []
+    solved, iterations = [], []
     for i, load in enumerate(basis.loads):
         x0 = warm_starts[i] if warm_starts is not None else None
         cap = max_iter[i] if max_iter is not None else None
@@ -127,13 +129,11 @@ def solve_state(
                 f"CG did not converge for {_load_name(i, n - 1)} (relative residual "
                 f"{report.relative_residual:.3e} after {report.iterations} iterations)"
             )
-        solved.append((x, report.iterations))
-    del K, M  # the energies' temporaries need not coexist with the operators
-    solutions = []
-    for load, (x, iterations) in zip(basis.loads, solved):
-        u = NodalField.from_interior(a.grid, x)
-        with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
-            energy = cell_grad_dot(u)
-        solutions.append(ScenarioSolution(u, load, tol, energy, iterations))
-    return solutions
-
+        solved.append(x)
+        iterations.append(report.iterations)
+    del K, M  # the stack and the energies' temporaries need not coexist with the operators
+    states = np.stack(solved)
+    with np.errstate(over="ignore"):  # inf below a coefficient of ~1e-154: `run` checks
+        pairing = sum(dot(b, x) for b, x in zip(basis.loads, states))
+        energy = sum(cell_grad_dot(a.grid, x) for x in states)
+    return BasisSolve(states, pairing, energy, iterations, tol)

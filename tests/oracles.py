@@ -13,8 +13,10 @@ kernels, which the library's must match. `cell_node_ids` and
 `add_at_load`, `table_cell_gradients`, `table_grad_dot` and
 `table_coarse_elements` are the forms that read fields through them, which
 the library's slices must match bit for bit; `table_cell_averages` is the
-decomposition check's own cell mean of a state. The
-sampling, error-norm, boundary, tensor and log-reading helpers below them are
+decomposition check's own cell mean of a state. These field oracles take a
+nodal array, (n_nodes,) values boundary included, which `nodal` pads from an
+interior-node state and `sample_nodes` samples from a function. The
+sampling, error-norm, tensor and log-reading helpers below them are
 used only by the tests, as is `pm_pair_set`, a seeded set of +- scenario pairs.
 """
 import math
@@ -31,7 +33,6 @@ from stodesign.fem import (
     _XI,
     DensityField,
     GridSpec,
-    NodalField,
     assemble_load,
     assemble_stiffness,
     cell_centers,
@@ -68,6 +69,18 @@ def interior_node_ids(grid: GridSpec) -> np.ndarray:
     return (jj * (grid.nx + 1) + ii).ravel()
 
 
+def nodal(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """The (n_nodes,) nodal array of interior-node values x, zero on the boundary."""
+    full = np.zeros(grid.n_nodes)
+    full[interior_node_ids(grid)] = x
+    return full
+
+
+def inner_cells(grid: GridSpec) -> np.ndarray:
+    """Indices of the cells none of whose corners lies on the boundary."""
+    return np.flatnonzero(np.isin(cell_node_ids(grid), interior_node_ids(grid)).all(axis=1))
+
+
 def expected_decomposition_check(
     a: DensityField,
     sset: ScenarioSet,
@@ -93,8 +106,7 @@ def expected_decomposition_check(
         x, report = cg_solve(K, b, tol=tol)
         if not report.converged:
             raise RuntimeError("CG did not converge in decomposition check")
-        u = NodalField.from_interior(grid, x)
-        return float(load @ table_cell_averages(u)) * area
+        return float(load @ table_cell_averages(grid, nodal(grid, x))) * area
 
     lhs = sum(s.weight * compliance_of(sset.f + s.xi) for s in sset.scenarios)
     rhs = compliance_of(sset.f) + sum(
@@ -120,23 +132,24 @@ def _principal_direction(g_outer: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def scenario_fields(basis, states: np.ndarray) -> list[NodalField]:
-    """Each scenario's nodal state, coefficients[k] @ the stacked basis states."""
-    return [NodalField(basis.grid, c @ states) for c in basis.coefficients]
+def scenario_fields(basis, states: np.ndarray) -> list[np.ndarray]:
+    """Each scenario's interior-node state, coefficients[k] @ the stacked basis states."""
+    return [c @ states for c in basis.coefficients]
 
 
 def loop_optimality_residual(
     a_final: DensityField,
-    states: list[NodalField],
+    states: list[np.ndarray],
     weights,
     kind: Objective,
     phases: PhasePair,
     floor: float = RESIDUAL_FLOOR,
 ) -> np.ndarray:
-    """Cell-by-cell alignment residual of scenario states of the given weights,
-    one 2x2 eigenproblem per cell."""
-    n_cells = a_final.grid.n_cells
-    grads = [cell_gradients(u) for u in states]
+    """Cell-by-cell alignment residual of interior-node scenario states of the
+    given weights, one 2x2 eigenproblem per cell."""
+    grid = a_final.grid
+    n_cells = grid.n_cells
+    grads = [cell_gradients(grid, x) for x in states]
 
     residual = np.zeros(n_cells)
     for c in range(n_cells):
@@ -297,12 +310,11 @@ def reduceat_jacobi_weights(A: sparse.csr_matrix) -> np.ndarray:
     return (16.0 / 9.0) / (diag * np.max(row_sums / diag))
 
 
-def einsum_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
-    """Per-cell u_c^T kref p_c / |cell| as one three-operand contraction."""
-    grid = u.grid
+def einsum_grad_dot(grid: GridSpec, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-cell u_c^T kref p_c / |cell| of nodal arrays as one three-operand contraction."""
     kref = reference_stiffness(grid.hx, grid.hy)
-    cu = u.values[cell_node_ids(grid)]
-    cp = p.values[cell_node_ids(grid)]
+    cu = u[cell_node_ids(grid)]
+    cp = p[cell_node_ids(grid)]
     return np.einsum("ci,ij,cj->c", cu, kref, cp) / grid.cell_area
 
 
@@ -315,28 +327,26 @@ def add_at_load(grid: GridSpec, g_cells: np.ndarray) -> np.ndarray:
     return nodal[interior_node_ids(grid)]
 
 
-def table_cell_averages(u: NodalField) -> np.ndarray:
-    """Per-cell corner mean, the corners gathered through the table: the
-    exact cell mean of the bilinear interpolant."""
-    return u.values[cell_node_ids(u.grid)].sum(axis=1) / 4.0
+def table_cell_averages(grid: GridSpec, u: np.ndarray) -> np.ndarray:
+    """Per-cell corner mean of a nodal array, the corners gathered through the
+    table: the exact cell mean of the bilinear interpolant."""
+    return u[cell_node_ids(grid)].sum(axis=1) / 4.0
 
 
-def table_cell_gradients(u: NodalField) -> np.ndarray:
-    """(n_cells, 2) center gradients from table-gathered corners."""
-    grid = u.grid
-    c = u.values[cell_node_ids(grid)]  # (n_cells, 4): SW SE NE NW
+def table_cell_gradients(grid: GridSpec, u: np.ndarray) -> np.ndarray:
+    """(n_cells, 2) center gradients of a nodal array from table-gathered corners."""
+    c = u[cell_node_ids(grid)]  # (n_cells, 4): SW SE NE NW
     gx = ((c[:, 1] + c[:, 2]) - (c[:, 0] + c[:, 3])) / (2.0 * grid.hx)
     gy = ((c[:, 3] + c[:, 2]) - (c[:, 0] + c[:, 1])) / (2.0 * grid.hy)
     return np.stack([gx, gy], axis=1)
 
 
-def table_grad_dot(u: NodalField, p: NodalField) -> np.ndarray:
-    """Per-cell u_c^T kref p_c / |cell|, one matmul and a row dot over
-    table-gathered corners."""
-    grid = u.grid
+def table_grad_dot(grid: GridSpec, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-cell u_c^T kref p_c / |cell| of nodal arrays, one matmul and a row
+    dot over table-gathered corners."""
     kref = reference_stiffness(grid.hx, grid.hy)
-    cu = u.values[cell_node_ids(grid)]
-    cp = p.values[cell_node_ids(grid)]
+    cu = u[cell_node_ids(grid)]
+    cp = p[cell_node_ids(grid)]
     return np.einsum("ci,ci->c", cu @ kref, cp) / grid.cell_area
 
 
@@ -388,12 +398,6 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def boundary_node_ids(grid: GridSpec) -> np.ndarray:
-    mask = np.ones(grid.n_nodes, dtype=bool)
-    mask[interior_node_ids(grid)] = False
-    return np.nonzero(mask)[0]
-
-
 def node_coords(grid: GridSpec) -> np.ndarray:
     x = np.linspace(0.0, 1.0, grid.nx + 1)
     y = np.linspace(0.0, 1.0, grid.ny + 1)
@@ -401,14 +405,16 @@ def node_coords(grid: GridSpec) -> np.ndarray:
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
 
-def l2_error(u: NodalField, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """L2 norm of (interpolant of u) - fn over the domain, 2x2 Gauss per cell.
+def l2_error(
+    grid: GridSpec, x: np.ndarray, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> float:
+    """L2 norm of (interpolant of the interior-node state x) - fn over the
+    domain, 2x2 Gauss per cell.
 
     This is a function-space norm: it sees the in-cell interpolation error,
     not just nodal mismatch, so it decays at the order of the element.
     """
-    grid = u.grid
-    corners = u.values[cell_node_ids(grid)]
+    corners = nodal(grid, x)[cell_node_ids(grid)]
     centers = cell_centers(grid)
     total = 0.0
     det_j = grid.cell_area / 4.0
@@ -429,10 +435,10 @@ def sample_cells(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarr
     return np.asarray(fn(centers[:, 0], centers[:, 1]), dtype=float)
 
 
-def sample_nodes(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> NodalField:
-    """Sample a function of (x, y) at all nodes."""
+def sample_nodes(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sample a function of (x, y) at all nodes, an (n_nodes,) nodal array."""
     pts = node_coords(grid)
-    return NodalField(grid, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))
+    return np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
 
 
 def sine_modes(grid: GridSpec, count: int) -> np.ndarray:

@@ -82,8 +82,8 @@ def test_criterion_01_discretization_order():
         f = sample_cells(
             g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         )
-        sols = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
-        return l2_error(sols[0].u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        s = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
+        return l2_error(g, s.states[0], lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
     ratio = l2_at(32) / l2_at(64)
     elapsed = time.perf_counter() - start
@@ -285,8 +285,8 @@ def test_criterion_11_mesh_convergence():
         a = DensityField(
             g, sample_cells(g, lambda x, y: 1.5 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
         )
-        sols = solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells))))
-        costs.append(cost(a, sols, Objective.COMPLIANCE))
+        s = solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells))))
+        costs.append(cost(a, s, Objective.COMPLIANCE))
     c = np.array(costs)
     orders = np.log2((c[:-2] - c[1:-1]) / (c[1:-1] - c[2:]))
     elapsed = time.perf_counter() - start

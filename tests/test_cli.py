@@ -302,10 +302,10 @@ def test_final_solve_cross_check_failure_exits_one_naming_it(tmp_path, monkeypat
     from stodesign import optimizer
     from stodesign.objective import cost
 
-    def final_disagrees(a, sols, kind):
-        if sols[0].solve_tol < optimizer.ITERATE_TOL:  # the final solve's, at 1e-10
+    def final_disagrees(a, s, kind):
+        if s.tol < optimizer.ITERATE_TOL:  # the final solve's, at 1e-10
             raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
-        return cost(a, sols, kind)
+        return cost(a, s, kind)
 
     monkeypatch.setattr(optimizer, "cost", final_disagrees)
     assert run_cli(["run", *FAST, "--max-iters", "2", "--out", str(tmp_path / "x")]) == 1
@@ -362,13 +362,14 @@ ENERGY_16 = ["--nx", "16", "--ny", "16", "--objective", "energy"]
         pytest.param(
             [*ENERGY_16, "--alpha", "1e-100"], "the stationarity", 2e100, id="1e-100-the stationarity"
         ),
-        # each load's energy density is finite, their sum is not: the window
-        # for a uniform density at 16^2 is 2.29e-155 < mass < 2.41e-155
+        # each load's energy density is finite, their sum is not, and the solve
+        # forms that sum: the window for a uniform density at 16^2 is
+        # 2.29e-155 < mass < 2.41e-155
         pytest.param(
             [*ENERGY_16, "--preset", "case1", "--alpha", "1e-200", "--mass", "2.35e-155"],
-            "the gradient density",
+            "the energy density",
             2e200,
-            id="1e-200-the gradient density",
+            id="1e-200-summed-energy",
         ),
         # a coefficient below about 1e-154 overflows grad(u).grad(u) itself
         pytest.param(

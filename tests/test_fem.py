@@ -6,7 +6,6 @@ import pytest
 from stodesign.fem import (
     DensityField,
     GridSpec,
-    NodalField,
     assemble_elements,
     assemble_load,
     assemble_stiffness,
@@ -22,9 +21,11 @@ from oracles import (
     bincount_stiffness,
     cell_node_ids,
     einsum_grad_dot,
+    inner_cells,
     interior_node_ids,
     l2_error,
     map_assemble_elements,
+    nodal,
     same_bits,
     sample_cells,
     sample_nodes,
@@ -45,6 +46,18 @@ def test_grid_counts():
 def test_grid_rejects_degenerate():
     with pytest.raises(ValueError):
         GridSpec(1, 4)
+
+
+@pytest.mark.parametrize("nx", [64.0, "8", True, None], ids=["float", "str", "bool", "none"])
+def test_grid_rejects_non_integer_size(nx):
+    for args in ((nx, 8), (8, nx)):
+        with pytest.raises(ValueError, match=f"grid size must be an integer, got {nx!r}"):
+            GridSpec(*args)
+
+
+def test_grid_accepts_numpy_integers():
+    g = GridSpec(np.int64(4), np.int32(3))
+    assert g == GridSpec(4, 3) and g.n_interior == 6
 
 
 def test_stiffness_single_interior_node():
@@ -240,42 +253,33 @@ def test_slices_match_index_tables_bitwise(nx, ny):
     load = rng.standard_normal(g.n_cells)
     load.reshape(g.ny, nx)[:2, :2] = -0.0  # np.add.at sums node (1, 1)'s shares from +0.0
     assert same_bits(assemble_load(g, load), add_at_load(g, load))
+    # the kernels take interior values and pad the zero boundary themselves;
+    # the oracles gather corners from the padded nodal array
     x = rng.standard_normal(g.n_interior)
-    full = np.zeros(g.n_nodes)
-    full[interior_node_ids(g)] = x
-    u = NodalField.from_interior(g, x)
-    assert same_bits(u.values, full)
-    assert same_bits(u.interior(), x)
-    p = NodalField(g, rng.standard_normal(g.n_nodes))
-    assert same_bits(p.interior(), p.values[interior_node_ids(g)])
-    for f in (u, p):
-        assert same_bits(cell_gradients(f), table_cell_gradients(f))
-        assert same_bits(cell_grad_dot(f), table_grad_dot(f, f))
+    x[::3] = -0.0  # the sums must match down to the sign of a zero
+    u = nodal(g, x)
+    assert same_bits(cell_gradients(g, x), table_cell_gradients(g, u))
+    assert same_bits(cell_grad_dot(g, x), table_grad_dot(g, u, u))
 
 
+# A state is zero on the boundary: the fields below are checked on the cells
+# that do not touch it, where the interpolant is the sampled field's
 def test_gradients_exact_for_linear():
     g = GridSpec(7, 5)
-    u = sample_nodes(g, lambda x, y: x)
-    grads = cell_gradients(u)
-    assert np.allclose(grads[:, 0], 1.0, rtol=0, atol=1e-14)
-    assert np.allclose(grads[:, 1], 0.0, rtol=0, atol=1e-14)
-
-
-def test_gradients_constant_field():
-    g = GridSpec(4, 4)
-    u = NodalField(g, np.full(g.n_nodes, 2.5))
-    grads = cell_gradients(u)
+    inner = inner_cells(g)
+    grads = cell_gradients(g, sample_nodes(g, lambda x, y: x)[interior_node_ids(g)])
     assert grads.shape == (g.n_cells, 2)
-    assert np.all(grads == 0.0)
+    assert np.allclose(grads[inner, 0], 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(grads[inner, 1], 0.0, rtol=0, atol=1e-14)
 
 
 def test_gradients_bilinear_exact_at_centers():
     g = GridSpec(6, 9)
-    u = sample_nodes(g, lambda x, y: x * y)
-    grads = cell_gradients(u)
+    inner = inner_cells(g)
+    grads = cell_gradients(g, sample_nodes(g, lambda x, y: x * y)[interior_node_ids(g)])
     c = cell_centers(g)
-    assert np.allclose(grads[:, 0], c[:, 1], rtol=0, atol=1e-14)
-    assert np.allclose(grads[:, 1], c[:, 0], rtol=0, atol=1e-14)
+    assert np.allclose(grads[inner, 0], c[inner, 1], rtol=0, atol=1e-14)
+    assert np.allclose(grads[inner, 1], c[inner, 0], rtol=0, atol=1e-14)
 
 
 def test_integrate_area_and_mass():
@@ -298,10 +302,10 @@ def test_cell_grad_dot_matches_stiffness_quadratic_form():
     g = GridSpec(6, 7)
     rng = np.random.default_rng(21)
     a = DensityField(g, rng.uniform(0.5, 2.5, g.n_cells))
-    u = NodalField.from_interior(g, rng.standard_normal(g.n_interior))
+    x = rng.standard_normal(g.n_interior)
     K = assemble_stiffness(a)
-    direct = u.interior() @ (K @ u.interior())
-    energy = float(a.values @ cell_grad_dot(u)) * g.cell_area
+    direct = x @ (K @ x)
+    energy = float(a.values @ cell_grad_dot(g, x)) * g.cell_area
     assert energy == pytest.approx(direct, rel=1e-13)
 
 
@@ -309,9 +313,9 @@ def test_cell_grad_dot_matches_stiffness_quadratic_form():
 def test_cell_grad_dot_matches_three_operand_contraction(nx, ny):
     g = GridSpec(nx, 4 * ny)  # stretched cells, hx/hy = 4*ny/nx
     rng = np.random.default_rng(nx + ny)
-    for u in (NodalField(g, rng.standard_normal(g.n_nodes)) for _ in range(2)):
-        ref = einsum_grad_dot(u, u)
-        assert np.max(np.abs(cell_grad_dot(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for x in (rng.standard_normal(g.n_interior) for _ in range(2)):
+        ref = einsum_grad_dot(g, nodal(g, x), nodal(g, x))
+        assert np.max(np.abs(cell_grad_dot(g, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_field_size_validation():
@@ -319,7 +323,7 @@ def test_field_size_validation():
     with pytest.raises(ValueError):
         DensityField(g, np.ones(5))
     with pytest.raises(ValueError):
-        NodalField(g, np.ones(g.n_cells))
+        cell_gradients(g, np.ones(g.n_nodes))  # a nodal array is not a state
 
 
 def _manufactured_l2(n: int) -> float:
@@ -328,8 +332,8 @@ def _manufactured_l2(n: int) -> float:
 
     g = GridSpec(n, n)
     f = sample_cells(g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    sols = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
-    return l2_error(sols[0].u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    s = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
+    return l2_error(g, s.states[0], lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
 
 def test_manufactured_solution_second_order():

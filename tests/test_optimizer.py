@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stodesign.fem import DensityField, GridSpec, NodalField, assemble_stiffness, integrate_cells
+from stodesign.fem import DensityField, GridSpec, assemble_stiffness, integrate_cells
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.mg import coarsenings
 from stodesign.objective import Objective, cost
@@ -164,10 +164,10 @@ def test_penalized_descent_derivative_identity():
     sset = make_deterministic(g, np.ones(g.n_cells))
     a = DensityField.constant(g, 1.5)
     kind = Objective.COMPLIANCE
-    sols = solve_state(a, load_basis(sset), tol=1e-12)
+    s = solve_state(a, load_basis(sset), tol=1e-12)
     from stodesign.objective import gradient_density
 
-    gd = gradient_density(sols, kind)
+    gd = gradient_density(s, kind)
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
     _, gamma = project(a, gd, eta, a.mass(), 1.0, 2.0)
     direction = eta * (gd - gamma)
@@ -526,12 +526,12 @@ def test_trial_solve_stops_at_its_cap_and_is_rejected(monkeypatch):
 
     def spy_solve(field, basis, tol=1e-10, warm_starts=None, max_iter=None):
         try:
-            sols = real_solve_state(field, basis, tol, warm_starts, max_iter)
+            s = real_solve_state(field, basis, tol, warm_starts, max_iter)
         except RuntimeError as exc:
             events.append(("failed", field.values.copy(), max_iter, str(exc)))
             raise
-        events.append(("solved", field.values.copy(), max_iter, [s.iterations for s in sols]))
-        return sols
+        events.append(("solved", field.values.copy(), max_iter, s.iterations))
+        return s
 
     def spy_update(*args, **kwargs):
         out = real_update(*args, **kwargs)
@@ -599,15 +599,15 @@ def test_final_states_are_the_last_accepted_solves(monkeypatch, sset, kind, cfg,
     real_solve_state = optimizer.solve_state
 
     def spy_solve(field, *args, **kwargs):
-        sols = real_solve_state(field, *args, **kwargs)
-        solves.append((field, sols))
-        return sols
+        s = real_solve_state(field, *args, **kwargs)
+        solves.append((field, s))
+        return s
 
     monkeypatch.setattr(optimizer, "solve_state", spy_solve)
     res = run(cfg, sset, kind)
     assert res.stop_reason in stop_reasons
-    sols = [sols for field, sols in solves if field is res.density][-1]
-    assert same_bits(res.states, np.stack([s.u.values for s in sols]))
+    final = [s for field, s in solves if field is res.density][-1]
+    assert same_bits(res.states, final.states)
     basis = load_basis(sset)
     for name in ("loads", "coefficients", "weights"):
         assert same_bits(getattr(res.basis, name), getattr(basis, name))
@@ -638,18 +638,17 @@ def test_only_the_final_design_is_solved_to_1e_10(monkeypatch, sset, kind, cfg, 
     # the returned states solve their loads to 1e-10, up to the drift of the
     # recurrence residual that CG tests from the true one
     K = assemble_stiffness(res.density)
-    for row, b in zip(res.states, basis.loads):
-        x = NodalField(res.density.grid, row).interior()
+    for x, b in zip(res.states, basis.loads):
         assert np.linalg.norm(K @ x - b) <= 2e-10 * np.linalg.norm(b)
 
 
 def test_final_solve_cross_check_failure_stops_the_run(monkeypatch):
     # a trial's cross-check failure rejects the trial; the final solve's,
     # checked at 1e-10's bound, stops the run naming that solve
-    def final_disagrees(a, sols, kind):
-        if sols[0].solve_tol < optimizer.ITERATE_TOL:
+    def final_disagrees(a, s, kind):
+        if s.tol < optimizer.ITERATE_TOL:
             raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
-        return cost(a, sols, kind)
+        return cost(a, s, kind)
 
     monkeypatch.setattr(optimizer, "cost", final_disagrees)
     with pytest.raises(ArithmeticError, match=r"^the final solve, of iterate 3: load-pairing"):
@@ -659,7 +658,7 @@ def test_final_solve_cross_check_failure_stops_the_run(monkeypatch):
 def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
     # row 0 of the start history is the one copy of the accepted states, and
     # `update` forms its own eta for each halving: when the trials start, no
-    # earlier solve's solutions and no earlier eta are alive
+    # earlier solve, nor its states, and no earlier eta are alive
     refs = []
     real_solve_state, real_barrier_eta, real_update = (
         optimizer.solve_state,
@@ -668,9 +667,9 @@ def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
     )
 
     def spy_solve(*args, **kwargs):
-        sols = real_solve_state(*args, **kwargs)
-        refs.extend(weakref.ref(s) for s in sols)
-        return sols
+        s = real_solve_state(*args, **kwargs)
+        refs.extend([weakref.ref(s), weakref.ref(s.states)])
+        return s
 
     def spy_eta(*args):
         eta = real_barrier_eta(*args)
@@ -707,8 +706,8 @@ def test_run_peak_memory_holds_each_grid_sized_array_once():
 
 
 def test_run_holds_no_per_scenario_records():
-    # a run returns the 1 + r basis states of its final solve, not one state,
-    # load and energy per scenario: with K = 16 scenarios of rank 3 at 64^2
+    # a run returns the 1 + r interior-node basis states of its final solve,
+    # not one state, load and energy per scenario: with K = 16 scenarios of rank 3 at 64^2
     # the traced peak is about 58 interior-node vectors; K records at the
     # end of the run would make it about 100
     g = GridSpec(64, 64)
@@ -721,4 +720,4 @@ def test_run_holds_no_per_scenario_records():
     finally:
         tracemalloc.stop()
     assert peak <= 75 * g.n_interior * np.dtype(float).itemsize
-    assert res.states.shape == (1 + 3, g.n_nodes)
+    assert res.states.shape == (1 + 3, g.n_interior)

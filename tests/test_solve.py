@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stodesign.solve as solve_module
-from stodesign.fem import DensityField, GridSpec, NodalField
-from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot
+from stodesign.cg import dot
+from stodesign.fem import DensityField, GridSpec
+from stodesign.fem import assemble_load, assemble_stiffness, cell_grad_dot, cell_gradients
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.objective import Objective, cost, gradient_density
 from stodesign.optimizer import OptimizerConfig, run
@@ -20,23 +21,24 @@ from stodesign.scenarios import (
 from stodesign.solve import load_basis, solve_state
 
 from oracles import (
-    boundary_node_ids,
     loop_optimality_residual,
     pm_pair_set,
+    same_bits,
     sample_cells,
     sine_modes,
 )
 
 
 def _center_node(g: GridSpec) -> int:
-    return (g.ny // 2) * (g.nx + 1) + g.nx // 2
+    """The interior index of the node at the domain center."""
+    return (g.ny // 2 - 1) * (g.nx - 1) + g.nx // 2 - 1
 
 
 def test_manufactured_center_value():
     g = GridSpec(64, 64)
     f = sample_cells(g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    sols = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
-    assert abs(sols[0].u.values[_center_node(g)] - 1.0) < 1e-3
+    s = solve_state(DensityField.constant(g, 1.0), load_basis(make_deterministic(g, f)))
+    assert abs(s.states[0, _center_node(g)] - 1.0) < 1e-3
 
 
 def _poisson_center_series() -> float:
@@ -57,53 +59,57 @@ def _poisson_center_series() -> float:
 def test_unit_load_center_value_vs_series():
     g = GridSpec(128, 128)
     basis = load_basis(make_deterministic(g, np.ones(g.n_cells)))
-    sols = solve_state(DensityField.constant(g, 1.0), basis)
+    s = solve_state(DensityField.constant(g, 1.0), basis)
     oracle = _poisson_center_series()
     assert oracle == pytest.approx(0.07367135, abs=1e-6)
-    assert abs(sols[0].u.values[_center_node(g)] - oracle) < 5e-4
+    assert abs(s.states[0, _center_node(g)] - oracle) < 5e-4
 
 
 def test_zero_load_zero_solution():
     g = GridSpec(8, 8)
     basis = load_basis(make_deterministic(g, np.zeros(g.n_cells)))
-    sols = solve_state(DensityField.constant(g, 1.0), basis)
-    assert np.all(sols[0].u.values == 0.0)
+    s = solve_state(DensityField.constant(g, 1.0), basis)
+    assert np.all(s.states == 0.0)
 
 
 def test_boundary_values_exactly_zero():
+    # a state holds the interior nodes only, and the kernels pad the boundary
+    # with exact zeros: the SW corner cell sees its NE corner alone
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
-    for sol in sols:
-        assert np.all(sol.u.values[boundary_node_ids(g)] == 0.0)
+    s = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
+    assert s.states.shape == (2, g.n_interior)
+    for x in s.states:
+        gx, gy = cell_gradients(g, x)[0]
+        assert (gx, gy) == (x[0] / (2.0 * g.hx), x[0] / (2.0 * g.hy))
 
 
 def test_adjoint_compliance_is_state():
     # compliance is self-adjoint: its gradient is built from p = u
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
-    g_comp = gradient_density(sols, Objective.COMPLIANCE)
+    s = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
+    g_comp = gradient_density(s, Objective.COMPLIANCE)
     expected = np.zeros(g.n_cells)
-    for sol in sols:  # the basis loads carry unit weight
-        expected += cell_grad_dot(sol.u)
+    for x in s.states:  # the basis loads carry unit weight
+        expected += cell_grad_dot(g, x)
     assert np.array_equal(g_comp, expected)
 
 
 def test_adjoint_energy_is_negated_state():
     # the energy adjoint is p = -u, so its gradient is the exact negation
     g = GridSpec(16, 16)
-    sols = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
-    g_comp = gradient_density(sols, Objective.COMPLIANCE)
-    g_en = gradient_density(sols, Objective.ENERGY)
+    s = solve_state(DensityField.constant(g, 1.5), load_basis(make_case1(g)))
+    g_comp = gradient_density(s, Objective.COMPLIANCE)
+    g_en = gradient_density(s, Objective.ENERGY)
     assert np.array_equal(g_en, -g_comp)
 
 
 def test_compliance_gradient_product_nonnegative():
     g = GridSpec(16, 16)
-    sols = solve_state(
+    s = solve_state(
         DensityField.constant(g, 1.0),
         load_basis(make_deterministic(g, np.ones(g.n_cells))),
     )
-    assert np.all(gradient_density(sols, Objective.COMPLIANCE) >= 0.0)
+    assert np.all(gradient_density(s, Objective.COMPLIANCE) >= 0.0)
 
 
 def test_linearity_in_load():
@@ -113,9 +119,9 @@ def test_linearity_in_load():
     xi = np.zeros(g.n_cells)
     xi[:40] = 0.7
     xi[40:80] = -0.7
-    u_f = solve_state(a, load_basis(make_deterministic(g, f)), tol=1e-12)[0].u.values
-    u_xi = solve_state(a, load_basis(make_deterministic(g, xi)), tol=1e-12)[0].u.values
-    u_sum = solve_state(a, load_basis(make_deterministic(g, f + xi)), tol=1e-12)[0].u.values
+    u_f = solve_state(a, load_basis(make_deterministic(g, f)), tol=1e-12).states[0]
+    u_xi = solve_state(a, load_basis(make_deterministic(g, xi)), tol=1e-12).states[0]
+    u_sum = solve_state(a, load_basis(make_deterministic(g, f + xi)), tol=1e-12).states[0]
     assert np.max(np.abs(u_sum - u_f - u_xi)) < 1e-11
 
 
@@ -125,16 +131,16 @@ def test_sign_symmetry_exact():
     a = DensityField.constant(g, 1.5)
     xi = np.zeros(g.n_cells)
     xi[10:30] = 2.0
-    u_plus = solve_state(a, load_basis(make_deterministic(g, xi)))[0].u.values
-    u_minus = solve_state(a, load_basis(make_deterministic(g, -xi)))[0].u.values
+    u_plus = solve_state(a, load_basis(make_deterministic(g, xi))).states[0]
+    u_minus = solve_state(a, load_basis(make_deterministic(g, -xi))).states[0]
     assert np.max(np.abs(u_plus + u_minus)) == 0.0
 
 
 def test_coefficient_scaling():
     g = GridSpec(16, 16)
     sset = make_deterministic(g, np.ones(g.n_cells))
-    u1 = solve_state(DensityField.constant(g, 1.0), load_basis(sset), tol=1e-12)[0].u.values
-    u3 = solve_state(DensityField.constant(g, 3.0), load_basis(sset), tol=1e-12)[0].u.values
+    u1 = solve_state(DensityField.constant(g, 1.0), load_basis(sset), tol=1e-12).states[0]
+    u3 = solve_state(DensityField.constant(g, 3.0), load_basis(sset), tol=1e-12).states[0]
     assert np.max(np.abs(u3 - u1 / 3.0)) < 1e-11
 
 
@@ -143,8 +149,8 @@ def test_stiffness_shared_across_scenarios():
     # scenarios keep their weights 1/2 and combine the two states
     g = GridSpec(16, 16)
     basis = load_basis(make_case1(g))
-    sols = solve_state(DensityField.constant(g, 1.5), basis)
-    assert len(sols) == 2
+    s = solve_state(DensityField.constant(g, 1.5), basis)
+    assert s.states.shape == (2, g.n_interior)
     assert basis.coefficients.shape == (2, 2)
     assert list(basis.weights) == [0.5, 0.5]
 
@@ -207,9 +213,9 @@ def test_warm_start_count_must_match_scenarios():
         solve_state(a, load_basis(make_case1(g)), warm_starts=[x, x, x])
 
 
-def _true_relative_residual(a: DensityField, sol) -> float:
-    K, b = assemble_stiffness(a), sol.load
-    return float(np.linalg.norm(K @ sol.u.interior() - b) / np.linalg.norm(b))
+def _true_relative_residual(a: DensityField, b: np.ndarray, x: np.ndarray) -> float:
+    K = assemble_stiffness(a)
+    return float(np.linalg.norm(K @ x - b) / np.linalg.norm(b))
 
 
 def _duplicated_set(g: GridSpec) -> ScenarioSet:
@@ -248,9 +254,9 @@ def _rel(x, ref) -> float:
 
 
 def _cold_states(a: DensityField, sset: ScenarioSet, tol: float) -> list:
-    """Each scenario's solution by its own cold solve of f + xi_k, of unit weight."""
+    """Each scenario's `BasisSolve` of its own cold solve of f + xi_k, of unit weight."""
     return [
-        solve_state(a, load_basis(make_deterministic(a.grid, sset.f + s.xi)), tol=tol)[0]
+        solve_state(a, load_basis(make_deterministic(a.grid, sset.f + s.xi)), tol=tol)
         for s in sset.scenarios
     ]
 
@@ -275,24 +281,23 @@ def test_dependent_loads_match_cold_solves(make_set):
     tol = 1e-10
     basis = load_basis(sset)
     assert len(basis.loads) < len(sset.scenarios) + 1
-    sols = solve_state(a, basis, tol=tol)
+    s = solve_state(a, basis, tol=tol)
     cold = _cold_states(a, sset, tol)
-    for sol in sols:
-        assert _true_relative_residual(a, sol) <= tol
-    states = np.stack([s.u.values for s in sols])
-    for c, ref in zip(basis.coefficients, cold):
-        u = NodalField(g, c @ states)
-        assert _rel(c @ basis.loads, ref.load) <= 1e-12
-        assert _rel(u.values, ref.u.values) <= 1e-8
-        assert _rel(cell_grad_dot(u), ref.energy) <= 1e-8
+    for b, x in zip(basis.loads, s.states):
+        assert _true_relative_residual(a, b, x) <= tol
+    for c, scenario, ref in zip(basis.coefficients, sset.scenarios, cold):
+        u = c @ s.states
+        assert _rel(c @ basis.loads, assemble_load(g, sset.f + scenario.xi)) <= 1e-12
+        assert _rel(u, ref.states[0]) <= 1e-8
+        assert _rel(cell_grad_dot(g, u), ref.energy) <= 1e-8
     w = sset.weights()
     for kind in Objective:
         # both cross-checks pass, the basis' and each cold solve's
-        c = cost(a, sols, kind)
-        c_ref = sum(w_k * cost(a, [ref], kind) for w_k, ref in zip(w, cold))
+        c = cost(a, s, kind)
+        c_ref = sum(w_k * cost(a, ref, kind) for w_k, ref in zip(w, cold))
         assert abs(c - c_ref) <= 1e-8 * abs(c_ref)
-        g_ref = sum(w_k * gradient_density([ref], kind) for w_k, ref in zip(w, cold))
-        assert _rel(gradient_density(sols, kind), g_ref) <= 1e-8
+        g_ref = sum(w_k * gradient_density(ref, kind) for w_k, ref in zip(w, cold))
+        assert _rel(gradient_density(s, kind), g_ref) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -327,10 +332,10 @@ def test_solves_per_call_are_one_plus_rank(monkeypatch, pairs, rank):
     a = DensityField(g, np.random.default_rng(4).uniform(1.0, 2.0, g.n_cells))
     basis = load_basis(pm_pair_set(g, pairs, rank, 5))
     calls = _spy_cg(monkeypatch)
-    sols = solve_state(a, basis)
+    s = solve_state(a, basis)
     assert len(calls) == 1 + rank
     calls.clear()
-    solve_state(a, basis, warm_starts=[s.u.interior() for s in sols])
+    solve_state(a, basis, warm_starts=s.states)
     assert len(calls) == 1 + rank
 
 
@@ -339,8 +344,8 @@ def test_zero_perturbations_cost_one_solve(monkeypatch):
     zero = np.zeros(g.n_cells)
     sset = ScenarioSet(g, np.ones(g.n_cells), [Scenario(zero, 0.5), Scenario(zero, 0.5)])
     calls = _spy_cg(monkeypatch)
-    sols = solve_state(DensityField.constant(g, 1.5), load_basis(sset))
-    assert len(calls) == len(sols) == 1
+    s = solve_state(DensityField.constant(g, 1.5), load_basis(sset))
+    assert len(calls) == len(s.states) == 1
 
 
 @pytest.mark.parametrize(
@@ -387,28 +392,45 @@ def test_loads_are_assembled_once_per_basis(monkeypatch):
     assert len(calls) == len(basis.loads) == 1 + 3
     calls.clear()
     a = DensityField(g, np.random.default_rng(3).uniform(1.0, 2.0, g.n_cells))
-    sols = solve_state(a, basis)
-    solve_state(a, basis, warm_starts=[s.u.interior() for s in sols])
+    s = solve_state(a, basis)
+    solve_state(a, basis, warm_starts=s.states)
     assert calls == []
 
 
-def test_solutions_carry_the_basis_loads_cg_solved(monkeypatch):
-    # CG solves each row of basis.loads as it is, and the solution keeps that row, not a copy
+@pytest.mark.parametrize(
+    "make_set", [make_case1, lambda g: pm_pair_set(g, 6, 3, 2)], ids=["case1", "pm-pairs-rank3"]
+)
+def test_basis_solve_holds_what_cg_returned(monkeypatch, make_set):
+    # CG solves each row of basis.loads as it is, not a copy; the solve keeps
+    # the x CG returned for it as that row of its states, and forms the two
+    # sums the cost reads from them in load order
     g = GridSpec(16, 16)
-    basis = load_basis(make_case1(g))
+    basis = load_basis(make_set(g))
     seen = []
     real = solve_module.cg_solve
 
     def spy(K, b, **kwargs):
-        seen.append(b)
-        return real(K, b, **kwargs)
+        x, report = real(K, b, **kwargs)
+        seen.append((b, x.copy(), report))
+        return x, report
 
     monkeypatch.setattr("stodesign.solve.cg_solve", spy)
-    sols = solve_state(DensityField.constant(g, 1.5), basis)
-    assert len(seen) == len(sols) == len(basis.loads)
-    for b, sol, row in zip(seen, sols, basis.loads):
-        assert row.shape == (g.n_interior,)
-        assert np.shares_memory(b, row) and np.shares_memory(sol.load, row)
+    a = DensityField(g, np.random.default_rng(3).uniform(1.0, 2.0, g.n_cells))
+    s = solve_state(a, basis, tol=1e-8)
+    assert len(seen) == len(basis.loads)
+    assert s.states.shape == (len(basis.loads), g.n_interior)
+    for (b, x, _), row, state in zip(seen, basis.loads, s.states):
+        assert np.shares_memory(b, row)
+        assert same_bits(state, x)
+    pairing = 0
+    energy = np.zeros(g.n_cells)
+    for b, x, _ in seen:
+        pairing += dot(b, x)
+        energy += cell_grad_dot(g, x)
+    assert type(s.pairing) is float and s.pairing == pairing
+    assert same_bits(s.energy, energy)
+    assert s.iterations == [report.iterations for *_, report in seen]
+    assert s.tol == 1e-8
 
 
 @pytest.mark.parametrize(
@@ -447,8 +469,8 @@ def test_residual_from_combined_states_matches_cold_solves(make_set):
     a = DensityField(g, np.random.default_rng(11).uniform(1.0, 2.0, g.n_cells))
     sset = make_set(g)
     basis = load_basis(sset)
-    states = np.stack([s.u.values for s in solve_state(a, basis)])
-    cold = [ref.u for ref in _cold_states(a, sset, 1e-10)]
+    states = solve_state(a, basis).states
+    cold = [ref.states[0] for ref in _cold_states(a, sset, 1e-10)]
     phases = PhasePair(1.0, 2.0)
     for kind in Objective:
         res = optimality_residual(a, basis, states, kind, phases)
@@ -477,19 +499,21 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
         scenarios[k] = Scenario(s.xi, 0.5 * s.weight)
         scenarios.append(Scenario(s.xi.copy(), 0.5 * s.weight))
     basis = load_basis(ScenarioSet(g, f, scenarios))
-    sols = solve_state(a, basis)
-    for sol in sols:
-        assert np.array_equal(sol.energy, cell_grad_dot(sol.u))
-    cost(a, sols, Objective.COMPLIANCE)  # raises if the cross-check fails
+    s = solve_state(a, basis)
+    energy = np.zeros(g.n_cells)
+    for x in s.states:
+        energy += cell_grad_dot(g, x)
+    assert np.array_equal(s.energy, energy)
+    cost(a, s, Objective.COMPLIANCE)  # raises if the cross-check fails
 
 
 def test_solve_state_caps_each_load_and_counts_its_iterations():
     g = GridSpec(16, 16)
     a = DensityField(g, np.random.default_rng(4).uniform(1.0, 2.0, g.n_cells))
     basis = load_basis(make_case1(g))
-    its = [sol.iterations for sol in solve_state(a, basis)]
+    its = solve_state(a, basis).iterations
     assert len(its) >= 2 and min(its) >= 2
-    assert [sol.iterations for sol in solve_state(a, basis, max_iter=its)] == its
+    assert solve_state(a, basis, max_iter=its).iterations == its
     short = its[:-1] + [its[-1] - 1]
     with pytest.raises(RuntimeError, match=rf"after {its[-1] - 1} iterations\)$"):
         solve_state(a, basis, max_iter=short)
