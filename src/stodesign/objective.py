@@ -39,12 +39,16 @@ class Objective(enum.Enum):
 def cost(a: DensityField, s: "BasisSolve", kind: Objective) -> float:
     """Expected cost over scenarios, from the states of a `LoadBasis`.
 
-    Compliance is sum_k w_k * integral (f + xi_k) u_k, the load pairing
-    sum_i b_i.x_i over the basis' unit-weight loads and interior states;
-    energy is its negation. The pairing is cross-checked against the
-    stiffness-energy form integral a sum_i |grad u_i|^2, which must agree
-    within 10x the solver tolerance; a larger gap, or a side that is not
-    finite, indicates an assembly or bookkeeping bug or an overflow.
+    Compliance is sum_k w_k * integral (f + xi_k) u_k, which at the exact
+    states is both the load pairing sum_i b_i.x_i over the basis'
+    unit-weight loads and the stiffness energy integral a sum_i |grad u_i|^2
+    = sum_i x_i.K x_i; energy is its negation. The value returned is
+    kind.sign times the energy functional 2 * pairing - stiffness energy,
+    which at states x_i = x_i* + d_i is the exact compliance minus
+    sum_i d_i.K d_i: its error is second order in the solve error, where
+    the pairing's is first order. The two forms are cross-checked, and must
+    agree within 10x the solver tolerance; a larger gap, or a side that is
+    not finite, indicates an assembly or bookkeeping bug or an overflow.
     """
     pairing = s.pairing
     energy = dot(a.values, s.energy) * a.grid.cell_area
@@ -54,7 +58,7 @@ def cost(a: DensityField, s: "BasisSolve", kind: Objective) -> float:
             f"load-pairing cost {pairing!r} and stiffness-energy cost {energy!r} "
             f"disagree by {gap:.3e}; assembly and solutions are inconsistent"
         )
-    return kind.sign * pairing
+    return kind.sign * (2.0 * pairing - energy)
 
 
 def gradient_density(s: "BasisSolve", kind: Objective) -> np.ndarray:

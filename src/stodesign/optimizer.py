@@ -30,7 +30,6 @@ from .solve import BasisSolve, LoadBasis, load_basis, solve_state
 MAX_HALVINGS = 30
 MASS_REL_TOL = 1e-10  # a trial misses the mass target by at most this, relative
 ITERATE_TOL = 1e-6  # relative residual of the solves of iterates and trials
-HISTORY = 5  # accepted states per load whose span starts the next solve of that load
 # A trial's solve of a load stops after TRIAL_ITER_FACTOR times the CG
 # iterations the accepted iterate's solve of that load took, and at least
 # TRIAL_ITER_FLOOR: a trial that needs more is rejected, as at extreme contrast
@@ -218,17 +217,18 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     energy density is not finite or whose cost cross-check fails is rejected
     and the step halved.
 
-    Each load's solve starts from the best combination of that load's last
-    HISTORY accepted states (`cg_solve` with a stack of starts); rejected
-    trials leave that history as it was. Its newest row holds the one copy of
-    the accepted states.
+    Each load's trials start from the linear extrapolation 2 x_k - x_(k-1) of
+    that load's last two accepted states, iterate 0's from x_0 itself;
+    rejected trials leave both as they were. The run holds two states per
+    load: x_k, and the extrapolation written over x_(k-1).
 
     Every iterate and trial is solved to ITERATE_TOL. After the loop, whatever
     the stop reason, the final design is solved once more to `solve_state`'s
-    default of 1e-10, warm from the start history: that solve gives the last
-    record's cost and the returned basis states, and its cost cross-check holds
-    at that tolerance's bound. A CG or cross-check failure of that solve
-    raises RuntimeError or ArithmeticError naming the final solve.
+    default of 1e-10, starting from its own states x_k: that solve gives the
+    last record's cost and the returned basis states, and its cost
+    cross-check holds at that tolerance's bound. A CG or cross-check failure
+    of that solve raises RuntimeError or ArithmeticError naming the final
+    solve.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -245,6 +245,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     def evaluate(field: DensityField) -> float:
         """Cost of a trial density; keeps its solve in `trial` for acceptance."""
         nonlocal trial
+        trial = None  # a rejected trial's solve is freed before the next one's
         try:
             trial = solve(field, tol=ITERATE_TOL, warm_starts=warm, max_iter=caps)
         except (RuntimeError, ArithmeticError):
@@ -262,8 +263,6 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
                 f"beta/alpha = {cfg.beta / cfg.alpha:.3g} overflows the arithmetic"
             )
 
-    # each load's last HISTORY accepted states, preallocated, newest in row 0
-    starts = np.empty((len(basis.loads), HISTORY, grid.n_interior))
     s, cost_now = trial = solve(a, tol=ITERATE_TOL)
     cost_scale = abs(cost_now)
     history: list[ConvergenceRecord] = []
@@ -271,11 +270,11 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     for k in range(cfg.max_iters + 1):
         require_finite("the energy density", cost_now, k)
         g = gradient_density(s, kind)
-        if k:  # the old row 0 replaces the oldest state: no row shifts
-            starts[:, 1 + (k - 1) % (HISTORY - 1)] = starts[:, 0]
-        starts[:, 0] = s.states
+        # the trials' starts: 2 x_k - x_(k-1), written over x_(k-1)
+        warm = s.states if k == 0 else np.subtract(2.0 * s.states, states, out=states)
+        states = s.states
         caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * n) for n in s.iterations]
-        s = trial = None  # starts[:, 0] is now the one copy of the accepted states
+        s = trial = None  # `states` is now the one copy of the accepted states
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
         projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
         saturated = projected is None
@@ -293,7 +292,6 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         elif saturated:
             stop_reason = "converged"  # no cell can move toward the mass
         else:
-            warm = starts[:, : min(k + 1, HISTORY)]
             a_next, gamma_step, step_eps = update(a, g, cfg, evaluate, cost_now, projected)
             if step_eps == 0.0:
                 stop_reason = "stagnated"
@@ -306,9 +304,9 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         converged = abs(trial[1] - cost_now) <= cfg.eps1 * cost_scale
         s, cost_now = trial
 
-    trial = None  # a stagnated run's last rejected trial
+    trial = warm = None  # a stagnated run's last rejected trial, and the trials' starts
     try:
-        s, cost_now = solve(a, warm_starts=starts[:, : min(k + 1, HISTORY)])
+        s, cost_now = solve(a, warm_starts=states)
     except (RuntimeError, ArithmeticError) as exc:
         raise type(exc)(f"the final solve, of iterate {k}: {exc}") from None
     require_finite("the final solve's energy density", cost_now, k)

@@ -102,12 +102,13 @@ def solve_state(
 ) -> BasisSolve:
     """Solve the state equation for every load of the basis, to relative residual tol.
 
-    Load i starts from warm_starts[i], a state or an (h, n_interior) stack of
-    states passed to `cg_solve` as its x0, and its CG stops after max_iter[i]
-    iterations (`cg_solve`'s cap when omitted). Raises RuntimeError naming the
-    load if CG does not converge. The solve records `tol`, which bounds
-    `cost`'s cross-check; the design loop solves its iterates and trials to
-    its looser `ITERATE_TOL` and only its final design to this default.
+    Load i starts from the state warm_starts[i], `cg_solve`'s x0, and its CG
+    stops after max_iter[i] iterations (`cg_solve`'s cap when omitted).
+    Raises RuntimeError naming the load if CG does not converge, and
+    ValueError (`cg_solve`) for a tol that is not a finite number in (0, 1).
+    The solve records `tol`, which bounds `cost`'s cross-check; the design
+    loop solves its iterates and trials to its looser `ITERATE_TOL` and only
+    its final design to this default.
     """
     if basis.grid != a.grid:
         raise ValueError("load basis and coefficient live on different grids")

@@ -44,7 +44,8 @@ DESIGNS = {
         False,
     ),
     "case1-128x16": (["--preset", "case1", "--nx", "128", "--ny", "16"], False),
-    # stagnates where a step's cost decrease rounds away
+    # beta/alpha = 1e20: whether it stagnates, where a step's cost decrease
+    # rounds away, or converges hangs on the last bits of the arithmetic
     "deterministic-16-energy-alpha1e-20": (
         ["--nx", "16", "--ny", "16", "--objective", "energy", "--alpha", "1e-20"],
         True,

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from stodesign.fem import DensityField, GridSpec
+from stodesign.cg import dot
+from stodesign.fem import DensityField, GridSpec, assemble_stiffness, cell_grad_dot
 from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import make_case1, make_case2, make_deterministic
-from stodesign.solve import load_basis, solve_state
+from stodesign.solve import BasisSolve, load_basis, solve_state
 
 from oracles import expected_decomposition_check, sample_cells
 
@@ -46,6 +47,32 @@ def test_energy_is_negated_compliance():
     sset = make_case1(g)
     s = solve_state(a, load_basis(sset))
     assert cost(a, s, Objective.ENERGY) == -cost(a, s, Objective.COMPLIANCE)
+
+
+@pytest.mark.parametrize("kind", list(Objective))
+def test_cost_is_the_energy_functional(kind):
+    # at states x_i* + d_i the cost is kind.sign * (c* - sum_i d_i.K d_i), c*
+    # the exact cost: second order in the solve error, where the load
+    # pairing's error, sum_i b_i.d_i, is first order
+    g = GridSpec(16, 16)
+    rng = np.random.default_rng(7)
+    a = DensityField(g, rng.uniform(1.0, 2.0, g.n_cells))
+    basis = load_basis(make_case1(g))
+    K = assemble_stiffness(a)
+    exact = np.linalg.solve(K.toarray(), basis.loads.T).T
+    d = 1e-3 * np.abs(exact).max() * rng.standard_normal(exact.shape)
+    states = exact + d
+    s = BasisSolve(
+        states,
+        sum(dot(b, x) for b, x in zip(basis.loads, states)),
+        sum(cell_grad_dot(g, x) for x in states),
+        [0] * len(states),
+        1e-2,  # the pairing's first-order error is far above 1e-10's cross-check bound
+    )
+    c_exact = float(np.sum(basis.loads * exact))
+    second_order = float(np.sum(d * (K @ d.T).T))
+    assert cost(a, s, kind) == pytest.approx(kind.sign * (c_exact - second_order), rel=1e-12, abs=0.0)
+    assert abs(s.pairing - c_exact) > 1e-6 * c_exact  # the pairing alone is far off
 
 
 def test_cross_check_catches_corrupted_solution():

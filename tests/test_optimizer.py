@@ -473,20 +473,17 @@ def _spy_cg(monkeypatch):
     return calls
 
 
-def test_history_starts_cut_cg_iterations(monkeypatch):
-    # case1 37x23 compliance at the defaults: 73 records and 148 solves, the
-    # final re-solve's two included, and 826 CG iterations when each load
-    # started from its last state alone (283 from its last five)
+def test_extrapolated_starts_cut_cg_iterations(monkeypatch):
+    # case1 37x23 compliance at the defaults: 74 records and 150 solves, the
+    # final re-solve's two included, and 834 CG iterations when each load
+    # started from its last state alone (600 from 2 x_k - x_(k-1))
     calls = _spy_cg(monkeypatch)
     res = run(OptimizerConfig(), make_case1(GridSpec(37, 23)), Objective.COMPLIANCE)
-    assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 73, 148)
-    assert sum(report.iterations for _, _, report in calls) <= 0.65 * 826
+    assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 74, 150)
+    assert sum(report.iterations for _, _, report in calls) <= 0.8 * 834
 
 
 def test_rejected_trial_state_never_enters_the_history(monkeypatch):
-    import stodesign.optimizer
-    from stodesign.optimizer import HISTORY
-
     costs = []
 
     def second_call_disagrees(*args, **kwargs):
@@ -495,26 +492,39 @@ def test_rejected_trial_state_never_enters_the_history(monkeypatch):
             raise ArithmeticError("load-pairing and stiffness-energy costs disagree")
         return cost(*args, **kwargs)
 
-    monkeypatch.setattr(stodesign.optimizer, "cost", second_call_disagrees)
+    ends = []  # len(calls) when each `update` returned: its last solves are the accepted trial's
+    real_update = optimizer.update
+
+    def spy_update(*args):
+        out = real_update(*args)
+        ends.append(len(calls))
+        return out
+
+    monkeypatch.setattr(optimizer, "cost", second_call_disagrees)
+    monkeypatch.setattr(optimizer, "update", spy_update)
     calls = _spy_cg(monkeypatch)
     cfg = OptimizerConfig(eps1=1e-5)
     res = run(cfg, make_case1(GridSpec(16, 16)), Objective.COMPLIANCE)
     assert res.stop_reason == "converged" and res.history[0].step_eps == cfg.eps / 2
-    # two loads per design, solved in turn: calls 0-1 solve the initial
-    # design and 2-3 the rejected first trial; each later start stacks
-    # earlier results of its own load, never the rejected ones
-    assert [x0 is None for x0, _, _ in calls[:2]] == [True, True]
+    assert all(r.step_eps > 0.0 for r in res.history[:-1])  # every `update` accepted
+    # two loads per design, solved in turn: calls 0-1 solve the initial design
+    # and 2-3 the rejected first trial. Iterate k's trials start from
+    # 2 x_k - x_(k-1) of the accepted states, iterate 0's from x_0, and the
+    # final solve from the last x_k
+    n = 2
+    assert [x0 is None for x0, _, _ in calls[:n]] == [True] * n
+    bounds = [n, *ends]  # calls[bounds[k]:bounds[k + 1]] solve iterate k's trials
+    accepted = [[x for _, x, _ in calls[end - n : end]] for end in bounds]
     rejected = [x for _, x, _ in calls[2:4]]
-    for c in (2, 3, 4, 5):  # both trials of iterate 0 start from the initial state
-        assert np.array_equal(calls[c][0], calls[c % 2][1][None, :])
-    for c in range(2, len(calls)):
-        x0 = calls[c][0]
-        earlier = [x for _, x, _ in calls[c % 2 : c : 2]]
-        assert 1 <= len(x0) <= HISTORY
-        for row in x0:
-            assert any(np.array_equal(row, x) for x in earlier)
-            assert not any(np.array_equal(row, x) for x in rejected)
-    assert max(len(x0) for x0, _, _ in calls[2:]) == HISTORY
+    assert not any(same_bits(r, x) for r in rejected for xs in accepted for x in xs)
+    for k in range(len(ends)):
+        for c in range(bounds[k], bounds[k + 1]):
+            x_k = accepted[k][c % n]
+            start = x_k if k == 0 else 2.0 * x_k - accepted[k - 1][c % n]
+            assert same_bits(calls[c][0], start)
+    assert len(calls) == bounds[-1] + n
+    for (x0, _, _), x_k in zip(calls[-n:], accepted[-1]):
+        assert same_bits(x0, x_k)
 
 
 def test_trial_solve_stops_at_its_cap_and_is_rejected(monkeypatch):
@@ -616,8 +626,8 @@ def test_final_states_are_the_last_accepted_solves(monkeypatch, sset, kind, cfg,
 @FINAL_RUNS
 def test_only_the_final_design_is_solved_to_1e_10(monkeypatch, sset, kind, cfg, stop_reasons):
     # iterates and trials are solved to ITERATE_TOL; whatever the stop
-    # reason, the final design is solved once more to 1e-10, warm from the
-    # stacked start history, and that solve gives the reported cost and states
+    # reason, the final design is solved once more to 1e-10, from its own
+    # states, and that solve gives the reported cost and states
     from stodesign.cg import cg_solve
 
     calls = []
@@ -631,7 +641,7 @@ def test_only_the_final_design_is_solved_to_1e_10(monkeypatch, sset, kind, cfg, 
     assert res.stop_reason in stop_reasons
     basis = load_basis(sset)
     n = len(basis.loads)
-    assert len(calls) > n and calls[-n:] == [(1e-10, 2)] * n
+    assert len(calls) > n and calls[-n:] == [(1e-10, 1)] * n
     assert all(tol == optimizer.ITERATE_TOL for tol, _ in calls[:-n])
     cold = cost(res.density, solve_state(res.density, basis), kind)
     assert res.history[-1].cost == pytest.approx(cold, rel=1e-9, abs=0.0)
@@ -656,10 +666,11 @@ def test_final_solve_cross_check_failure_stops_the_run(monkeypatch):
 
 
 def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
-    # row 0 of the start history is the one copy of the accepted states, and
-    # `update` forms its own eta for each halving: when the trials start, no
-    # earlier solve, nor its states, and no earlier eta are alive
-    refs = []
+    # the run holds two states per load, x_k and the extrapolation written
+    # over x_(k-1) (at iterate 0, x_0 alone), and `update` forms its own eta
+    # for each halving: when the trials start, no earlier solve, no earlier
+    # eta and no other solve's states are alive
+    refs, states, updates = [], [], []
     real_solve_state, real_barrier_eta, real_update = (
         optimizer.solve_state,
         optimizer.barrier_eta,
@@ -668,7 +679,8 @@ def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
 
     def spy_solve(*args, **kwargs):
         s = real_solve_state(*args, **kwargs)
-        refs.extend([weakref.ref(s), weakref.ref(s.states)])
+        refs.append(weakref.ref(s))
+        states.append(weakref.ref(s.states))
         return s
 
     def spy_eta(*args):
@@ -678,6 +690,8 @@ def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
 
     def spy_update(*args):
         assert refs and all(ref() is None for ref in refs)
+        assert sum(ref() is not None for ref in states) == min(len(updates) + 1, 2)
+        updates.append(1)
         return real_update(*args)
 
     monkeypatch.setattr(optimizer, "solve_state", spy_solve)
@@ -688,11 +702,12 @@ def test_trials_hold_no_accepted_solutions_and_no_base_step(monkeypatch):
 
 
 def test_run_peak_memory_holds_each_grid_sized_array_once():
-    # each multigrid level stores one transfer, the accepted states live only
-    # in the start history, through the trials too, and the energies are
-    # formed after the stiffness matrix is freed: about 44 interior-node
-    # vectors at the peak, where a second copy of each transfer and the
-    # accepted solutions held through the trials made it 57
+    # each multigrid level stores one transfer, the run holds two states per
+    # load through the trials, x_k and the extrapolation written over
+    # x_(k-1), and the energies are formed after the stiffness matrix is
+    # freed: about 37 interior-node vectors at the peak. A five-state start
+    # history makes it 43; a second copy of each transfer and the accepted
+    # solutions held through the trials, 57
     g = GridSpec(128, 128)
     sset = make_case1(g)
     coarsenings.cache_clear()  # the run builds its multigrid hierarchy
@@ -702,14 +717,14 @@ def test_run_peak_memory_holds_each_grid_sized_array_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 46 * g.n_interior * np.dtype(float).itemsize
+    assert peak <= 40 * g.n_interior * np.dtype(float).itemsize
 
 
 def test_run_holds_no_per_scenario_records():
     # a run returns the 1 + r interior-node basis states of its final solve,
     # not one state, load and energy per scenario: with K = 16 scenarios of rank 3 at 64^2
-    # the traced peak is about 58 interior-node vectors; K records at the
-    # end of the run would make it about 100
+    # the traced peak is about 46 interior-node vectors; a five-state start
+    # history makes it 58, and K records at the end of the run about 100
     g = GridSpec(64, 64)
     sset = pm_pair_set(g, 8, 3, 3)
     coarsenings.cache_clear()  # the run builds its multigrid hierarchy
@@ -719,5 +734,5 @@ def test_run_holds_no_per_scenario_records():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 75 * g.n_interior * np.dtype(float).itemsize
+    assert peak <= 50 * g.n_interior * np.dtype(float).itemsize
     assert res.states.shape == (1 + 3, g.n_interior)

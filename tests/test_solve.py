@@ -203,6 +203,15 @@ def test_scenario_set_is_not_a_basis():
         solve_state(DensityField.constant(g, 1.0), make_case1(g))
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 1.0, 2.0])
+def test_unusable_tol_is_rejected(tol):
+    # a tol of 1 or more would pass x = 0 as every load's state, at cost 0,
+    # and nan would fail as "CG did not converge ... after 0 iterations"
+    g = GridSpec(8, 8)
+    with pytest.raises(ValueError, match=r"^tol must be a finite number in \(0, 1\), got "):
+        solve_state(DensityField.constant(g, 1.0), load_basis(make_case1(g)), tol=tol)
+
+
 def test_warm_start_count_must_match_scenarios():
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.0)
