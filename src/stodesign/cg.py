@@ -96,10 +96,16 @@ def cg_solve(
         raise ValueError(f"rhs norm overflows, largest magnitude {float(np.abs(b).max())!r}")
     if b_norm < 1e-100 and b.any():
         # CG is linear in b: a b whose products underflow, dot(p, Kp) to zero
-        # among them, is solved scaled up by a power of two, which is exact
-        scale = 2.0 ** -math.frexp(float(np.abs(b).max()))[1]
-        x, report = cg_solve(K, b * scale, tol, max_iter, None if x0 is None else x0 * scale, M)
-        return x / scale, report
+        # among them, is solved scaled up by a power of two, which is exact.
+        # ldexp, not a factor 2**-e: that factor overflows for a subnormal b.
+        # A start that the scaling takes past the float range is dropped
+        e = -math.frexp(float(np.abs(b).max()))[1]
+        if x0 is not None:
+            with np.errstate(over="ignore"):
+                x0 = np.ldexp(x0, e)
+            x0 = x0 if np.isfinite(x0).all() else None
+        x, report = cg_solve(K, np.ldexp(b, e), tol, max_iter, x0, M)
+        return np.ldexp(x, -e), report
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 

@@ -211,6 +211,18 @@ def test_tiny_rhs_is_solved_as_if_scaled():
     ).tobytes()
 
 
+def test_subnormal_rhs_is_solved():
+    # entries below 2**-1022: the factor 2**-e that scales them up overflows,
+    # and a start the scaling takes past the float range starts from zero
+    K, b, M = _v_cycle_system()
+    x, report = cg_solve(K, b / np.abs(b).max(), M=M)
+    tiny = 2.0**-1040
+    for x0 in (None, np.full(len(b), 1e300)):
+        x_tiny, report_tiny = cg_solve(K, b / np.abs(b).max() * tiny, x0=x0, M=M)
+        assert report_tiny.converged
+        assert np.abs(x_tiny / tiny - x).max() <= 1e-6 * np.abs(x).max()
+
+
 def test_non_finite_solution_is_not_converged():
     # x += alpha*p overflows to inf while r -= alpha*Kp lands exactly on zero
     x, report = cg_solve(1e-300 * _identity(4), np.full(4, 1e10))
@@ -246,9 +258,10 @@ def test_start_is_used_as_given():
     assert report.relative_residual == pytest.approx(residual, rel=1e-12)
 
 
-def test_extrapolated_start_on_stiffness_states():
-    # along a smooth path of designs, 2 x_k - x_(k-1) predicts the next state
-    # far better than x_k alone, and CG needs fewer iterations from it
+def test_stacked_start_on_stiffness_states():
+    # along a smooth path of designs, the start 2 x_k - x_(k-1) formed from
+    # the stack of the last two states predicts the next state far better
+    # than x_k alone, and CG needs fewer iterations from it
     K, b, X = _stiffness_states()
     extrapolated = 2.0 * X[0] - X[1]
     assert _k_error(K, b, extrapolated) < 0.01 * _k_error(K, b, X[0])

@@ -473,10 +473,11 @@ def _spy_cg(monkeypatch):
     return calls
 
 
-def test_extrapolated_starts_cut_cg_iterations(monkeypatch):
+def test_history_starts_cut_cg_iterations(monkeypatch):
     # case1 37x23 compliance at the defaults: 74 records and 150 solves, the
     # final re-solve's two included, and 834 CG iterations when each load
-    # started from its last state alone (600 from 2 x_k - x_(k-1))
+    # started from its last state alone (600 from the extrapolation
+    # 2 x_k - x_(k-1) of its two-state history)
     calls = _spy_cg(monkeypatch)
     res = run(OptimizerConfig(), make_case1(GridSpec(37, 23)), Objective.COMPLIANCE)
     assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 74, 150)
