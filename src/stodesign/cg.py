@@ -72,9 +72,12 @@ def cg_solve(
     iteration: a solve of `iterations` steps applies it that many times, and
     an x0 that already meets tol costs no application at all.
 
-    Raises ValueError for a tol that is not a finite number in (0, 1), a b
-    that is not a finite vector of length n or whose norm overflows, or an x0
-    that is not a finite vector of length n.
+    CG is linear in b: it solves b scaled by the power of two that brings its
+    largest entry into [0.5, 1), which is exact, so that no product under- or
+    overflows for the size of the load alone.
+
+    Raises ValueError for a tol that is not a finite number in (0, 1), or a b
+    or an x0 that is not a finite vector of length n.
     """
     if not 0.0 < tol < 1.0:  # nan fails both comparisons
         raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
@@ -91,29 +94,21 @@ def cg_solve(
     if max_iter is None:
         max_iter = 20 * n
 
-    b_norm = math.sqrt(dot(b, b))
-    if not np.isfinite(b_norm):  # no residual could be measured against it
-        raise ValueError(f"rhs norm overflows, largest magnitude {float(np.abs(b).max())!r}")
-    if b_norm < 1e-100 and b.any():
-        # CG is linear in b: a b whose products underflow, dot(p, Kp) to zero
-        # among them, is solved scaled up by a power of two, which is exact.
-        # ldexp, not a factor 2**-e: that factor overflows for a subnormal b.
-        # A start that the scaling takes past the float range is dropped
-        e = -math.frexp(float(np.abs(b).max()))[1]
-        if x0 is not None:
-            with np.errstate(over="ignore"):
-                x0 = np.ldexp(x0, e)
-            x0 = x0 if np.isfinite(x0).all() else None
-        x, report = cg_solve(K, np.ldexp(b, e), tol, max_iter, x0, M)
-        return np.ldexp(x, -e), report
-    if b_norm == 0.0:
+    if not b.any():  # a subnormal b's norm underflows to 0, but it is no zero load
         return np.zeros(n), SolveReport(0, 0.0, True)
-
+    # ldexp, not a factor 2**e: that factor overflows for a subnormal b. A
+    # start that the scaling takes past the float range is dropped
+    e = -math.frexp(float(np.abs(b).max()))[1]
+    with np.errstate(over="ignore"):
+        x = np.zeros(n) if x0 is None else np.ldexp(x0, e)
+    if not np.isfinite(x).all():
+        x = np.zeros(n)
     if M is None:
         M = np.copy
 
-    x = np.zeros(n) if x0 is None else np.array(x0)
-    r = b - (K @ x)
+    r = np.ldexp(b, e)  # the scaled b, until K x is taken off it
+    b_norm = math.sqrt(dot(r, r))
+    r -= K @ x
     r_norm = math.sqrt(dot(r, r))
     p = rz = None
     it = 0
@@ -131,8 +126,8 @@ def cg_solve(
             r -= alpha * Kp
             r_norm = math.sqrt(dot(r, r))
             it += 1
-
-    # x += alpha*p can overflow while r lands on zero: that x solves nothing
+        np.ldexp(x, -e, out=x)
+    # x can overflow, stepped or scaled back, while r lands on zero: it solves nothing
     converged = r_norm <= tol * b_norm and bool(np.isfinite(x).all())
     return x, SolveReport(it, r_norm / b_norm, converged)
 

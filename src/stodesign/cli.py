@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -73,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Read `key = value` lines; '#' starts a comment."""
+    """Read `key = value` lines; '#' at a line's start or after whitespace starts a comment."""
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         try:
@@ -248,7 +249,6 @@ def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> No
         f"stop_reason {result.stop_reason}",
         f"iterations {h[-1].iter}",
         f"final_cost {_fmt(h[-1].cost)}",
-        f"final_penalized_cost {_fmt(h[-1].cost)}",  # kept for the file format
         f"final_mass {_fmt(h[-1].mass)}",
         f"final_gamma {_fmt(h[-1].gamma)}",
         f"stationarity_first {_fmt(h[0].stationarity)}",

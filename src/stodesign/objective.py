@@ -47,16 +47,16 @@ def cost(a: DensityField, s: "BasisSolve", kind: Objective) -> float:
     which at states x_i = x_i* + d_i is the exact compliance minus
     sum_i d_i.K d_i: its error is second order in the solve error, where
     the pairing's is first order. The two forms are cross-checked, and must
-    agree within 10x the solver tolerance; a larger gap, or a side that is
-    not finite, indicates an assembly or bookkeeping bug or an overflow.
+    agree within 10x the solver tolerance, relative at any scale; a larger gap
+    or a non-finite side means a bookkeeping bug, or an under- or overflow.
     """
     pairing = s.pairing
     energy = dot(a.values, s.energy) * a.grid.cell_area
     gap = abs(pairing - energy)
-    if not np.isfinite(gap) or gap > 10.0 * s.tol * max(abs(pairing), abs(energy)) + 1e-14:
+    if not np.isfinite(gap) or gap > 10.0 * s.tol * max(abs(pairing), abs(energy)):
         raise ArithmeticError(
             f"load-pairing cost {pairing!r} and stiffness-energy cost {energy!r} "
-            f"disagree by {gap:.3e}; assembly and solutions are inconsistent"
+            f"disagree by {gap:.3e}: inconsistent assembly and solutions, or an under- or overflow"
         )
     return kind.sign * (2.0 * pairing - energy)
 

@@ -73,7 +73,7 @@ def load_basis(sset: ScenarioSet) -> LoadBasis:
     """Validate a scenario set, factor its weighted perturbations and assemble the loads.
 
     Raises ValueError, naming the load, where an assembled load's norm
-    overflows: no solve can meet a tolerance relative to it.
+    overflows.
     """
     problems = validate(sset)
     if problems:

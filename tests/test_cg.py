@@ -105,9 +105,10 @@ def test_rejects_non_finite_rhs_and_bad_x0():
     K = _identity(4)
     with pytest.raises(ValueError, match=r"rhs holds 1 non-finite values, first inf at index 2"):
         cg_solve(K, np.array([1.0, 1.0, np.inf, 1.0]))
-    # ||b|| = inf: no relative residual exists, so x = 0 may not pass as converged
-    with pytest.raises(ValueError, match=r"^rhs norm overflows, largest magnitude 1e\+200$"):
-        cg_solve(K, np.full(4, 1e200))
+    # ||b|| overflows, but at unit scale the residual is measurable: solved
+    b = np.full(4, 1e200)
+    x, report = cg_solve(K, b)
+    assert report.converged and np.array_equal(x, b)
     with pytest.raises(ValueError, match=r"x0 has shape \(5,\), expected \(4,\)"):
         cg_solve(K, np.ones(4), x0=np.zeros(5))
     with pytest.raises(ValueError, match=r"x0 holds 4 non-finite values, first nan at index 0"):
@@ -140,11 +141,19 @@ def test_non_finite_residual_stops_at_once():
 
 
 def test_overflow_is_reported_not_warned():
-    # K @ p overflows to inf and the residual turns NaN: the solve must end
-    # not converged, not emit a RuntimeWarning (an error in this suite)
-    K = sparse.identity(4, format="csr") * 1e300
+    # K @ p overflows to inf even at unit scale and the residual turns NaN:
+    # the solve must end not converged, not emit a RuntimeWarning (an error
+    # in this suite)
+    K = sparse.csr_matrix(np.full((4, 4), 1e308))
     _, report = cg_solve(K, np.full(4, 1e10))
     assert (report.iterations, report.converged) == (1, False)
+
+
+def test_huge_system_is_solved_at_unit_scale():
+    # 1e300 * I against 1e10: K @ b overflows, K @ (scaled b) does not
+    x, report = cg_solve(1e300 * _identity(4), np.full(4, 1e10))
+    assert report.converged and report.iterations == 1
+    assert np.allclose(x, 1e-290, rtol=1e-15, atol=0)
 
 
 class _Counted:

@@ -252,6 +252,22 @@ def test_scenario_file_preset(tmp_path):
         assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_config_replays_paths_that_hold_a_hash(tmp_path):
+    # '#' starts a comment only at the start of a line or after whitespace
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# a comment line\npreset = file:run#1/s.txt  # the file\nout = out#a\n")
+    assert parse_config_file(cfg) == {"preset": "file:run#1/s.txt", "out": "out#a"}
+    (tmp_path / "run#1").mkdir()
+    path = tmp_path / "run#1" / "s3.txt"
+    save_scenario_file(make_case1(GridSpec(8, 8)), path)
+    out, replay = tmp_path / "out#a", tmp_path / "replay"
+    rc = run_cli(["run", "--preset", f"file:{path}", "--max-iters", "2", "--out", str(out)])
+    assert rc == 2
+    assert run_cli(["run", "--config", str(out / "config.txt"), "--out", str(replay)]) == rc
+    for name in ARTIFACTS:
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def test_max_iters_interrupt_exits_two(tmp_path):
     rc = run_cli(["run", *FAST, "--max-iters", "2", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -265,6 +281,16 @@ def test_compare_identical_dirs(tmp_path):
     for key, value in report.items():
         if key.endswith("_delta"):
             assert value == 0.0
+
+
+def test_compare_prints_one_line_per_report_entry(tmp_path, capsys):
+    out = tmp_path / "det"
+    assert run_cli(["run", *FAST, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["compare", str(out), str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{key} {value}" for key, value in compare_runs(out, out).items()]
+    assert lines[0] == "l1_distance 0.0"
 
 
 def test_compare_grid_mismatch(tmp_path):
@@ -412,6 +438,31 @@ def test_large_finite_phase_contrast_still_stagnates(tmp_path, capsys):
     # at 1e-200 the trials that overflow an energy density are rejected
     assert run_cli([*argv, "1e-200", "--out", str(tmp_path / "1e-200")]) == 2
     assert capsys.readouterr().out.startswith("stagnated:")
+
+
+@pytest.mark.parametrize(
+    "f, code, message",
+    [
+        ("1e-100", 2, ""),
+        ("1e-95", 2, ""),
+        ("1e-60", 1, r"error: load-pairing cost \S+e-274 and stiffness-energy cost 0\.0 disagree"),
+    ],
+    ids=["1e-100", "1e-95", "1e-60"],
+)
+def test_tiny_load_against_a_huge_coefficient_ends_by_its_system(tmp_path, capsys, f, code, message):
+    # the solve does not depend on the load's size: f = 1e-95 ends as
+    # f = 1e-100 does, both costs underflowing to 0, and where only the energy
+    # underflows the cross-check names the disagreement
+    g = GridSpec(8, 8)
+    path = tmp_path / "tiny.scn"
+    save_scenario_file(make_deterministic(g, np.full(g.n_cells, float(f))), path)
+    argv = ["run", "--preset", f"file:{path}", "--alpha", "1e151", "--beta", "1e152"]
+    assert run_cli([*argv, "--mass", "5e151", "--out", str(tmp_path / "x")]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out.startswith("stagnated: 0 iterations, cost 0,")
+    else:
+        assert re.match(message, captured.err) and "under- or overflow" in captured.err
 
 
 @pytest.mark.parametrize("eps", ["1e20", "1e300"])

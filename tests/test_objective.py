@@ -75,12 +75,15 @@ def test_cost_is_the_energy_functional(kind):
     assert abs(s.pairing - c_exact) > 1e-6 * c_exact  # the pairing alone is far off
 
 
-def test_cross_check_catches_corrupted_solution():
+@pytest.mark.parametrize("scale", [1.0, 1e-8])
+def test_cross_check_catches_corrupted_solution(scale):
+    # the check is relative: a cost 1e-16 times smaller is checked alike
     g = GridSpec(8, 8)
     a = DensityField.constant(g, 1.5)
-    s = solve_state(a, load_basis(make_deterministic(g, np.ones(g.n_cells))))
+    s = solve_state(a, load_basis(make_deterministic(g, np.full(g.n_cells, scale))))
+    assert cost(a, s, Objective.COMPLIANCE) > 0.0
     s.pairing *= 1.001  # breaks the pairing/energy identity
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="disagree"):
         cost(a, s, Objective.COMPLIANCE)
 
 

@@ -76,6 +76,11 @@ def test_barrier_values():
     assert np.allclose(eta, 0.075, rtol=1e-15, atol=0)
 
 
+def test_barrier_rejects_negative_step_scale():
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        barrier_eta(DensityField.constant(_grid(), 1.5), -1e-300, 1.0, 2.0)
+
+
 def test_multiplier_trivial_cases():
     g = _grid()
     a = DensityField.constant(g, 1.5)  # mass 1.5 on the unit square
@@ -200,6 +205,23 @@ def test_update_fixed_point_stagnates():
     assert eps_acc == 0.0
     assert a_new is a
     assert gamma == pytest.approx(0.3, rel=1e-13)
+
+
+def test_update_stops_halving_once_nothing_can_move(monkeypatch):
+    # eps = 1e-320 turns eta to 0 in every cell after a few halvings: update
+    # stops there, and the run stagnates without a warning
+    results = []
+
+    def spy(*args):
+        results.append(project(*args))
+        return results[-1]
+
+    monkeypatch.setattr(optimizer, "project", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(OptimizerConfig(eps=1e-320), make_case1(GridSpec(16, 16)), Objective.COMPLIANCE)
+    assert res.stop_reason == "stagnated"
+    assert results[-1] is None and len(results) < optimizer.MAX_HALVINGS
 
 
 def test_update_moves_only_unpinned_cell():

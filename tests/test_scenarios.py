@@ -20,6 +20,7 @@ from stodesign.scenarios import (
     save_scenario_file,
     validate,
 )
+from stodesign.solve import load_basis
 
 
 def test_deterministic_set():
@@ -102,6 +103,19 @@ def test_validate_reports_non_finite_values():
     problems = validate(sset)
     assert any("f holds non-finite" in p for p in problems)
     assert any("scenario 1 holds non-finite" in p for p in problems)
+
+
+def test_set_shapes_must_match_the_grid():
+    g = GridSpec(4, 4)
+    with pytest.raises(ValueError, match="f must hold one real per cell"):
+        ScenarioSet(g, np.ones(g.n_cells - 1))
+    with pytest.raises(ValueError, match="scenario field size does not match the grid"):
+        ScenarioSet(g, np.ones(g.n_cells), [Scenario(np.zeros(g.n_cells + 1), 1.0)])
+
+
+def test_validate_reports_empty_set():
+    g = GridSpec(4, 4)
+    assert validate(ScenarioSet(g, np.ones(g.n_cells))) == ["scenario set is empty"]
 
 
 def test_file_rejects_non_finite_load(tmp_path):
@@ -204,8 +218,9 @@ ENDED = "scenario file {path} ended unexpectedly"
         ),
         # far more cells than the file could hold values for
         ("grid 1000000 1000000\nf\n1 1\n", ENDED),
+        (SMALL_FILE[: SMALL_FILE.index("scenario 0.5")], "scenario file {path} declares no scenarios"),
     ],
-    ids=["crlf", "cr", "form-feed", "truncated-and-bad", "bad-ny", "bad-ny-token", "huge-grid"],
+    ids=["crlf", "cr", "form-feed", "truncated-and-bad", "bad-ny", "bad-ny-token", "huge-grid", "no-scenario"],
 )
 def test_file_layout_errors(tmp_path, text, message):
     path = tmp_path / "set.scn"
@@ -320,6 +335,23 @@ def test_file_recenters_roundtrip_noise(tmp_path):
     save_scenario_file(sset, path)
     loaded = load_scenario_file(path)
     assert validate(loaded) == []
+
+
+def test_file_renormalizes_weights_within_tolerance(tmp_path):
+    # three weights of 0.3333333333 sum to 1 - 1e-10, within the file
+    # tolerance: they are rescaled to sum to 1, and the set passes load_basis
+    g = GridSpec(4, 4)
+    xi = np.ones(g.n_cells)
+    w = 0.3333333333
+    sset = ScenarioSet(
+        g, np.ones(g.n_cells), [Scenario(xi, w), Scenario(-xi, w), Scenario(0.0 * xi, w)]
+    )
+    path = tmp_path / "thirds.scn"
+    save_scenario_file(sset, path)
+    loaded = load_scenario_file(path)
+    assert [s.weight for s in loaded.scenarios] == [pytest.approx(1.0 / 3.0, rel=1e-15)] * 3
+    assert validate(loaded) == []
+    assert len(load_basis(loaded).loads) == 2
 
 
 @st.composite

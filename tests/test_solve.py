@@ -144,6 +144,28 @@ def test_coefficient_scaling():
     assert np.max(np.abs(u3 - u1 / 3.0)) < 1e-11
 
 
+def test_load_and_coefficient_scales_are_exact():
+    # loads scaled by 2**-300 and the coefficient by 2**600 put CG's inner
+    # products far below the float range at the load's own scale; the solve
+    # is the unscaled one, scaled by 2**-900 bit for bit
+    g = GridSpec(16, 16)
+    a = DensityField(g, np.random.default_rng(0).uniform(1.0, 2.0, g.n_cells))
+    sset = make_case1(g)
+    tiny = ScenarioSet(
+        g, np.ldexp(sset.f, -300), [Scenario(np.ldexp(s.xi, -300), s.weight) for s in sset.scenarios]
+    )
+    ref = solve_state(a, load_basis(sset))
+    got = solve_state(DensityField(g, np.ldexp(a.values, 600)), load_basis(tiny))
+    assert got.iterations == ref.iterations
+    assert same_bits(got.states, np.ldexp(ref.states, -900))
+
+
+def test_grid_mismatch_is_rejected():
+    basis = load_basis(make_case1(GridSpec(8, 8)))
+    with pytest.raises(ValueError, match="load basis and coefficient live on different grids"):
+        solve_state(DensityField.constant(GridSpec(8, 6), 1.0), basis)
+
+
 def test_stiffness_shared_across_scenarios():
     # case1's two loads f +- chi are carried by f and one direction; the
     # scenarios keep their weights 1/2 and combine the two states
