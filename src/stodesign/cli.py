@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Read `key = value` lines; '#' at a line's start or after whitespace starts a comment."""
+    """Read `key = value` lines; '#' at a line's start or after whitespace starts a comment,
+    so a value holding whitespace then '#' is cut there: --out "runs #2" replays into runs."""
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()

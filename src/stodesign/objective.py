@@ -48,7 +48,8 @@ def cost(a: DensityField, s: "BasisSolve", kind: Objective) -> float:
     sum_i d_i.K d_i: its error is second order in the solve error, where
     the pairing's is first order. The two forms are cross-checked, and must
     agree within 10x the solver tolerance, relative at any scale; a larger gap
-    or a non-finite side means a bookkeeping bug, or an under- or overflow.
+    or a non-finite side means a bookkeeping bug, or an under- or overflow: a
+    subnormal cost's two sums can keep too few digits to pass.
     """
     pairing = s.pairing
     energy = dot(a.values, s.energy) * a.grid.cell_area

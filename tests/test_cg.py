@@ -233,7 +233,8 @@ def test_subnormal_rhs_is_solved():
 
 
 def test_non_finite_solution_is_not_converged():
-    # x += alpha*p overflows to inf while r -= alpha*Kp lands exactly on zero
+    # r -= alpha*Kp lands exactly on zero at unit scale, and x, finite there,
+    # overflows to inf when it is scaled back to the load's size
     x, report = cg_solve(1e-300 * _identity(4), np.full(4, 1e10))
     assert not np.isfinite(x).all()
     assert report.relative_residual == 0.0

@@ -257,6 +257,8 @@ def test_config_replays_paths_that_hold_a_hash(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# a comment line\npreset = file:run#1/s.txt  # the file\nout = out#a\n")
     assert parse_config_file(cfg) == {"preset": "file:run#1/s.txt", "out": "out#a"}
+    cfg.write_text("out = runs #2\n")  # the limit: a '#' after whitespace cuts the value
+    assert parse_config_file(cfg) == {"out": "runs"}
     (tmp_path / "run#1").mkdir()
     path = tmp_path / "run#1" / "s3.txt"
     save_scenario_file(make_case1(GridSpec(8, 8)), path)
@@ -446,8 +448,9 @@ def test_large_finite_phase_contrast_still_stagnates(tmp_path, capsys):
         ("1e-100", 2, ""),
         ("1e-95", 2, ""),
         ("1e-60", 1, r"error: load-pairing cost \S+e-274 and stiffness-energy cost 0\.0 disagree"),
+        ("1e-30", 1, r"error: load-pairing cost \S+e-214 and stiffness-energy cost 0\.0 disagree"),
     ],
-    ids=["1e-100", "1e-95", "1e-60"],
+    ids=["1e-100", "1e-95", "1e-60", "1e-30"],
 )
 def test_tiny_load_against_a_huge_coefficient_ends_by_its_system(tmp_path, capsys, f, code, message):
     # the solve does not depend on the load's size: f = 1e-95 ends as

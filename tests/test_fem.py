@@ -324,10 +324,6 @@ def test_field_size_validation():
         DensityField(g, np.ones(5))
     with pytest.raises(ValueError):
         cell_gradients(g, np.ones(g.n_nodes))  # a nodal array is not a state
-
-
-def test_cell_arrays_of_the_wrong_size_are_rejected():
-    g = GridSpec(3, 3)
     with pytest.raises(ValueError, match="load must hold one real per cell"):
         assemble_load(g, np.ones(g.n_nodes))
     with pytest.raises(ValueError, match="integrand must hold one real per cell"):

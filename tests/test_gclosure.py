@@ -144,12 +144,9 @@ def test_laminate_rejects_non_unit_normal():
         rank_one_laminate(0.5, PHASES, np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         rank_one_laminate(0.5, PHASES, np.array([1.0, 1.0]))
-
-
-@pytest.mark.parametrize("normal", [[1.0, 0.0, 0.0], [1.0], 1.0], ids=["3-vector", "1-vector", "scalar"])
-def test_laminate_rejects_normal_that_is_not_a_2_vector(normal):
-    with pytest.raises(ValueError, match="lamination normal must be a 2-vector"):
-        rank_one_laminate(0.5, PHASES, np.array(normal))
+    for normal in ([1.0, 0.0, 0.0], [1.0], 1.0):
+        with pytest.raises(ValueError, match="lamination normal must be a 2-vector"):
+            rank_one_laminate(0.5, PHASES, np.array(normal))
 
 
 def test_array_errors_report_first_value_and_count():

@@ -87,6 +87,17 @@ def test_cross_check_catches_corrupted_solution(scale):
         cost(a, s, Objective.COMPLIANCE)
 
 
+def test_cross_check_fails_on_a_subnormal_cost():
+    # f = 1e-157 gives a cost near 2e-316, below the smallest normal float,
+    # where the pairing and the energy keep too few digits to agree to 1e-9
+    g = GridSpec(8, 8)
+    a = DensityField.constant(g, 1.5)
+    s = solve_state(a, load_basis(make_deterministic(g, np.full(g.n_cells, 1e-157))))
+    assert 0.0 < s.pairing < np.finfo(float).tiny
+    with pytest.raises(ArithmeticError, match="under- or overflow"):
+        cost(a, s, Objective.COMPLIANCE)
+
+
 @pytest.mark.parametrize("cells", [slice(None), slice(5, 6)], ids=["every-cell", "one-cell"])
 @pytest.mark.parametrize("kind", list(Objective))
 def test_cross_check_rejects_non_finite_energy(cells, kind):

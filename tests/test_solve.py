@@ -535,7 +535,12 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
     for x in s.states:
         energy += cell_grad_dot(g, x)
     assert np.array_equal(s.energy, energy)
-    cost(a, s, Objective.COMPLIANCE)  # raises if the cross-check fails
+    try:
+        cost(a, s, Objective.COMPLIANCE)
+    except ArithmeticError:
+        # the cross-check may fail only on a subnormal cost, whose sums keep few digits
+        both = max(abs(s.pairing), abs(dot(a.values, s.energy) * g.cell_area))
+        assert both < np.finfo(float).tiny
 
 
 def test_solve_state_caps_each_load_and_counts_its_iterations():
