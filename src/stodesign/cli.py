@@ -211,8 +211,7 @@ def write_density_pgm(path: Path, a: DensityField, alpha: float, beta: float) ->
     grid = a.grid
     px = density_to_pixels(a.values, alpha, beta).reshape(grid.ny, grid.nx)
     lines = ["P2", f"{grid.nx} {grid.ny}", "255"]
-    for j in range(grid.ny - 1, -1, -1):
-        lines.append(" ".join(str(v) for v in px[j]))
+    lines += [" ".join(map(str, row)) for row in px[::-1].tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

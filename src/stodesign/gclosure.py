@@ -6,8 +6,8 @@ the harmonic and arithmetic means of the phases and satisfy two trace
 bounds. Rank-one laminates realize the extreme points: eigenvalue equal to
 the harmonic mean across the layers, arithmetic mean along them.
 
-The fraction and mean formulas take scalars or per-cell arrays alike, so the
-optimality residual evaluates them once for all cells.
+The fraction and mean formulas take scalars or per-cell arrays alike; the
+optimality residual forms the gap between the means in closed form instead.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ import numpy as np
 from .fem import DensityField, cell_gradients
 from .objective import Objective
 from .solve import LoadBasis
-
-RESIDUAL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -109,9 +107,9 @@ def in_gclosure(M: SymmetricTensor2, theta: float, phases: PhasePair) -> bool:
         sum_i 1/(lam_i - alpha) <= 1/(lam_minus - alpha) + 1/(lam_plus - alpha)
         sum_i 1/(beta - lam_i)  <= 1/(beta - lam_minus) + 1/(beta - lam_plus)
 
-    within 1e-10. A denominator at zero counts as +inf, so tensors touching a
-    pure phase fail unless the fraction is the matching endpoint, where the
-    set degenerates to that single isotropic tensor.
+    within a factor 1 +- 1e-10. A denominator at zero counts as +inf, so tensors
+    touching a pure phase fail unless the fraction is the matching endpoint,
+    where the set degenerates to that single isotropic tensor.
     """
     tol = 1e-10
     theta = _check_theta(theta)
@@ -120,20 +118,16 @@ def in_gclosure(M: SymmetricTensor2, theta: float, phases: PhasePair) -> bool:
     lam = M.eigenvalues()
 
     for li in lam:
-        if li < lam_minus - tol or li > lam_plus + tol:
+        if li < lam_minus * (1.0 - tol) or li > lam_plus * (1.0 + tol):
             return False
 
     lower_sum = sum(_inv_or_inf(li - phases.alpha) for li in lam)
-    lower_cap = _inv_or_inf(lam_minus - phases.alpha) + _inv_or_inf(
-        lam_plus - phases.alpha
-    )
-    if lower_sum > lower_cap + tol:
+    lower_cap = _inv_or_inf(lam_minus - phases.alpha) + _inv_or_inf(lam_plus - phases.alpha)
+    if lower_sum > lower_cap * (1.0 + tol):
         return False
     upper_sum = sum(_inv_or_inf(phases.beta - li) for li in lam)
-    upper_cap = _inv_or_inf(phases.beta - lam_minus) + _inv_or_inf(
-        phases.beta - lam_plus
-    )
-    if upper_sum > upper_cap + tol:
+    upper_cap = _inv_or_inf(phases.beta - lam_minus) + _inv_or_inf(phases.beta - lam_plus)
+    if upper_sum > upper_cap * (1.0 + tol):
         return False
     return True
 
@@ -169,17 +163,21 @@ def rank_one_laminate(
     )
 
 
+def _check_coefficient(a, phases: PhasePair) -> None:
+    inside = (phases.alpha <= a) & (a <= phases.beta)
+    if not np.all(inside):
+        raise ValueError(
+            f"coefficient {_first_bad(a, inside)} outside [{phases.alpha}, {phases.beta}]"
+        )
+
+
 def volume_fraction(a, kind: Objective, phases: PhasePair):
     """Fraction theta whose optimal mean equals the coefficient a (scalar or array).
 
     Inverts the arithmetic mean for compliance and the harmonic mean for
     energy, the mean each cost kind realizes at optimality.
     """
-    inside = (phases.alpha <= a) & (a <= phases.beta)
-    if not np.all(inside):
-        raise ValueError(
-            f"coefficient {_first_bad(a, inside)} outside [{phases.alpha}, {phases.beta}]"
-        )
+    _check_coefficient(a, phases)
     span = phases.beta - phases.alpha
     if kind is Objective.COMPLIANCE:
         return (phases.beta - a) / span
@@ -201,20 +199,21 @@ def optimality_residual(
     the layers run along d for compliance and across it for energy. The
     residual of that rank-one laminate M* is
 
-        sum_k w_k ||M* grad(u_k) - a grad(u_k)|| / (sum_k w_k ||grad(u_k)|| + RESIDUAL_FLOOR)
+        sum_k w_k ||M* grad(u_k) - a grad(u_k)|| / sum_k w_k ||grad(u_k)||
 
-    in closed form. The fraction makes a one of M*'s eigenvalues, so the
-    defect has one component. For compliance a is the arithmetic mean, the
-    normal n is orthogonal to d and M* v - a v = (lam_minus - a)(n.v) n; for
-    energy a is the harmonic mean, n = d and M* v - a v = (lam_plus - a)(v -
-    (d.v) d). Both have norm |gap| |d_perp . v|, gap being the other mean
-    minus a.
+    in closed form, 0 where every gradient is zero. The fraction makes a one
+    of M*'s eigenvalues, so the defect has one component. For compliance a is
+    the arithmetic mean, the normal n is orthogonal to d and M* v - a v =
+    (lam_minus - a)(n.v) n; for energy a is the harmonic mean, n = d and
+    M* v - a v = (lam_plus - a)(v - (d.v) d). Both have norm gap |d_perp . v|,
+    gap = (a - alpha)(beta - a)/(alpha + beta - a) or (beta - a)(a - alpha)/a.
 
     The residual vanishes wherever one direction serves every scenario, in
     particular for a single deterministic scenario. With several scenarios it
     quantifies how far the per-cell gradients are from sharing a direction.
     """
-    a = a_final.values
+    a, alpha, beta = a_final.values, phases.alpha, phases.beta
+    _check_coefficient(a, phases)
     s11 = s22 = s12 = norm_sum = 0.0
     for c, w in zip(basis.coefficients, basis.weights):
         grad = cell_gradients(basis.grid, c @ states)
@@ -225,13 +224,12 @@ def optimality_residual(
         norm_sum += w * np.hypot(gx, gy)
     phi = 0.5 * np.arctan2(2.0 * s12, s11 - s22)
     dx, dy = np.cos(phi), np.sin(phi)
-    theta = volume_fraction(a, kind, phases)
     if kind is Objective.COMPLIANCE:
-        gap = a - harmonic_mean(theta, phases)
+        gap = (a - alpha) * ((beta - a) / (alpha + (beta - a)))
     else:
-        gap = arithmetic_mean(theta, phases) - a
+        gap = (beta - a) * ((a - alpha) / a)
     across = 0.0
     for c, w in zip(basis.coefficients, basis.weights):  # the gradients again, one at a time
         grad = cell_gradients(basis.grid, c @ states)
         across += w * np.abs(dx * grad[:, 1] - dy * grad[:, 0])
-    return np.abs(gap) * across / (norm_sum + RESIDUAL_FLOOR)
+    return np.divide(gap * across, norm_sum, out=np.zeros(a.shape), where=norm_sum > 0.0)

@@ -17,13 +17,16 @@ decomposition check's own cell mean of a state. These field oracles take a
 nodal array, (n_nodes,) values boundary included, which `nodal` pads from an
 interior-node state and `sample_nodes` samples from a function. The
 sampling, error-norm, tensor and log-reading helpers below them are
-used only by the tests, as is `pm_pair_set`, a seeded set of +- scenario pairs.
+used only by the tests, as is `pm_pair_set`, a seeded set of +- scenario pairs,
+and `property_settings`, the settings every hypothesis property test runs under.
 """
 import math
+import os
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from hypothesis import seed, settings
 from scipy import sparse
 
 from stodesign.cg import SolveReport, cg_solve, dot
@@ -39,13 +42,7 @@ from stodesign.fem import (
     cell_gradients,
     reference_stiffness,
 )
-from stodesign.gclosure import (
-    RESIDUAL_FLOOR,
-    PhasePair,
-    SymmetricTensor2,
-    rank_one_laminate,
-    volume_fraction,
-)
+from stodesign.gclosure import PhasePair, SymmetricTensor2, rank_one_laminate, volume_fraction
 from stodesign.mg import _CX, _CY, _HALVES, _WHOLE
 from stodesign.objective import Objective
 from stodesign.optimizer import ConvergenceRecord
@@ -143,10 +140,9 @@ def loop_optimality_residual(
     weights,
     kind: Objective,
     phases: PhasePair,
-    floor: float = RESIDUAL_FLOOR,
 ) -> np.ndarray:
     """Cell-by-cell alignment residual of interior-node scenario states of the
-    given weights, one 2x2 eigenproblem per cell."""
+    given weights, one 2x2 eigenproblem per cell; 0 where every gradient is zero."""
     grid = a_final.grid
     n_cells = grid.n_cells
     grads = [cell_gradients(grid, x) for x in states]
@@ -171,7 +167,7 @@ def loop_optimality_residual(
             v = gv[c]
             err = as_array(M) @ v - a_final.values[c] * v
             num += w * float(np.hypot(err[0], err[1]))
-        residual[c] = num / (norm_sum + floor)
+        residual[c] = num / norm_sum if norm_sum > 0.0 else 0.0
     return residual
 
 
@@ -487,3 +483,19 @@ def read_convergence_log(path: Path) -> list[ConvergenceRecord]:
             )
         )
     return records
+
+
+def property_settings(max_examples: int) -> Callable:
+    """The settings of a hypothesis property test, applied above its @given.
+
+    The test draws max_examples examples, derandomized and with no example
+    database, so it draws the same ones on every run of the same test
+    modules. With the environment variable STODESIGN_EXPLORE_SEED set to an
+    integer, it draws ten times as many from that seed instead: exploration
+    goes on, and a failure it finds replays from the seed.
+    """
+    explore = os.environ.get("STODESIGN_EXPLORE_SEED")
+    if explore is None:
+        return settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+    wider = settings(max_examples=10 * max_examples, deadline=None, database=None)
+    return lambda test: seed(int(explore))(wider(test))

@@ -15,6 +15,7 @@ from stodesign.gclosure import (
     volume_fraction,
 )
 from stodesign.objective import Objective
+from stodesign.scenarios import make_case1
 
 from oracles import (
     as_array,
@@ -23,6 +24,8 @@ from oracles import (
     interior_node_ids,
     loop_optimality_residual,
     nodal,
+    pm_pair_set,
+    same_bits,
     sample_nodes,
     scenario_fields,
 )
@@ -290,3 +293,45 @@ def test_residual_isotropic_second_moment_tie_break(states, share):
         theta = volume_fraction(a.values, kind, PHASES)
         gap = arithmetic_mean(theta, PHASES) - harmonic_mean(theta, PHASES)
         np.testing.assert_allclose(res[inner], share * gap[inner], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_set",
+    [make_case1, lambda g: pm_pair_set(g, 8, 3, 3)],
+    ids=["case1", "pm-pairs-k16"],
+)
+def test_residual_is_scale_free(make_set):
+    # powers of two scale every product exactly: loads x 2^p leave the residual
+    # bit for bit, phases and design x 2^q scale it by 2^q bit for bit
+    from stodesign.solve import LoadBasis, load_basis, solve_state
+
+    g = GridSpec(16, 16)
+    a = DensityField(g, np.random.default_rng(8).uniform(1.0, 2.0, g.n_cells))
+    basis = load_basis(make_set(g))
+    states = solve_state(a, basis).states
+    for kind in Objective:
+        unit = optimality_residual(a, basis, states, kind, PHASES)
+        assert np.max(unit) > 0.0
+        for p in (-300, -40, 40, 300):
+            scaled = LoadBasis(g, np.ldexp(basis.loads, p), basis.coefficients, basis.weights)
+            got = optimality_residual(a, scaled, solve_state(a, scaled).states, kind, PHASES)
+            assert same_bits(got, unit), p
+        for q in (-60, 60):
+            aq = DensityField(g, np.ldexp(a.values, q))
+            phases = PhasePair(np.ldexp(PHASES.alpha, q), np.ldexp(PHASES.beta, q))
+            got = optimality_residual(aq, basis, solve_state(aq, basis).states, kind, phases)
+            assert same_bits(got, np.ldexp(unit, q)), q
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-6, 1e6, 1e20])
+def test_membership_is_scale_free(s):
+    # the tolerance is relative: at any size of the phases every rank-one
+    # laminate is a member, and the isotropic extremes are not
+    phases = PhasePair(s, 2.0 * s)
+    rng = np.random.default_rng(40)
+    for theta, angle in rng.uniform((0.0, 0.0), (1.0, 2 * np.pi), (200, 2)):
+        n = np.array([np.cos(angle), np.sin(angle)])
+        assert in_gclosure(rank_one_laminate(theta, phases, n), theta, phases), theta
+    for theta in (0.25, 0.5, 0.75):
+        for mean in (harmonic_mean, arithmetic_mean):
+            assert not in_gclosure(SymmetricTensor2.isotropic(mean(theta, phases)), theta, phases)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,8 @@ from stodesign.scenarios import (
     validate,
 )
 from stodesign.solve import load_basis
+
+from oracles import property_settings
 
 
 def test_deterministic_set():
@@ -82,6 +84,27 @@ def test_validate_reports_zero_mean_violation():
     problems = validate(sset)
     assert len(problems) == 1
     assert "mean" in problems[0]
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_validate_zero_mean_is_relative_to_the_perturbations(scale):
+    # xi_3 = -(xi_1 + xi_2) at weight 1/3 each: the mean is rounding alone,
+    # of the size of the perturbations' last bits
+    g = GridSpec(8, 8)
+    xi1, xi2 = np.random.default_rng(9).standard_normal((2, g.n_cells))
+    xis = [scale * xi for xi in (xi1, xi2, -(xi1 + xi2))]
+    sset = ScenarioSet(g, np.ones(g.n_cells), [Scenario(xi, 1.0 / 3.0) for xi in xis])
+    assert validate(sset) == []
+
+
+def test_validate_rejects_a_tiny_nonzero_mean():
+    g = GridSpec(4, 4)
+    xi = np.zeros(g.n_cells)
+    xi[3] = 1e-15
+    problems = validate(ScenarioSet(g, np.ones(g.n_cells), [Scenario(xi, 1.0)]))
+    assert problems == [
+        "perturbation mean reaches 1.000e-15, expected 0 within 1e-12 of the largest perturbation"
+    ]
 
 
 def test_validate_reports_weight_violation():
@@ -375,7 +398,7 @@ def exact_scenario_sets(draw):
     return ScenarioSet(g, f, scenarios)
 
 
-@settings(max_examples=30, deadline=None)
+@property_settings(30)
 @given(exact_scenario_sets())
 def test_file_round_trip_bitwise_property(sset):
     assert validate(sset) == []
@@ -411,7 +434,7 @@ def mutated_files(draw):
     return " ".join(tokens)
 
 
-@settings(max_examples=150, deadline=None)
+@property_settings(150)
 @given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKENS)).map(" ".join), mutated_files()))
 def test_loader_fuzz_raises_only_value_error(text):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,6 +23,7 @@ from stodesign.solve import load_basis, solve_state
 from oracles import (
     loop_optimality_residual,
     pm_pair_set,
+    property_settings,
     same_bits,
     sample_cells,
     sine_modes,
@@ -509,7 +510,7 @@ def test_residual_from_combined_states_matches_cold_solves(make_set):
         assert np.max(np.abs(res - ref)) <= 1e-8
 
 
-@settings(max_examples=25, deadline=None)
+@property_settings(25)
 @given(data=st.data())
 def test_energy_is_cell_grad_dot_of_state_property(data):
     # random small grids, densities in [1, 2] and +-pair scenario sets, some
@@ -529,7 +530,22 @@ def test_energy_is_cell_grad_dot_of_state_property(data):
         s = scenarios[k]
         scenarios[k] = Scenario(s.xi, 0.5 * s.weight)
         scenarios.append(Scenario(s.xi.copy(), 0.5 * s.weight))
-    basis = load_basis(ScenarioSet(g, f, scenarios))
+    _energy_and_cost_hold(a, ScenarioSet(g, f, scenarios))
+
+
+@pytest.mark.parametrize("n, xi", [(9, 3.34e-155), (2, 1.1e-308)], ids=["9x9", "2x2"])
+def test_energy_is_cell_grad_dot_of_state_on_tiny_loads(n, xi):
+    # f = 0 and +-xi, loads the property test once drew: near 1e-155 CG's
+    # curvature underflowed, and scaling a subnormal load up overflowed
+    g = GridSpec(n, n)
+    a = DensityField(g, np.random.default_rng(6).uniform(1.0, 2.0, g.n_cells))
+    pm = [Scenario(np.full(g.n_cells, s * xi), 0.5) for s in (1.0, -1.0)]
+    _energy_and_cost_hold(a, ScenarioSet(g, np.zeros(g.n_cells), pm))
+
+
+def _energy_and_cost_hold(a: DensityField, sset: ScenarioSet):
+    g = a.grid
+    basis = load_basis(sset)
     s = solve_state(a, basis)
     energy = np.zeros(g.n_cells)
     for x in s.states:
