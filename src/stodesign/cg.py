@@ -59,7 +59,8 @@ def cg_solve(
         max_iter: iteration cap, defaults to 20*n.
         x0: optional start, zero if omitted. It is read, never written.
         M: SPD preconditioner r -> z, an approximation of K^-1 r; the
-            identity if omitted.
+            identity if omitted. z is read, never written, and only before
+            M is called again, so M may return an array it reuses.
 
     Returns:
         (x, SolveReport). A non-converged solve returns the last iterate with
@@ -67,6 +68,9 @@ def cg_solve(
         that is not finite ends the solve at once, not converged, and so does
         an x that is not finite. Arithmetic past the float range raises no
         numpy warning: the report shows it.
+
+    x, r and p are updated in place, and K p, once it has updated r, holds
+    alpha p for x: an iteration allocates only K p and whatever M allocates.
 
     M is applied only to a residual that fails the tolerance test, once per
     iteration: a solve of `iterations` steps applies it that many times, and
@@ -118,12 +122,16 @@ def cg_solve(
         while r_norm > tol * b_norm and np.isfinite(r_norm) and it < max_iter:
             z = M(r)
             rz_new = dot(r, z)
-            p = z.copy() if p is None else z + (rz_new / rz) * p
+            if p is None:
+                p = z.copy()
+            else:  # p = z + beta p, in place: IEEE addition commutes
+                p *= rz_new / rz
+                p += z
             rz = rz_new
             Kp = K @ p
             alpha = rz / dot(p, Kp)
-            x += alpha * p
-            r -= alpha * Kp
+            r -= np.multiply(alpha, Kp, out=Kp)
+            x += np.multiply(alpha, p, out=Kp)
             r_norm = math.sqrt(dot(r, r))
             it += 1
         np.ldexp(x, -e, out=x)

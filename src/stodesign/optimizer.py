@@ -15,7 +15,6 @@ Birgin, Martinez & Raydan, IMA J. Numer. Anal. 23, 2003).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,16 +117,34 @@ def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.nd
 
 
 def project(
-    a: DensityField, g: np.ndarray, eta: np.ndarray, m: float, alpha: float, beta: float
+    a: DensityField,
+    g: np.ndarray,
+    eta: np.ndarray,
+    m: float,
+    alpha: float,
+    beta: float,
+    start: float = 0.0,
 ) -> tuple[DensityField, float] | None:
     """The barrier step clip(a + eta*(g - gamma), alpha, beta) of mass exactly m.
 
     Returns the stepped density and gamma, or None when no cell has eta > 0 or
     m is out of the reach of the cells that can move. The mass is piecewise
     linear and nonincreasing in gamma, with kinks where a cell reaches beta
-    (gamma = g - (beta-a)/eta) or alpha (gamma = g + (a-alpha)/eta): bisect
-    over the sorted kinks for the piece holding m, then solve on that piece
-    (a continuous quadratic knapsack; Brucker, Oper. Res. Lett. 3, 1984).
+    (gamma = g - (beta-a)/eta) or alpha (gamma = g + (a-alpha)/eta). m lies on
+    the piece from lo to hi, hi the least kink whose mass is at most m and lo
+    the greatest kink below it, and is solved for there (a continuous
+    quadratic knapsack; Brucker, Oper. Res. Lett. 3, 1984).
+
+    hi and lo are found by a safeguarded Newton search from `start`, the
+    caller's last gamma (Cominetti, Mascarenhas & Silva, Math. Program.
+    Comput. 6, 2014). Each round steps to the root of the linear piece at the
+    last kink probed (at `start` first), probes the least undecided kink at or
+    above that root, then the undecided neighbour on the side the mass points
+    to. A mass of at most m decides every kink above the probed one, a larger
+    mass every kink below, so a round whose root lies on m's piece ends the
+    search. A round that does not end it is followed by one that probes the
+    median undecided kink in place of the root's. `start` sets the number of
+    probes, never the result.
     """
     moving = eta > 0.0
     if not moving.any():
@@ -138,26 +155,63 @@ def project(
     with np.errstate(over="ignore"):
         to_beta = g - np.divide(beta - a.values, eta, out=np.full_like(eta, np.inf), where=moving)
         to_alpha = g + np.divide(a.values - alpha, eta, out=np.full_like(eta, np.inf), where=moving)
-    kinks = np.sort(np.concatenate([to_beta[moving], to_alpha[moving]]))
+    kinks = np.concatenate([to_beta[moving], to_alpha[moving]])
 
     def step(gamma: float) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflowing step is +-inf: clipped to its bound
-            return np.clip(a.values + eta * (g - gamma), alpha, beta)
+        # an overflowing step is +-inf: clipped to its bound. A cell with eta = 0
+        # stays put also at an infinite kink, where eta*(g - gamma) is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.clip(a.values + np.where(moving, eta * (g - gamma), 0.0), alpha, beta)
 
-    j = bisect_left(kinks, True, key=lambda k: integrate_cells(a.grid, step(k)) <= m)
-    if j == len(kinks) or (j == 0 and integrate_cells(a.grid, step(kinks[0])) < m):
-        return None
-    # solve on the piece (lo, hi) where the mass falls through m (the first piece
-    # when m is the mass with every moving cell at beta). The defect is summed
-    # before the inner eta*g, which keeps gamma exact when eta*g is tiny next to a
-    lo, hi = kinks[max(j, 1) - 1], kinks[max(j, 1)]
-    at_beta, at_alpha = to_beta >= hi, to_alpha <= lo
-    inner = ~(at_beta | at_alpha)
-    defect = integrate_cells(a.grid, np.where(at_beta, beta, np.where(at_alpha, alpha, a.values))) - m
-    weight = integrate_cells(a.grid, np.where(inner, eta, 0.0))
-    gamma = lo  # no inner cell: the mass is flat on this piece up to rounding
-    if weight > 0.0:
-        gamma = (defect + integrate_cells(a.grid, np.where(inner, eta * g, 0.0))) / weight
+    def piece_root(lo: float, hi: float) -> float:
+        """The gamma of mass m with the cells of to_beta >= hi at beta, of to_alpha <= lo at alpha.
+
+        lo where no cell is inner: the mass is flat there up to rounding. The
+        defect is summed before the inner eta*g, which keeps gamma exact when
+        eta*g is tiny next to a.
+        """
+        at_beta, at_alpha = to_beta >= hi, to_alpha <= lo
+        inner = ~(at_beta | at_alpha)
+        defect = integrate_cells(a.grid, np.where(at_beta, beta, np.where(at_alpha, alpha, a.values))) - m
+        weight = integrate_cells(a.grid, np.where(inner, eta, 0.0))
+        if weight > 0.0:
+            return (defect + integrate_cells(a.grid, np.where(inner, eta * g, 0.0))) / weight
+        return lo
+
+    undecided = kinks
+    lo = hi = hi_mass = None
+
+    def probe(k: float) -> bool:
+        """Whether the mass at kink k is at most m; decides the kinks on one side of k."""
+        nonlocal undecided, lo, hi, hi_mass
+        mass = integrate_cells(a.grid, step(k))
+        if mass <= m:
+            undecided, hi, hi_mass = undecided[undecided < k], k, mass
+        else:
+            undecided, lo = undecided[undecided > k], k
+        return mass <= m
+
+    gamma, newton = start, True
+    while undecided.size:
+        root = piece_root(gamma, gamma) if newton else np.nan
+        if np.isfinite(root):
+            above = undecided[undecided >= root]
+            gamma = above.min() if above.size else undecided.max()
+        else:
+            gamma = np.partition(undecided, undecided.size // 2)[undecided.size // 2]
+        passes = probe(gamma)
+        if undecided.size:
+            gamma = undecided.max() if passes else undecided.min()
+            probe(gamma)
+        newton = not newton
+    if hi is None:
+        return None  # even the greatest kink's mass is above m
+    if lo is None:  # hi is the least kink
+        if hi_mass < m:
+            return None
+        # m is the mass with every moving cell at beta: solve on the first piece
+        lo, hi = hi, np.partition(kinks, 1)[1]
+    gamma = piece_root(lo, hi)
     return DensityField(a.grid, step(gamma)), float(gamma)
 
 
@@ -178,6 +232,7 @@ def update(
     unevaluated, as when eps*|g| is so large that no float gamma meets the
     mass. `first`, when given, is the first trial and its multiplier:
     `project` at the base step scale, which the caller has already computed.
+    Each halving's `project` starts from the last halving's multiplier.
     Returns (new density, multiplier used, accepted eps); accepted eps 0.0
     signals stagnation, with the original density returned unchanged.
     """
@@ -188,7 +243,7 @@ def update(
             trial, gamma = first
         else:
             eta = barrier_eta(a, eps_try, cfg.alpha, cfg.beta)
-            projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
+            projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta, gamma)
             if projected is None:
                 break  # nothing can move at this scale or below
             trial, gamma = projected
@@ -267,6 +322,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     cost_scale = abs(cost_now)
     history: list[ConvergenceRecord] = []
     converged = False
+    gamma = 0.0  # each iterate's projection starts from the last record's multiplier
     for k in range(cfg.max_iters + 1):
         require_finite("the energy density", cost_now, k)
         g = gradient_density(s, kind)
@@ -276,7 +332,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         caps = [max(TRIAL_ITER_FLOOR, TRIAL_ITER_FACTOR * n) for n in s.iterations]
         s = trial = None  # `states` is now the one copy of the accepted states
         eta = barrier_eta(a, cfg.eps, cfg.alpha, cfg.beta)
-        projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta)
+        projected = project(a, g, eta, cfg.mass, cfg.alpha, cfg.beta, gamma)
         saturated = projected is None
         gamma = 0.0 if saturated else projected[1]
         with np.errstate(over="ignore", invalid="ignore"):

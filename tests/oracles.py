@@ -5,7 +5,9 @@ load and each perturbation alone; `loop_optimality_residual` is the per-cell
 reference form of `stodesign.gclosure.optimality_residual`, over the
 per-scenario states that `scenario_fields` forms from a basis' states;
 `prolongation_oracle` builds the multigrid prolongations from hat functions,
-so that P^T A P checks the element-wise coarse operators. `eager_pcg`,
+so that P^T A P checks the element-wise coarse operators, and
+`matmul_v_cycle` is the V-cycle with every product an `@`. `bisect_project`
+is the mass projection by bisection over the sorted kinks. `eager_pcg`,
 `bincount_stiffness`, `map_assemble_elements`, `reduceat_jacobi_weights` and
 `einsum_grad_dot` are the earlier, CSR-based forms of the state solve's
 kernels, which the library's must match. `cell_node_ids` and
@@ -22,6 +24,7 @@ and `property_settings`, the settings every hypothesis property test runs under.
 """
 import math
 import os
+from bisect import bisect_left
 from pathlib import Path
 from typing import Callable
 
@@ -40,10 +43,11 @@ from stodesign.fem import (
     assemble_stiffness,
     cell_centers,
     cell_gradients,
+    integrate_cells,
     reference_stiffness,
 )
 from stodesign.gclosure import PhasePair, SymmetricTensor2, rank_one_laminate, volume_fraction
-from stodesign.mg import _CX, _CY, _HALVES, _WHOLE
+from stodesign.mg import _CX, _CY, _HALVES, _WHOLE, VCycle
 from stodesign.objective import Objective
 from stodesign.optimizer import ConvergenceRecord
 from stodesign.scenarios import Scenario, ScenarioSet, validate
@@ -254,6 +258,19 @@ def eager_pcg(
     return x, SolveReport(it, r_norm / b_norm, converged)
 
 
+def matmul_v_cycle(M: VCycle, r: np.ndarray, level: int = 0) -> np.ndarray:
+    """The V-cycle of `M` applied to r recursively, every product an `@` into
+    a fresh array: what `VCycle.__call__` computes into its work arrays."""
+    if level == len(M.weights):
+        return M.coarsest_inverse @ r
+    A, w = M.operators[level], M.weights[level]
+    P, PT = M.steps[level].P, M.steps[level].PT
+    x = w * r
+    x += P @ matmul_v_cycle(M, PT @ (r - A @ x), level + 1)
+    x += w * (r - A @ x)
+    return x
+
+
 def bincount_stiffness(a: DensityField) -> sparse.csr_matrix:
     """The stiffness matrix summed entry by entry: each element entry a_c * kref
     that couples two interior nodes is added, in cell order, into its CSR
@@ -387,6 +404,38 @@ def table_coarse_elements(a: DensityField) -> list[np.ndarray]:
         levels.append(coarse[:-1])
         elements, nx, ny = coarse, cnx, cny
     return levels
+
+
+def bisect_project(
+    a: DensityField, g: np.ndarray, eta: np.ndarray, m: float, alpha: float, beta: float
+) -> tuple[DensityField, float] | None:
+    """`stodesign.optimizer.project` by bisection over all 2n kinks, sorted: the
+    first whose mass is at most m is hi, the one before it lo, and m is solved
+    on that piece as `project` solves it."""
+    moving = eta > 0.0
+    if not moving.any():
+        return None
+    with np.errstate(over="ignore"):
+        to_beta = g - np.divide(beta - a.values, eta, out=np.full_like(eta, np.inf), where=moving)
+        to_alpha = g + np.divide(a.values - alpha, eta, out=np.full_like(eta, np.inf), where=moving)
+    kinks = np.sort(np.concatenate([to_beta[moving], to_alpha[moving]]))
+
+    def step(gamma: float) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.clip(a.values + eta * (g - gamma), alpha, beta)
+
+    j = bisect_left(kinks, True, key=lambda k: integrate_cells(a.grid, step(k)) <= m)
+    if j == len(kinks) or (j == 0 and integrate_cells(a.grid, step(kinks[0])) < m):
+        return None
+    lo, hi = kinks[max(j, 1) - 1], kinks[max(j, 1)]
+    at_beta, at_alpha = to_beta >= hi, to_alpha <= lo
+    inner = ~(at_beta | at_alpha)
+    defect = integrate_cells(a.grid, np.where(at_beta, beta, np.where(at_alpha, alpha, a.values))) - m
+    weight = integrate_cells(a.grid, np.where(inner, eta, 0.0))
+    gamma = lo
+    if weight > 0.0:
+        gamma = (defect + integrate_cells(a.grid, np.where(inner, eta * g, 0.0))) / weight
+    return DensityField(a.grid, step(gamma)), float(gamma)
 
 
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:

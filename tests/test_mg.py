@@ -21,6 +21,7 @@ from stodesign.scenarios import make_case1
 
 from oracles import (
     map_assemble_elements,
+    matmul_v_cycle,
     prolongation_oracle,
     reduceat_jacobi_weights,
     same_bits,
@@ -149,6 +150,49 @@ def test_v_cycle_is_symmetric_positive_definite(nx, ny, kind):
         assert np.array_equal(x, x_in)
         assert abs(Mx @ y - x @ My) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
         assert Mx @ x > 0.0
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (37, 23), (256, 32)])
+def test_kernel_products_match_matmul_bitwise(nx, ny):
+    # the cycle's products run scipy's private _sparsetools kernels: each
+    # level's A x, P^T r and P e must be `@`'s bit for bit, on this scipy too
+    g = GridSpec(nx, ny)
+    a = _density(g, "random")
+    M = VCycle(a, assemble_stiffness(a))
+    rng = np.random.default_rng(nx + ny)
+    products = [(A, mg._product(A)) for A in M.operators]
+    products += [(T, mg._product(T)) for step in M.steps for T in (step.PT, step.P)]
+    assert len(products) == 3 * len(M.steps) + 1
+    for A, product in products:
+        x = rng.standard_normal(A.shape[1])
+        y = np.zeros(A.shape[0])
+        product(x, y)
+        assert same_bits(y, A @ x)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (256, 256), (37, 23), (256, 32), (8, 8)])
+def test_v_cycle_matches_matmul_cycle_bitwise(nx, ny):
+    g = GridSpec(nx, ny)
+    a = _density(g, "bang-bang")
+    M = VCycle(a, assemble_stiffness(a))
+    r = np.random.default_rng(3).standard_normal(g.n_interior)
+    assert same_bits(M(r), matmul_v_cycle(M, r))
+
+
+def test_reused_v_cycle_repeats_and_returns_its_own_z():
+    # the work arrays carry nothing from one call to the next, and the z a
+    # call returns is not one of them
+    g = GridSpec(37, 23)
+    a = _density(g, "random")
+    M = VCycle(a, assemble_stiffness(a))
+    r1, r2 = np.random.default_rng(4).standard_normal((2, g.n_interior))
+    z1 = M(r1)
+    want = z1.copy()
+    z1[:] = np.nan
+    z2 = M(r2)
+    assert same_bits(z2, VCycle(a, assemble_stiffness(a))(r2))
+    assert same_bits(M(r1), want)
+    assert not np.shares_memory(z2, M(r1))
 
 
 def test_keep_rule_is_the_spacing_rule():

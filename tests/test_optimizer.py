@@ -26,7 +26,7 @@ from stodesign.optimizer import (
 from stodesign.scenarios import make_case1, make_deterministic
 from stodesign.solve import load_basis, solve_state
 
-from oracles import pm_pair_set, property_settings, same_bits
+from oracles import bisect_project, pm_pair_set, property_settings, same_bits
 
 
 def _grid(n=8):
@@ -145,6 +145,7 @@ def test_project_is_exact_property(data):
     m = a.mass() + shift * (reach_up if shift > 0.0 else reach_down)
 
     projected = project(a, gd, eta, m, alpha, beta)
+    assert _same_projection(projected, bisect_project(a, gd, eta, m, alpha, beta))
     if not moving.any():
         assert projected is None
         return
@@ -160,6 +161,109 @@ def test_project_is_exact_property(data):
     if np.all((unclamped >= alpha) & (unclamped <= beta)):
         expected = ((a.mass() - m) + integrate_cells(g, eta * gd)) / integrate_cells(g, eta)
         assert gamma == pytest.approx(expected, rel=1e-12)
+
+
+def _same_projection(got, want) -> bool:
+    """Both None, or the same density and multiplier bit for bit."""
+    if got is None or want is None:
+        return got is want
+    same_gamma = same_bits(np.float64(got[1]), np.float64(want[1]))
+    return same_gamma and same_bits(got[0].values, want[0].values)
+
+
+def _project_as_bisection(a, gd, eta, m, alpha, beta):
+    """project from every start gives the bisection oracle's result; returns it."""
+    want = bisect_project(a, gd, eta, m, alpha, beta)
+    starts = [0.0, 1e300, -1e300] + ([] if want is None else [want[1]])
+    for start in starts:
+        assert _same_projection(project(a, gd, eta, m, alpha, beta, start), want), start
+    return want
+
+
+def _kink_masses(a, gd, eta, alpha, beta):
+    """The mass of the step at each kink of the moving cells, least kink first."""
+    moving = eta > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinks = np.sort(np.concatenate([
+            gd[moving] - (beta - a.values[moving]) / eta[moving],
+            gd[moving] + (a.values[moving] - alpha) / eta[moving],
+        ]))
+        steps = [np.where(moving, eta * (gd - k), 0.0) for k in kinks]
+    return [integrate_cells(a.grid, np.clip(a.values + s, alpha, beta)) for s in steps]
+
+
+def test_project_matches_bisection_on_random_inputs():
+    # random grids, bounds, pinned cells, step scales and mass targets, among
+    # them the mass at a kink itself and targets just out of reach
+    rng = np.random.default_rng(12)
+    nones = 0
+    for _ in range(150):
+        g = GridSpec(*rng.integers(2, 13, size=2))
+        alpha = 10.0 ** rng.uniform(-2.0, 2.0)
+        beta = alpha * 10.0 ** rng.uniform(0.01, 3.0)
+        t = np.clip(rng.uniform(-0.25, 1.25, g.n_cells), 0.0, 1.0)  # a sixth at each bound
+        a = DensityField(g, np.clip(alpha + t * (beta - alpha), alpha, beta))
+        gd = rng.standard_normal(g.n_cells) * 10.0 ** rng.uniform(-3.0, 3.0)
+        eta = barrier_eta(a, 10.0 ** rng.uniform(-3.0, 4.0), alpha, beta)
+        masses = _kink_masses(a, gd, eta, alpha, beta) or [a.mass()]
+        m = float(rng.choice([
+            rng.uniform(min(masses), max(masses)),
+            rng.choice(masses),
+            max(masses) * (1.0 + 1e-12),
+            min(masses) * (1.0 - 1e-12),
+        ]))
+        nones += _project_as_bisection(a, gd, eta, m, alpha, beta) is None
+    assert 0 < nones < 150
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["pinned", "top", "bottom", "above-top", "below-bottom", "duplicate", "subnormal", "subnormal-pinned"],
+)
+def test_project_matches_bisection_on_degenerate_inputs(case):
+    # unless named otherwise, every fourth cell sits at alpha and every fourth
+    # at beta, where eta = 0, and m is the density's own mass
+    g = _grid()
+    rng = np.random.default_rng(5)
+    values = rng.uniform(1.05, 1.95, g.n_cells)
+    if case != "subnormal":
+        values[::4], values[1::4] = 1.0, 2.0
+    gd = rng.standard_normal(g.n_cells)
+    if case == "duplicate":  # every cell shares its two kinks with the next
+        values, gd = np.repeat(values[::2], 2), np.repeat(gd[::2], 2)
+    a = DensityField(g, values)
+    eta = barrier_eta(a, 0.5, 1.0, 2.0)
+    if case.startswith("subnormal"):  # a quotient overflows: kinks at +-inf
+        eta[2::4] = 5e-324
+    masses = _kink_masses(a, gd, eta, 1.0, 2.0)
+    m = {
+        "top": masses[0],  # every moving cell at beta: the least kink's mass is m
+        "bottom": masses[-1],  # every moving cell at alpha
+        "above-top": masses[0] * (1.0 + 1e-12),
+        "below-bottom": masses[-1] * (1.0 - 1e-12),
+    }.get(case, a.mass())
+    want = _project_as_bisection(a, gd, eta, m, 1.0, 2.0)
+    assert (want is None) == case.endswith(("-top", "-bottom"))
+
+
+def test_project_matches_bisection_on_pieces_with_no_inner_cell():
+    # two groups of cells whose kinks leave a gap in which every cell is
+    # clamped, the first at alpha and the second at beta, and m the mass
+    # there: at its ends a step rounds off its bound, so m can fall between
+    # two kinks of the gap, where no cell is inner and gamma is the lower one
+    g = _grid()
+    flat = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a = DensityField(g, rng.uniform(1.1, 1.9, g.n_cells))
+        eta = rng.uniform(0.1, 1.0, g.n_cells)
+        half = g.n_cells // 2
+        gd = np.repeat([0.0, 10.0], half) + rng.uniform(-0.1, 0.1, g.n_cells)
+        m = integrate_cells(g, np.clip(a.values + eta * (gd - 5.0), 1.0, 2.0))
+        _, gamma = _project_as_bisection(a, gd, eta, m, 1.0, 2.0)
+        to_beta, to_alpha = gd - (2.0 - a.values) / eta, gd + (a.values - 1.0) / eta
+        flat += gamma == to_alpha[:half].max() and gamma < to_beta[half:].min()
+    assert flat >= 1
 
 
 def test_penalized_descent_derivative_identity():
