@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass
@@ -42,7 +41,7 @@ def _require_finite(name: str, v: np.ndarray) -> None:
 
 
 def cg_solve(
-    K: sparse.spmatrix,
+    K,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
@@ -52,8 +51,8 @@ def cg_solve(
     """Solve K x = b with preconditioned conjugate gradients.
 
     Args:
-        K: SPD system matrix in any sparse format; only K @ x and K.shape
-            are used.
+        K: SPD system matrix, a `stodesign.fem.Stencil` or any matrix
+            object: only K @ x and K.shape are used.
         b: right-hand side.
         tol: relative tolerance on the true residual, ||Kx - b|| <= tol*||b||.
         max_iter: iteration cap, defaults to 20*n.

@@ -249,6 +249,7 @@ def write_diagnostics(path: Path, result: RunResult, residual: np.ndarray) -> No
         f"stop_reason {result.stop_reason}",
         f"iterations {h[-1].iter}",
         f"final_cost {_fmt(h[-1].cost)}",
+        f"gap_rel {_fmt(result.gap_rel)}",
         f"final_mass {_fmt(h[-1].mass)}",
         f"final_gamma {_fmt(h[-1].gamma)}",
         f"stationarity_first {_fmt(h[0].stationarity)}",

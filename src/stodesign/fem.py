@@ -7,14 +7,54 @@ module pads in. Cells are indexed row-major as j*nx + i, nodes as
 j*(nx+1) + i and interior nodes as (j-1)*(nx-1) + (i-1), with i running
 fastest: fields are (ny, nx), (ny+1, nx+1) and (ny-1, nx-1) arrays, and
 corners, neighbours and interior nodes are slices. Corners run SW, SE, NE, NW.
+
+The assembled matrices are `Stencil`s: scipy's DIA arrays, multiplied by
+scipy's compiled `dia_matvec` kernel. `sparsetools` is that kernel's
+extension module, loaded from its file alone: importing `scipy.sparse` would
+cost about ten times its time and 17–18 MB of peak resident memory.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
+
+
+def _load_sparsetools():
+    """scipy's compiled `_sparsetools` extension, without importing any of scipy.
+
+    It is found in scipy's package directory, which `find_spec` reports
+    without importing scipy, and registered under its own name, so that a
+    later `import scipy.sparse` reuses this module.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("stodesign needs scipy's compiled sparse kernels: scipy is not installed")
+    where = Path(scipy.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (where / f"_sparsetools{suffix}").is_file():
+            spec = importlib.util.spec_from_file_location(name, where / f"_sparsetools{suffix}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return sys.modules.setdefault(name, module)
+    from importlib.metadata import version
+
+    raise ImportError(
+        f"no _sparsetools extension in {where} (scipy {version('scipy')}): "
+        "this scipy's file layout is not the one stodesign loads its kernels from"
+    )
+
+
+sparsetools = _load_sparsetools()
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 # reference-square corner signs, order SW SE NE NW
@@ -108,6 +148,47 @@ def reference_stiffness(hx: float, hy: float) -> np.ndarray:
     return K
 
 
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """A square matrix held as diagonals, in scipy's DIA layout.
+
+    data[d, j] holds A[j - offsets[d], j], for the sorted int32 `offsets`;
+    a slot whose row lies outside the matrix is never read by a product.
+    `A @ x` runs scipy's `dia_matvec` kernel into a zeroed y, as scipy's
+    `dia_matrix @` does, so the two agree bit for bit.
+    """
+
+    offsets: np.ndarray
+    data: np.ndarray
+    format: ClassVar[str] = "dia"
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.data.shape[1]
+        return n, n
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.data.shape[1]
+        x = np.asarray(x)
+        if x.shape != (n,):  # the kernel reads n values of x unchecked
+            raise ValueError(f"cannot multiply a {n}x{n} stencil by an array of shape {x.shape}")
+        y = np.zeros(n)
+        sparsetools.dia_matvec(n, n, len(self.offsets), n, self.offsets, self.data, x, y)
+        return y
+
+    def toarray(self) -> np.ndarray:
+        """The matrix as a C-ordered dense array, written one diagonal at a time."""
+        n = self.data.shape[1]
+        dense = np.zeros(n * n)
+        for offset, values in zip(self.offsets.tolist(), self.data):
+            start = max(0, offset)
+            stop = max(start, n + min(0, offset))
+            # A[j - offset, j] is flat entry j*(n + 1) - offset*n
+            flat = slice(start * (n + 1) - offset * n, stop * (n + 1) - offset * n, n + 1)
+            dense[flat] = values[start:stop]
+        return dense.reshape(n, n)
+
+
 # The corner (SW, SE, NE, NW = 0..3) a node is of the cell at [sy][sx] from
 # it, above it when sy = 1 and right of it when sx = 1; `_CELLS` lists those
 # cells by increasing cell index.
@@ -122,12 +203,12 @@ def _offsets(m: int) -> tuple[np.ndarray, np.ndarray]:
     m <= 2 some neighbours share a diagonal."""
     k = np.arange(-1, 2)
     offsets, where = np.unique((k[:, None] * m + k).ravel(), return_inverse=True)
-    offsets = offsets.astype(np.int32)  # scipy's index type: not copied per matrix
+    offsets = offsets.astype(np.int32)  # the kernel's index type: not copied per product
     offsets.flags.writeable = where.flags.writeable = False
     return offsets, where
 
 
-def _stencil(grid: GridSpec, entry) -> sparse.dia_matrix:
+def _stencil(grid: GridSpec, entry) -> Stencil:
     """Sum element matrices into the nine diagonals of the interior matrix.
 
     Interior node (q, p) is column q*m + p, m = nx - 1. entry(sy, sx, by, bx)
@@ -153,16 +234,16 @@ def _stencil(grid: GridSpec, entry) -> sparse.dia_matrix:
         merged = np.zeros((len(offsets), r * m))
         np.add.at(merged, where, data)
         data = merged
-    return sparse.dia_matrix((data, offsets), shape=(r * m, r * m))
+    return Stencil(offsets, data)
 
 
-def assemble_stiffness(a: DensityField) -> sparse.dia_matrix:
+def assemble_stiffness(a: DensityField) -> Stencil:
     """Assemble the interior-node stiffness matrix of -div(a grad u).
 
     The coefficient is held constant per cell; boundary rows and columns are
-    eliminated (homogeneous Dirichlet). The result is a DIA matrix of the
-    stencil's nine diagonals (`_stencil`), filled from the cell array by
-    slicing; callers may treat it as any SPD sparse matrix.
+    eliminated (homogeneous Dirichlet). The result is a `Stencil` of the
+    nine diagonals (`_stencil`), filled from the cell array by slicing;
+    callers multiply by it, as by any SPD sparse matrix.
     """
     # a NaN makes min() NaN, which fails the test too
     if not (a.values.min() > 0.0 and a.values.max() < np.inf):
@@ -182,9 +263,9 @@ def assemble_stiffness(a: DensityField) -> sparse.dia_matrix:
     return _stencil(grid, entry)
 
 
-def assemble_elements(grid: GridSpec, elements: np.ndarray) -> sparse.dia_matrix:
-    """Sum per-cell element matrices, (n_cells, 16) row-major, into a DIA
-    matrix of the interior stencil's nine diagonals (`_stencil`)."""
+def assemble_elements(grid: GridSpec, elements: np.ndarray) -> Stencil:
+    """Sum per-cell element matrices, (n_cells, 16) row-major, into a
+    `Stencil` of the interior stencil's nine diagonals (`_stencil`)."""
     m, r = grid.nx - 1, grid.ny - 1
     entries = elements.reshape(grid.ny, grid.nx, 4, 4)  # [cell y, cell x, row, column]
     return _stencil(

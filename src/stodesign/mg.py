@@ -21,7 +21,7 @@ The coarse operators are Galerkin, P^T A P, formed element by element: the
 coarse element matrix of a cell is sum over its children of R^T E R, with E
 the child's element matrix and R the interpolation from the coarse cell's
 corners to the child's, and the coarse elements are summed into the coarse
-grid's nine stencil diagonals, a DIA matrix like the fine one; the Jacobi
+grid's nine stencil diagonals, a `Stencil` like the fine one; the Jacobi
 weights and the coarsest dense matrix are read off those diagonals.
 Everything that depends only on the grid (level sizes, the slices that
 pick each child position's cells, the stacked T = kron(R, R), P and P^T) is
@@ -29,9 +29,11 @@ built once per grid; per assembly each level is one slice copy per child
 position of the element matrices and one matrix product with the stacked T,
 then the operators, the Jacobi weights and the coarsest inverse, and the
 cycle's work arrays. Applying the cycle allocates only the z it returns:
-each product is the compiled scipy kernel that `@` runs (`_product`), into a
-work array zeroed first, so z is bit for bit that of the cycle written with
-`@`, at a fraction of the per-call overhead on small grids.
+each product is the compiled scipy kernel that scipy's `@` runs
+(`_product`), into a work array zeroed first, so z is bit for bit that of
+the cycle written with scipy matrices and `@`, at a fraction of the per-call
+overhead on small grids. The transfers are held as scipy's CSR and CSC
+arrays (`Compressed`), built here with numpy: no scipy matrix is made.
 """
 from __future__ import annotations
 
@@ -40,10 +42,15 @@ from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
-from .fem import DensityField, GridSpec, assemble_elements, reference_stiffness
+from .fem import (
+    DensityField,
+    GridSpec,
+    Stencil,
+    assemble_elements,
+    reference_stiffness,
+    sparsetools,
+)
 
 COARSEST = 8  # a direction with more cells than this is coarsened
 # The Jacobi weight is OMEGA_G / G, with G the Gershgorin bound of D^-1 A.
@@ -60,6 +67,18 @@ _WHOLE = np.eye(2)
 # (x, y) position of the corners SW, SE, NE, NW in a cell
 _CX = np.array([0, 1, 1, 0])
 _CY = np.array([0, 0, 1, 1])
+
+
+@dataclass(frozen=True, eq=False)
+class Compressed:
+    """A sparse matrix as scipy's CSR (or CSC) arrays: row (column) i holds
+    data[indptr[i]:indptr[i + 1]] in the columns (rows) indices[...]."""
+
+    format: str  # "csr" or "csc"
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,8 +99,8 @@ class Coarsening:
     """
 
     coarse: GridSpec
-    P: sparse.csc_matrix
-    PT: sparse.csr_matrix
+    P: Compressed
+    PT: Compressed
     slices: tuple[tuple[slice, slice, slice, slice], ...]
     T: np.ndarray
 
@@ -91,8 +110,9 @@ def _coarse_nodes(n: int, keep: bool) -> np.ndarray:
     return np.arange(n + 1) if keep else np.append(np.arange(0, n, 2), n)
 
 
-def _prolongation_1d(nodes: np.ndarray) -> sparse.csr_matrix:
-    """Linear interpolation from the interior coarse nodes to the interior fine ones."""
+def _prolongation_1d(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear interpolation from the interior coarse nodes to the interior fine
+    ones: the fine node, coarse node and weight of each nonzero."""
     n = int(nodes[-1])
     f = np.arange(1, n)
     k = np.searchsorted(nodes, f, side="right") - 1  # nodes[k] <= f < nodes[k + 1]
@@ -101,8 +121,25 @@ def _prolongation_1d(nodes: np.ndarray) -> sparse.csr_matrix:
     cols = np.concatenate([k - 1, k])  # interior coarse node k is column k - 1
     vals = np.concatenate([1.0 - t, t])
     keep = (cols >= 0) & (cols < len(nodes) - 2) & (vals != 0.0)
-    return sparse.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(n - 1, len(nodes) - 2)
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _restriction(xn: np.ndarray, yn: np.ndarray) -> Compressed:
+    """P^T in CSR, for P = kron(P1y, P1x) between the grids of fine node
+    indices xn and yn: each coarse node lists its fine nodes in ascending
+    order, each weighted wy * wx."""
+    fy, cy, wy = _prolongation_1d(yn)
+    fx, cx, wx = _prolongation_1d(xn)
+    mf, mc = int(xn[-1]) - 1, len(xn) - 2  # interior nodes per fine and per coarse row
+    fine = (fy[:, None] * mf + fx).ravel()
+    coarse = (cy[:, None] * mc + cx).ravel()
+    order = np.lexsort((fine, coarse))
+    n_coarse = mc * (len(yn) - 2)
+    indptr = np.zeros(n_coarse + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(coarse, minlength=n_coarse))
+    shape = (n_coarse, mf * (int(yn[-1]) - 1))
+    return Compressed(
+        "csr", shape, indptr, fine[order].astype(np.int32), (wy[:, None] * wx).ravel()[order]
     )
 
 
@@ -135,14 +172,15 @@ def coarsenings(grid: GridSpec) -> tuple[Coarsening, ...]:
         slices = tuple((cy, cx, fy, fx) for (_, fx, cx), (_, fy, cy) in pairs)
         Rs = [Rx[np.ix_(_CX, _CX)] * Ry[np.ix_(_CY, _CY)] for (Rx, _, _), (Ry, _, _) in pairs]
         T = np.stack([np.kron(R, R) for R in Rs])
-        PT = sparse.kron(_prolongation_1d(yn), _prolongation_1d(xn), format="csr").T.tocsr()
+        PT = _restriction(xn, yn)
+        P = Compressed("csc", PT.shape[::-1], PT.indptr, PT.indices, PT.data)
         T.flags.writeable = False
-        steps.append(Coarsening(coarse, PT.T, PT, slices, T))
+        steps.append(Coarsening(coarse, P, PT, slices, T))
         grid = coarse
     return tuple(steps)
 
 
-def _jacobi_weights(A: sparse.dia_matrix) -> np.ndarray:
+def _jacobi_weights(A: Stencil) -> np.ndarray:
     """omega / diag(A), with omega = OMEGA_G / G for a Gershgorin bound G of D^-1 A.
 
     G, the largest column sum of |A D^-1| (similar to D^-1 A), is 2 on square
@@ -156,37 +194,25 @@ def _jacobi_weights(A: sparse.dia_matrix) -> np.ndarray:
     return OMEGA_G / (diag * np.max(np.abs(A.data).sum(axis=0) / diag))
 
 
-def _product(A: sparse.spmatrix) -> Callable[[np.ndarray, np.ndarray], None]:
-    """y += A x, called as f(x, y), for a DIA, CSR or CSC matrix A.
+def _product(A: Stencil | Compressed) -> Callable[[np.ndarray, np.ndarray], None]:
+    """y += A x, called as f(x, y), for a `Stencil` or a CSR or CSC `Compressed` A.
 
-    It is the compiled kernel that `A @ x` runs on a zeroed y, with the same
-    arguments, so a y zeroed first holds A @ x bit for bit, with no array
-    allocated and no dispatch on the way.
+    It is the compiled kernel that scipy's `@` runs on a zeroed y for the
+    scipy matrix of the same arrays, with the same arguments, so a y zeroed
+    first holds that product bit for bit, with no array allocated and no
+    dispatch on the way.
     """
     m, n = A.shape
     if A.format == "dia":
         L = A.data.shape[1]
-        return partial(_sparsetools.dia_matvec, m, n, len(A.offsets), L, A.offsets, A.data)
-    return partial(getattr(_sparsetools, A.format + "_matvec"), m, n, A.indptr, A.indices, A.data)
-
-
-def _dense(A: sparse.dia_matrix) -> np.ndarray:
-    """A as a C-ordered dense array, written one diagonal at a time."""
-    n = A.shape[0]
-    dense = np.zeros(n * n)
-    for offset, values in zip(A.offsets.tolist(), A.data):
-        start = max(0, offset)
-        stop = max(start, n + min(0, offset))
-        # A[j - offset, j] is flat entry j*(n + 1) - offset*n
-        flat = slice(start * (n + 1) - offset * n, stop * (n + 1) - offset * n, n + 1)
-        dense[flat] = values[start:stop]
-    return dense.reshape(n, n)
+        return partial(sparsetools.dia_matvec, m, n, len(A.offsets), L, A.offsets, A.data)
+    return partial(getattr(sparsetools, A.format + "_matvec"), m, n, A.indptr, A.indices, A.data)
 
 
 class VCycle:
     """The V(1,1) preconditioner r -> z for the stiffness matrix K of `a`.
 
-    K is the DIA matrix of `stodesign.fem.assemble_stiffness`; the cycle
+    K is the `Stencil` of `stodesign.fem.assemble_stiffness`; the cycle
     only multiplies by it, the weights and the coarsest matrix read its
     diagonals. `operators[0]` is K itself; `operators[l + 1]` is the Galerkin
     operator of `coarsenings(a.grid)[l].coarse`, in the same format.
@@ -197,7 +223,7 @@ class VCycle:
     returns a fresh z.
     """
 
-    def __init__(self, a: DensityField, K: sparse.dia_matrix):
+    def __init__(self, a: DensityField, K: Stencil):
         grid = a.grid
         self.steps = coarsenings(grid)
         self.operators = [K]
@@ -215,7 +241,7 @@ class VCycle:
             elements = (children.reshape(c.n_cells, -1) @ T).reshape(c.ny, c.nx, 16)
             self.operators.append(assemble_elements(c, elements.reshape(-1, 16)))
         self.weights = [_jacobi_weights(A) for A in self.operators[:-1]]
-        inverse = np.linalg.inv(_dense(self.operators[-1]))
+        inverse = np.linalg.inv(self.operators[-1].toarray())
         self.coarsest_inverse = 0.5 * (inverse + inverse.T)
         self._A = [_product(A) for A in self.operators[:-1]]
         self._PT = [_product(step.PT) for step in self.steps]

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cg import dot
 from .fem import DensityField, GridSpec, integrate_cells
 from .gclosure import PhasePair
 from .objective import Objective, cost, gradient_density
@@ -96,13 +97,18 @@ class ConvergenceRecord:
 
 @dataclass
 class RunResult:
-    """The final design, its records and stop reason, and the states of its 1e-10 solve."""
+    """The final design, its records and stop reason, and the states of its 1e-10 solve.
+
+    `gap_rel` is the design's `optimality_gap` at that solve over |cost|:
+    nan or inf for a cost that underflowed to 0.
+    """
 
     density: DensityField
     history: list[ConvergenceRecord]
     stop_reason: str  # converged | stagnated | max_iters
     basis: LoadBasis
     states: np.ndarray  # (1 + r, n_interior): row i solves basis.loads[i]
+    gap_rel: float
 
 
 def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.ndarray:
@@ -114,6 +120,28 @@ def barrier_eta(a: DensityField, eps: float, alpha: float, beta: float) -> np.nd
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     return eps * (a.values - alpha) * (beta - a.values) / (beta - alpha)
+
+
+def optimality_gap(a: DensityField, g: np.ndarray, cfg: OptimizerConfig) -> float:
+    """area * max sum_c (b_c - a_c) g_c over b in {alpha <= b <= beta, integral b = mass}.
+
+    g is `gradient_density`, sign included: the cost's derivative along b - a
+    is -area * sum (b - a) g. The maximizer b* is greedy: beta on the k cells
+    of largest g, with k fixed by the mass, one cell in between and alpha on
+    the rest, found with one `argpartition`. For compliance, which is convex
+    in a, the gap bounds c(a) - c*, the distance to the optimal cost, up to
+    the solve tolerance. For energy, which is concave in a, it is only the
+    gap of the linearization at a and bounds nothing.
+    """
+    n = g.size
+    # b* - alpha holds this many cells of beta - alpha: the domain's area is 1
+    beta_cells = (cfg.mass - cfg.alpha) / (cfg.beta - cfg.alpha) * n
+    k = min(int(beta_cells), n - 1)
+    part = np.argpartition(g, n - 1 - k)  # part[n - k:] are the k largest
+    b = np.full(n, float(cfg.alpha))
+    b[part[n - k :]] = cfg.beta
+    b[part[n - 1 - k]] = cfg.alpha + (beta_cells - k) * (cfg.beta - cfg.alpha)
+    return dot(np.subtract(b, a.values, out=b), g) * a.grid.cell_area
 
 
 def project(
@@ -281,9 +309,9 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
     the stop reason, the final design is solved once more to `solve_state`'s
     default of 1e-10, starting from its own states x_k: that solve gives the
     last record's cost and the returned basis states, and its cost
-    cross-check holds at that tolerance's bound. A CG or cross-check failure
-    of that solve raises RuntimeError or ArithmeticError naming the final
-    solve.
+    cross-check holds at that tolerance's bound, and its gradient the
+    returned `gap_rel`. A CG or cross-check failure of that solve raises
+    RuntimeError or ArithmeticError naming the final solve.
     """
     grid = sset.grid
     cfg.check_grid(grid)
@@ -367,4 +395,7 @@ def run(cfg: OptimizerConfig, sset: ScenarioSet, kind: Objective) -> RunResult:
         raise type(exc)(f"the final solve, of iterate {k}: {exc}") from None
     require_finite("the final solve's energy density", cost_now, k)
     history[-1].cost = cost_now
-    return RunResult(a, history, stop_reason, basis, s.states)
+    gap = optimality_gap(a, gradient_density(s, kind), cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a cost that underflowed to 0
+        gap_rel = float(np.divide(gap, abs(cost_now)))
+    return RunResult(a, history, stop_reason, basis, s.states, gap_rel)

@@ -5,8 +5,11 @@ load and each perturbation alone; `loop_optimality_residual` is the per-cell
 reference form of `stodesign.gclosure.optimality_residual`, over the
 per-scenario states that `scenario_fields` forms from a basis' states;
 `prolongation_oracle` builds the multigrid prolongations from hat functions,
-so that P^T A P checks the element-wise coarse operators, and
-`matmul_v_cycle` is the V-cycle with every product an `@`. `bisect_project`
+so that P^T A P checks the element-wise coarse operators, `kron_restriction`
+builds the restrictions P^T as scipy's kron and conversions once did, and
+`matmul_v_cycle` is the V-cycle with every product scipy's `@`.
+`scipy_matrix` is the scipy matrix over a library operator's own arrays, for
+the scipy methods and products the tests compare with. `bisect_project`
 is the mass projection by bisection over the sorted kinks. `eager_pcg`,
 `bincount_stiffness`, `map_assemble_elements`, `reduceat_jacobi_weights` and
 `einsum_grad_dot` are the earlier, CSR-based forms of the state solve's
@@ -39,6 +42,7 @@ from stodesign.fem import (
     _XI,
     DensityField,
     GridSpec,
+    Stencil,
     assemble_load,
     assemble_stiffness,
     cell_centers,
@@ -47,7 +51,7 @@ from stodesign.fem import (
     reference_stiffness,
 )
 from stodesign.gclosure import PhasePair, SymmetricTensor2, rank_one_laminate, volume_fraction
-from stodesign.mg import _CX, _CY, _HALVES, _WHOLE, VCycle
+from stodesign.mg import _CX, _CY, _HALVES, _WHOLE, Compressed, VCycle, _prolongation_1d
 from stodesign.objective import Objective
 from stodesign.optimizer import ConvergenceRecord
 from stodesign.scenarios import Scenario, ScenarioSet, validate
@@ -218,6 +222,30 @@ def prolongation_oracle(grid: GridSpec) -> list[sparse.csr_matrix]:
     return steps
 
 
+def kron_restriction(grid: GridSpec) -> list[sparse.csr_matrix]:
+    """P^T of each coarsening step, finest first, as
+    kron(P1y, P1x, format="csr").T.tocsr() of the library's 1-D interpolations."""
+    steps = []
+    nx, ny = grid.nx, grid.ny
+    while nx > 8 or ny > 8:
+        P1 = []
+        for n, keep in zip((nx, ny), _kept(nx, ny)):
+            nodes = np.array(_coarse_node_list(n, keep))
+            rows, cols, vals = _prolongation_1d(nodes)
+            P1.append(sparse.csr_matrix((vals, (rows, cols)), shape=(n - 1, len(nodes) - 2)))
+        steps.append(sparse.kron(P1[1], P1[0], format="csr").T.tocsr())
+        nx, ny = P1[0].shape[1] + 1, P1[1].shape[1] + 1
+    return steps
+
+
+def scipy_matrix(A: Stencil | Compressed) -> sparse.spmatrix:
+    """The scipy matrix over the arrays of a library operator: a `Stencil` as
+    DIA, a `Compressed` transfer as CSR or CSC."""
+    if A.format == "dia":
+        return sparse.dia_matrix((A.data, A.offsets), shape=A.shape)
+    return getattr(sparse, A.format + "_matrix")((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def eager_pcg(
     K: sparse.csr_matrix,
     b: np.ndarray,
@@ -259,12 +287,12 @@ def eager_pcg(
 
 
 def matmul_v_cycle(M: VCycle, r: np.ndarray, level: int = 0) -> np.ndarray:
-    """The V-cycle of `M` applied to r recursively, every product an `@` into
-    a fresh array: what `VCycle.__call__` computes into its work arrays."""
+    """The V-cycle of `M` applied to r recursively, every product scipy's `@`
+    into a fresh array: what `VCycle.__call__` computes into its work arrays."""
     if level == len(M.weights):
         return M.coarsest_inverse @ r
-    A, w = M.operators[level], M.weights[level]
-    P, PT = M.steps[level].P, M.steps[level].PT
+    A, w = scipy_matrix(M.operators[level]), M.weights[level]
+    P, PT = scipy_matrix(M.steps[level].P), scipy_matrix(M.steps[level].PT)
     x = w * r
     x += P @ matmul_v_cycle(M, PT @ (r - A @ x), level + 1)
     x += w * (r - A @ x)

@@ -29,6 +29,7 @@ from oracles import (
     same_bits,
     sample_cells,
     sample_nodes,
+    scipy_matrix,
     table_cell_gradients,
     table_grad_dot,
 )
@@ -139,10 +140,23 @@ def test_stiffness_matches_entrywise_assembly_bitwise(nx, ny):
     assert K.shape == ref.shape
     if g.n_interior <= 4096:
         assert np.array_equal(K.toarray(), ref.toarray())
-    assert (K.tocsr() != ref).nnz == 0
+    assert (scipy_matrix(K).tocsr() != ref).nnz == 0
     for _ in range(3):
         x = rng.standard_normal(g.n_interior)
         assert np.array_equal(K @ x, ref @ x)
+
+
+def test_stencil_product_is_scipy_dia_product_and_checks_its_operand():
+    # `@` runs the compiled kernel, which reads x unchecked: a vector of
+    # another length, or a block, is refused before the call
+    g = GridSpec(9, 7)
+    rng = np.random.default_rng(19)
+    K = assemble_stiffness(DensityField(g, rng.uniform(0.5, 3.0, g.n_cells)))
+    x = rng.standard_normal(g.n_interior)
+    assert same_bits(K @ x, scipy_matrix(K) @ x)
+    for bad in (np.ones(g.n_interior + 1), np.ones((g.n_interior, 2))):
+        with pytest.raises(ValueError, match="stencil"):
+            K @ bad
 
 
 @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (9, 2), (16, 16), (37, 23)])

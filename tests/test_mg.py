@@ -20,11 +20,13 @@ from stodesign.mg import VCycle, coarsenings
 from stodesign.scenarios import make_case1
 
 from oracles import (
+    kron_restriction,
     map_assemble_elements,
     matmul_v_cycle,
     prolongation_oracle,
     reduceat_jacobi_weights,
     same_bits,
+    scipy_matrix,
     table_coarse_elements,
 )
 
@@ -46,13 +48,31 @@ def test_coarse_operators_are_galerkin(nx, ny):
     M = VCycle(a, K)
     oracle = prolongation_oracle(g)
     assert len(M.operators) == len(oracle) + 1
-    A = K
+    A = scipy_matrix(K)
     for P, step, coarse in zip(oracle, coarsenings(g), M.operators[1:]):
-        assert (P != step.P).nnz == 0
+        assert (P != scipy_matrix(step.P)).nnz == 0
         A = (P.T @ A @ P).tocsr()
         assert coarse.shape == A.shape
-        assert abs(coarse - A).max() <= 1e-13 * abs(A).max()
+        assert abs(scipy_matrix(coarse) - A).max() <= 1e-13 * abs(A).max()
     assert max(M.operators[-1].shape) <= 7 * 7
+
+
+# the seven grids of test_semicoarsening_hierarchies_terminate, an odd
+# non-square one and one that keeps x whole
+@pytest.mark.parametrize(
+    "nx, ny",
+    [(256, 32), (128, 16), (256, 96), (16, 400), (400, 16), (64, 1600), (1024, 8), (37, 23), (2, 9)],
+)
+def test_restrictions_match_scipy_kron_arrays(nx, ny):
+    # P^T is built with numpy: its three CSR arrays are scipy's, dtypes included
+    steps = coarsenings(GridSpec(nx, ny))
+    ref = kron_restriction(GridSpec(nx, ny))
+    assert len(steps) == len(ref) >= 1
+    for step, PT in zip(steps, ref):
+        assert step.PT.shape == PT.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(step.PT, name), getattr(PT, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (128, 16), (8, 64)])
@@ -64,7 +84,8 @@ def test_one_stored_transfer_per_level(nx, ny):
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(step.P, name), getattr(step.PT, name)), name
         coarse = rng.standard_normal(step.P.shape[1])
-        assert same_bits(step.P @ coarse, step.P.tocsr() @ coarse)
+        P = scipy_matrix(step.P)
+        assert same_bits(P @ coarse, P.tocsr() @ coarse)
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (128, 16)])
@@ -87,7 +108,8 @@ def test_coarse_operators_match_map_assembly_bitwise(nx, ny, monkeypatch):
         for _ in range(3):
             x = rng.standard_normal(grid.n_interior)
             assert np.array_equal(A @ x, ref @ x)
-    assert np.array_equal(mg._dense(M.operators[-1]), M.operators[-1].toarray())
+    coarsest = M.operators[-1]
+    assert np.array_equal(coarsest.toarray(), scipy_matrix(coarsest).toarray())
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (37, 23), (64, 8), (255, 257), (2, 9), (128, 16)])
@@ -115,7 +137,7 @@ def test_jacobi_weights_match_csr_row_sums(nx, ny, kind):
     a = _density(g, kind)
     M = VCycle(a, assemble_stiffness(a))
     for A, w in zip(M.operators, M.weights):
-        ref = reduceat_jacobi_weights(A.tocsr())
+        ref = reduceat_jacobi_weights(scipy_matrix(A).tocsr())
         assert np.max(np.abs(w - ref) / ref) <= 1e-15
 
 
@@ -167,7 +189,7 @@ def test_kernel_products_match_matmul_bitwise(nx, ny):
         x = rng.standard_normal(A.shape[1])
         y = np.zeros(A.shape[0])
         product(x, y)
-        assert same_bits(y, A @ x)
+        assert same_bits(y, scipy_matrix(A) @ x)
 
 
 @pytest.mark.parametrize("nx, ny", [(64, 64), (256, 256), (37, 23), (256, 32), (8, 8)])
@@ -260,23 +282,32 @@ def test_cold_solve_iteration_caps(nx, ny, cap, kind):
     assert np.linalg.norm(K @ x - b) <= tol * np.linalg.norm(b)
 
 
-def test_solves_import_no_dense_or_sparse_linalg():
-    # importing scipy.linalg alone adds several MB of resident memory
+def test_solves_import_no_dense_or_sparse_linalg(tmp_path):
+    # importing scipy.linalg alone adds several MB of resident memory, and
+    # scipy.sparse 17-18 MB: of scipy, only the compiled kernels load
     code = """
 import sys
 import stodesign
+from stodesign import cli
 from stodesign.objective import Objective
 from stodesign.scenarios import make_case1
 g = stodesign.GridSpec(37, 23)
 stodesign.solve_state(stodesign.DensityField.constant(g, 1.5), stodesign.load_basis(make_case1(g)))
 stodesign.run(stodesign.OptimizerConfig(max_iters=2), make_case1(g), Objective.COMPLIANCE)
+cli.run_cli(["run", "--preset", "case1", "--nx", "37", "--ny", "23", "--max-iters", "2",
+             "--out", sys.argv[1]])
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]
              or m.split(".")[:3] == ["scipy", "sparse", "linalg"]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(stodesign.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-2:] == ["[]", "['scipy.sparse._sparsetools']"]

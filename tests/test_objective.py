@@ -7,7 +7,7 @@ from stodesign.objective import Objective, cost, gradient_density
 from stodesign.scenarios import make_case1, make_case2, make_deterministic
 from stodesign.solve import BasisSolve, load_basis, solve_state
 
-from oracles import expected_decomposition_check, sample_cells
+from oracles import expected_decomposition_check, sample_cells, scipy_matrix
 
 
 def _compliance(a, sset, tol=1e-10):
@@ -70,7 +70,7 @@ def test_cost_is_the_energy_functional(kind):
         1e-2,  # the pairing's first-order error is far above 1e-10's cross-check bound
     )
     c_exact = float(np.sum(basis.loads * exact))
-    second_order = float(np.sum(d * (K @ d.T).T))
+    second_order = float(np.sum(d * (scipy_matrix(K) @ d.T).T))
     assert cost(a, s, kind) == pytest.approx(kind.sign * (c_exact - second_order), rel=1e-12, abs=0.0)
     assert abs(s.pairing - c_exact) > 1e-6 * c_exact  # the pairing alone is far off
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stodesign.cli import run_cli
 from stodesign.fem import DensityField, GridSpec, assemble_stiffness, integrate_cells
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.mg import coarsenings
@@ -19,6 +20,7 @@ from stodesign.optimizer import (
     TRIAL_ITER_FLOOR,
     OptimizerConfig,
     barrier_eta,
+    optimality_gap,
     project,
     run,
     update,
@@ -889,3 +891,43 @@ def test_run_holds_no_per_scenario_records():
         tracemalloc.stop()
     assert peak <= 50 * g.n_interior * np.dtype(float).itemsize
     assert res.states.shape == (1 + 3, g.n_interior)
+
+
+def _brute_force_gap(a, g, cfg):
+    """The gap's maximum over every vertex of {alpha <= b <= beta, integral b = mass}:
+    each cell at alpha or beta but at most one, which the mass fixes."""
+    n, area = g.size, a.grid.cell_area
+    best = -np.inf
+    for free in range(n):
+        others = [c for c in range(n) if c != free]
+        for bits in range(2 ** (n - 1)):
+            b = np.full(n, cfg.alpha)
+            b[[c for i, c in enumerate(others) if bits >> i & 1]] = cfg.beta
+            b[free] = cfg.mass / area - (b.sum() - b[free])
+            if cfg.alpha - 1e-12 <= b[free] <= cfg.beta + 1e-12:
+                best = max(best, area * float(np.sum((b - a.values) * g)))
+    return best
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (2, 4), (2, 2)])
+@pytest.mark.parametrize("mass", [1.05, 1.5, 1.9])
+def test_optimality_gap_is_the_brute_force_maximum(nx, ny, mass):
+    grid = GridSpec(nx, ny)
+    rng = np.random.default_rng(nx * ny + int(100 * mass))
+    cfg = OptimizerConfig(alpha=1.0, beta=2.0, mass=mass)
+    for g in (rng.standard_normal(grid.n_cells), rng.choice([-1.0, 0.5, 2.0], grid.n_cells)):
+        a = DensityField(grid, rng.uniform(1.0, 2.0, grid.n_cells))
+        want = _brute_force_gap(a, g, cfg)
+        assert optimality_gap(a, g, cfg) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_gap_of_a_converged_compliance_run_is_nonnegative(tmp_path):
+    # compliance is convex in a: the gap bounds c(a) - c* >= 0, and at a
+    # converged design it is small but, up to rounding, not negative
+    res = run(OptimizerConfig(), make_case1(GridSpec(16, 16)), Objective.COMPLIANCE)
+    assert res.stop_reason == "converged"
+    assert -1e-12 <= res.gap_rel < 1e-2
+    out = tmp_path / "run"
+    assert run_cli(["run", "--preset", "case1", "--nx", "16", "--ny", "16", "--out", str(out)]) == 0
+    lines = dict(line.split(" ", 1) for line in (out / "diagnostics.txt").read_text().splitlines())
+    assert float(lines["gap_rel"]) == res.gap_rel
