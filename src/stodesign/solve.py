@@ -107,8 +107,9 @@ def solve_state(
     Raises RuntimeError naming the load if CG does not converge, and
     ValueError (`cg_solve`) for a tol that is not a finite number in (0, 1).
     The solve records `tol`, which bounds `cost`'s cross-check; the design
-    loop solves its iterates and trials to its looser `ITERATE_TOL` and only
-    its final design to this default.
+    loop solves its iterates and trials to its looser `ITERATE_TOL`, 1e-4,
+    which the cost, second order in the solve error, reads to about 1e-11
+    relative, and only its final design to this default.
     """
     if basis.grid != a.grid:
         raise ValueError("load basis and coefficient live on different grids")

@@ -5,7 +5,8 @@ its exit code, stop reason, number of convergence records and final cost, and
 the SHA-256 of density.csv, density.pgm and residual.csv, with the numpy and
 scipy versions that made it. `test_designs.py` runs each design again and
 checks it against its record. A change that moves a design regenerates the
-file and says which entries moved and why.
+file and says which entries moved and why: regenerating prints, for each
+design, what moved against the committed ledger.
 
 Regenerate with: PYTHONPATH=src python3 tests/make_designs.py
 """
@@ -86,12 +87,35 @@ def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def moves(old: dict | None, new: dict) -> str:
+    """What moved in one design against its old record: outcome, relative cost and hashes."""
+    if old is None:
+        return "new design"
+    changed = [
+        f"{key} {old[key]} -> {new[key]}"
+        for key in ("exit", "stop_reason", "records")
+        if old[key] != new[key]
+    ]
+    old_cost, new_cost = float(old["final_cost"]), float(new["final_cost"])
+    if new_cost == old_cost:
+        changed.append("cost identical")
+    else:  # from a cost of 0, any move is infinitely large
+        rel = abs(new_cost - old_cost) / abs(old_cost) if old_cost else np.inf
+        changed.append(f"cost moved {rel:.2g} relative")
+    hashes = [f for f in HASHED if old["sha256"][f] != new["sha256"][f]]
+    changed.append("changed: " + ", ".join(hashes) if hashes else "artifacts identical")
+    return "; ".join(changed)
+
+
 def main() -> None:
+    committed = json.loads(LEDGER.read_text())["designs"] if LEDGER.exists() else {}
     designs = {}
     for name, (argv, rounding) in DESIGNS.items():
         with tempfile.TemporaryDirectory() as tmp:
             designs[name] = {"argv": argv, "rounding_sensitive": rounding, **run_design(argv, Path(tmp))}
-        print(name, designs[name]["stop_reason"], designs[name]["records"], designs[name]["final_cost"])
+        new = designs[name]
+        print(name, new["stop_reason"], new["records"], new["final_cost"])
+        print("  " + moves(committed.get(name), new))
     LEDGER.write_text(json.dumps({**versions(), "designs": designs}, indent=1) + "\n")
 
 

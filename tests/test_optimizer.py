@@ -13,7 +13,7 @@ from stodesign.cli import run_cli
 from stodesign.fem import DensityField, GridSpec, assemble_stiffness, integrate_cells
 from stodesign.gclosure import PhasePair, optimality_residual
 from stodesign.mg import coarsenings
-from stodesign.objective import Objective, cost
+from stodesign.objective import Objective, cost, gradient_density
 from stodesign import optimizer
 from stodesign.optimizer import (
     TRIAL_ITER_FACTOR,
@@ -276,8 +276,6 @@ def test_penalized_descent_derivative_identity():
     a = DensityField.constant(g, 1.5)
     kind = Objective.COMPLIANCE
     s = solve_state(a, load_basis(sset), tol=1e-12)
-    from stodesign.objective import gradient_density
-
     gd = gradient_density(s, kind)
     eta = barrier_eta(a, 0.1, 1.0, 2.0)
     _, gamma = project(a, gd, eta, a.mass(), 1.0, 2.0)
@@ -361,8 +359,8 @@ def test_run_saturated_design_declares_convergence(monkeypatch):
     # a huge step scale drives every cell to a bound in one step; there the
     # barrier is zero everywhere and nothing can move. Which cells land on a
     # bound hangs on the gradient's last digits: with iterates solved to
-    # ITERATE_TOL, 2 of the 256 cells land inside and the run stagnates, so
-    # this run solves its iterates to 1e-10
+    # 1e-6, 2 of the 256 cells land inside and the run stagnates, so this run
+    # solves its iterates to 1e-10
     monkeypatch.setattr(optimizer, "ITERATE_TOL", 1e-10)
     calls = []
 
@@ -631,11 +629,20 @@ def test_history_starts_cut_cg_iterations(monkeypatch):
     # case1 37x23 compliance at the defaults: 74 records and 150 solves, the
     # final re-solve's two included, and 834 CG iterations when each load
     # started from its last state alone (600 from the extrapolation
-    # 2 x_k - x_(k-1) of its two-state history)
+    # 2 x_k - x_(k-1) of its two-state history), both with iterates solved
+    # to 1e-6
     calls = _spy_cg(monkeypatch)
     res = run(OptimizerConfig(), make_case1(GridSpec(37, 23)), Objective.COMPLIANCE)
     assert (res.stop_reason, len(res.history), len(calls)) == ("converged", 74, 150)
     assert sum(report.iterations for _, _, report in calls) <= 0.8 * 834
+
+
+def test_case1_37x23_run_takes_at_most_300_cg_iterations(monkeypatch):
+    # solves to ITERATE_TOL = 1e-4 take 234 CG iterations over the whole
+    # run, the final 1e-10 solve included; at 1e-6 they took 600
+    calls = _spy_cg(monkeypatch)
+    run(OptimizerConfig(), make_case1(GridSpec(37, 23)), Objective.COMPLIANCE)
+    assert sum(report.iterations for _, _, report in calls) <= 300
 
 
 def test_rejected_trial_state_never_enters_the_history(monkeypatch):
@@ -805,6 +812,26 @@ def test_only_the_final_design_is_solved_to_1e_10(monkeypatch, sset, kind, cfg, 
     K = assemble_stiffness(res.density)
     for x, b in zip(res.states, basis.loads):
         assert np.linalg.norm(K @ x - b) <= 2e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", list(Objective))
+def test_iterate_tolerance_resolves_the_cost_below_the_stop_rule(kind):
+    # the cost is second order in the solve error, so a solve to ITERATE_TOL
+    # reads it a thousand times finer than the default eps1, and the gradient
+    # to ITERATE_TOL of its size. Cold, CG's Galerkin property makes the
+    # pairing second order too; only the warm starts, the accepted states
+    # perturbed by 1e-3, would tell a first-order cost apart
+    sset = make_case1(GridSpec(64, 64))
+    res = run(OptimizerConfig(max_iters=5), sset, kind)
+    exact = solve_state(res.density, res.basis, tol=1e-12)
+    c_exact, g_exact = cost(res.density, exact, kind), gradient_density(exact, kind)
+    noise = np.random.default_rng(35).standard_normal(res.states.shape)
+    perturbed = res.states + 1e-3 * np.abs(res.states).max(axis=1, keepdims=True) * noise
+    for warm in (None, perturbed):
+        s = solve_state(res.density, res.basis, tol=optimizer.ITERATE_TOL, warm_starts=warm)
+        assert abs(cost(res.density, s, kind) - c_exact) <= 1e-3 * OptimizerConfig().eps1 * abs(c_exact)
+        g = gradient_density(s, kind)
+        assert np.abs(g - g_exact).max() <= optimizer.ITERATE_TOL * np.abs(g_exact).max()
 
 
 def test_final_solve_cross_check_failure_stops_the_run(monkeypatch):
